@@ -42,7 +42,7 @@ def _write_out(path, text):
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="seed for all Monte Carlo draws")
     p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample budget")
-    p.add_argument("--threads", type=int, default=1, help="worker threads; results do not depend on it")
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored; every command runs in one thread")
     p.add_argument("--no-cache", action="store_true", help="recompute derived constants")
     p.add_argument("--out", default=None, help="certificate/report destination (default stdout)")
 

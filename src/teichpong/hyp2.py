@@ -74,10 +74,6 @@ def dist(z: Point, w: Point) -> float:
     return math.asinh(abs(z.z - w.z) / (2.0 * math.sqrt(z.y * w.y)))
 
 
-def _dist_c(z: complex, w: complex) -> float:
-    return math.asinh(abs(z - w) / (2.0 * math.sqrt(z.imag * w.imag)))
-
-
 @dataclass(frozen=True)
 class Mobius:
     """A real unit-determinant fractional-linear map of the half plane."""

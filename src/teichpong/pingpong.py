@@ -16,7 +16,6 @@ to shrink the constant.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -104,10 +103,18 @@ def _interval_map(axes):
 
 
 def _radius_from_intervals(intervals, b, grid_step, margin):
+    if not (grid_step > 0.0 and math.isfinite(grid_step)):
+        raise InvalidInputError(f"grid_step must be finite and positive, got {grid_step!r}")
     need = max(max(abs(lo), abs(hi)) for lo, hi in intervals.values())
-    target = max(0.0, need - 4.0 * b)
-    k = 1
-    while k * grid_step < target - 1e-15:
+    floor = max(0.0, need - 4.0 * b) - 1e-15
+    steps = max(0.0, floor) / grid_step
+    if not math.isfinite(steps):
+        raise InvalidInputError(f"grid_step {grid_step!r} is too fine to count the radius {need!r}")
+    # least k >= 1 with k * grid_step >= floor; the rounded quotient may be one off
+    k = max(1, math.ceil(steps))
+    if k > 1 and (k - 1) * grid_step >= floor:
+        k -= 1
+    elif k * grid_step < floor:
         k += 1
     return (1.0 + margin) * k * grid_step
 
@@ -269,16 +276,9 @@ def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
     return (a * zs + b) / (c * zs + d)
 
 
-def _param_matrix(axes, zs, threads=1):
+def _param_matrix(axes, zs):
     """params[i, k] = projection parameter of sample k on axis i."""
-    def one(c):
-        return c.params_of_array(zs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(one, axes))
-    else:
-        cols = [one(c) for c in axes]
-    return np.stack(cols)
+    return np.stack([c.params_of_array(zs) for c in axes])
 
 
 def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
@@ -290,7 +290,8 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     translation distance, and N of those steps clear both tables (2S) with
     recorded slack.  Empirical (certified mode): exact N-th matrix powers
     map sampled points off the minus table into the plus table, and the 2n
-    tables are pairwise disjoint on every sample.
+    tables are pairwise disjoint on every sample.  ``threads`` is accepted
+    and ignored.
     """
     seed = cert.config["seed"] if seed is None else seed
     box = tuple(cert.config["box"]) if box is None else tuple(box)
@@ -366,7 +367,7 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
         fail("generator does not translate its axis by Tr", witness={"max_error": worst})
 
     zs = sample_box_points(seed, sample_budget, box)
-    params = _param_matrix(axes, zs, threads=threads)
+    params = _param_matrix(axes, zs)
 
     # ping-pong inclusion with exact N-th powers
     for i, (m, c) in enumerate(zip(gens, axes)):
@@ -408,7 +409,7 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
         for sign in (1, -1):
             w = np.exp(2.0 * sign * witness_params)[:, None] * np.exp(1j * angles)[None, :]
             pts = ((c.chart.a * w + c.chart.b) / (c.chart.c * w + c.chart.d)).ravel()
-            wp = _param_matrix(axes, pts, threads=threads)
+            wp = _param_matrix(axes, pts)
             own = wp[i] >= S if sign == 1 else wp[i] <= -S
             if not bool(np.all(own)):
                 fail(f"planted witness missed its own table ({i}, {sign:+d})")

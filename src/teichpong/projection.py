@@ -3,33 +3,32 @@
 The two derived constants live here:
 
 * the contraction constant b: a uniform bound on the projected diameter of
-  any ball whose radius equals its center's distance to the geodesic;
+  any ball whose radius equals its center's distance to the geodesic; it is
+  the closed form (1 + margin) asinh(1);
 
 * the stability constant M(K, kappa): how far a continuous unit-speed
   (K, kappa)-quasi-geodesic can stray from the geodesic joining its
   endpoints.
 
-Both are computed numerically with stated margins rather than copied from
-literature; the searched family, grids and margins are recorded so results
-are reproducible bit for bit, and Monte Carlo validation of both bounds is
-part of the test suite.
+Only M is searched numerically; its grids and margins are recorded so
+results are reproducible bit for bit, and Monte Carlo validation of both
+bounds is part of the test suite.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import cache, hyp2
+from . import cache
 from .errors import (ConstantDerivationError, DegenerateInputError,
                      HorizonExceededError, InvalidInputError, NotIndependentError)
 from .hyp2 import Geodesic, Point, dist, dist_to_geodesic, project
 from .mcg import MappingClass, axis, independent
-
-_GOLDEN = 0.381966011250105
 
 
 @dataclass
@@ -38,7 +37,6 @@ class ModelConstants:
 
     b: float
     delta: float
-    morse_table: dict = field(default_factory=dict)
 
 
 _constants: ModelConstants | None = None
@@ -68,32 +66,13 @@ def touching_ball_projection_diameter(c: Geodesic, x: Point) -> float:
     return math.asinh(abs(w.real) / abs(w))
 
 
-def touching_ball_projection_diameters(c: Geodesic, zs: np.ndarray) -> np.ndarray:
-    m = c.chart.inverse()
-    w = (m.a * zs + m.b) / (m.c * zs + m.d)
-    return np.arcsinh(np.abs(w.real) / np.abs(w))
+def derive_contraction_b(margin: float = 0.05) -> float:
+    """The supremum asinh(1) of the touching-ball projection diameter, times 1 + margin.
 
-
-def derive_contraction_b(theta_samples: int = 4096, margin: float = 0.05) -> float:
-    """Maximize the touching-ball projection diameter over x = e^{i theta}.
-
-    Every configuration reduces to this family by the isometries fixing the
-    target geodesic (scalings and the mirror), so the maximum over theta is
-    the global bound; a safety margin covers the open end theta -> 0.
+    Every configuration reduces to x = e^{i theta} over the imaginary axis by
+    the isometries fixing it, where the diameter is asinh|cos theta|.
     """
-    key = f"b:theta_samples={theta_samples},margin={margin!r}"
-
-    def compute():
-        c = Geodesic(hyp2.BoundaryPoint.finite(0.0), hyp2.BoundaryPoint.infinity(), Point(0.0, 1.0))
-        best = 0.0
-        for k in range(1, theta_samples + 1):
-            theta = 0.5 * math.pi * k / theta_samples
-            best = max(best, touching_ball_projection_diameter(c, Point(math.cos(theta), math.sin(theta))))
-        if best <= 0.0:
-            raise ConstantDerivationError("contraction maximization produced nothing")
-        return (1.0 + margin) * best
-
-    return cache.memo(key, compute)
+    return cache.memo(f"b:sup=asinh(1),margin={margin!r}", lambda: (1.0 + margin) * math.asinh(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +137,12 @@ def derive_morse(K: float, kappa: float, *, levels: int = 96, t_samples: int = 4
         raise InvalidInputError(f"need K >= 1 and kappa >= 0, got ({K}, {kappa})")
     if K == 1.0 and kappa == 0.0:
         return 0.0
-    consts = model_constants()
-    tab_key = (float(K), float(kappa), levels, t_samples, safety, margin)
-    if tab_key in consts.morse_table:
-        return consts.morse_table[tab_key]
+    return _derive_morse_cached(float(K), float(kappa), levels, t_samples, float(safety), float(margin))
 
+
+@lru_cache(maxsize=32)
+def _derive_morse_cached(K: float, kappa: float, levels: int, t_samples: int, safety: float,
+                         margin: float) -> float:
     key = (f"morse:K={K!r},kappa={kappa!r},levels={levels},"
            f"t_samples={t_samples},safety={safety!r},margin={margin!r}")
 
@@ -180,9 +160,7 @@ def derive_morse(K: float, kappa: float, *, levels: int = 96, t_samples: int = 4
                 lo = mid
         return (1.0 + margin) * hi
 
-    val = cache.memo(key, compute)
-    consts.morse_table[tab_key] = val
-    return val
+    return cache.memo(key, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +193,7 @@ def common_perpendicular_distance(c1: Geodesic, c2: Geodesic) -> float:
 
     In the chart of c1 the other geodesic is the half circle on (p, q) with
     center m and radius r, and sinh of the plane distance is
-    sqrt(m^2 - r^2)/r.  Used as the independent oracle for the minimizer.
+    sqrt(m^2 - r^2)/r.  Used as an independent oracle for pair_geometry.
     """
     p, q = _normalized_endpoints(c1, c2)
     if not (math.isfinite(p) and math.isfinite(q)):
@@ -226,36 +204,24 @@ def common_perpendicular_distance(c1: Geodesic, c2: Geodesic) -> float:
     return 0.5 * math.asinh(math.sqrt(m * m - r * r) / r)
 
 
-def _geodesic_pair_geometry(c1: Geodesic, c2: Geodesic, tol: float = 1e-9) -> PairGeometry:
+def _geodesic_pair_geometry(c1: Geodesic, c2: Geodesic) -> PairGeometry:
+    # in the chart of c1 the other axis is the half circle on (p, q); it
+    # crosses the imaginary axis (pq < 0), or meets its common perpendicular
+    # with it (pq > 0), at height sqrt|pq|, so t_O = log|pq| / 4
     p, q = _normalized_endpoints(c1, c2)
-    if math.isfinite(p) and math.isfinite(q) and p * q < 0.0:
-        # crossing: intersect the chart circle with the vertical axis
-        y = math.sqrt(-p * q)
-        t_O = 0.5 * math.log(y)
-        O = c1.point_at(t_O)
-        s_O = c2.param_of(O)
-        return PairGeometry(0.0, O, O, t_O, s_O, True)
-    lo, hi = projection_interval(c1, c2)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (math.isfinite(p) and math.isfinite(q)) or p * q == 0.0:
         raise DegenerateInputError("geodesics share an endpoint")
-    # the perpendicular foot is the projection of the nearest point, hence
-    # inside the projection interval; golden minimization of a convex profile
-    while hi - lo > tol * 0.01:
-        m1 = lo + _GOLDEN * (hi - lo)
-        m2 = hi - _GOLDEN * (hi - lo)
-        if dist_to_geodesic(c2, c1.point_at(m1)) < dist_to_geodesic(c2, c1.point_at(m2)):
-            hi = m2
-        else:
-            lo = m1
-    t_O = 0.5 * (lo + hi)
+    t_O = 0.5 * math.log(math.sqrt(abs(p * q)))
     O = c1.point_at(t_O)
     foot, s_O = project(c2, O)
+    if p * q < 0.0:
+        return PairGeometry(0.0, O, O, t_O, s_O, True)
     return PairGeometry(dist(O, foot), O, foot, t_O, s_O, False)
 
 
 def pair_geometry(m1: MappingClass, m2: MappingClass) -> PairGeometry:
-    """Nearest-point configuration of the two axes (alternating/golden search
-    for disjoint axes, circle intersection when they cross)."""
+    """Nearest-point configuration of the two axes: the crossing point, or
+    the feet of the common perpendicular for disjoint axes."""
     if not independent(m1, m2):
         raise NotIndependentError(f"{m1} and {m2} share an axis")
     return _geodesic_pair_geometry(axis(m1).axis, axis(m2).axis)
@@ -281,36 +247,10 @@ def projection_interval(c_target: Geodesic, c_source: Geodesic):
 # Divergence
 # ---------------------------------------------------------------------------
 
-def _min_dist_on_axis(c2: Geodesic, z: Point, s_hint: float, tol: float = 1e-9):
-    """Ternary search for min_s dist(z, c2(s)); unimodal by convexity."""
-    step = 1.0
-    lo, hi = s_hint - step, s_hint + step
-    f = lambda s: dist(z, c2.point_at(s))
-    while f(lo) < f(lo + 1e-6):
-        lo -= step
-        step *= 2.0
-        if step > 1e6:
-            raise ConstantDerivationError("bracket expansion ran away")
-    step = 1.0
-    while f(hi) < f(hi - 1e-6):
-        hi += step
-        step *= 2.0
-        if step > 1e6:
-            raise ConstantDerivationError("bracket expansion ran away")
-    while hi - lo > tol:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) < f(m2):
-            hi = m2
-        else:
-            lo = m1
-    s = 0.5 * (lo + hi)
-    return s, f(s)
-
-
 def divergence_profile(m1: MappingClass, m2: MappingClass, t_min: float, t_max: float,
                        step: float) -> list[tuple[float, float, float]]:
-    """Rows (t, s_star, d_min) sampling the distance profile between the axes."""
+    """Rows (t, s_star, d_min) sampling the distance profile between the axes;
+    the nearest point of c2 to c1(t) is its projection c2(s_star)."""
     if step <= 0 or t_max < t_min:
         raise InvalidInputError("need step > 0 and t_max >= t_min")
     if not independent(m1, m2):
@@ -318,13 +258,10 @@ def divergence_profile(m1: MappingClass, m2: MappingClass, t_min: float, t_max: 
     c1, c2 = axis(m1).axis, axis(m2).axis
     rows = []
     n = int(math.floor((t_max - t_min) / step + 1e-9))
-    s_hint = 0.0
     for i in range(n + 1):
         t = t_min + i * step
         z = c1.point_at(t)
-        s_star, d_min = _min_dist_on_axis(c2, z, s_hint)
-        s_hint = s_star
-        rows.append((t, s_star, d_min))
+        rows.append((t, c2.param_of(z), dist_to_geodesic(c2, z)))
     return rows
 
 

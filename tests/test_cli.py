@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from teichpong.cli import main
 from teichpong.serialize import canonical_json, digit_count, exact_int
 
@@ -227,3 +229,34 @@ class TestTeichCommand:
     def test_bad_point(self, capsys):
         code = main(["teich", "--tau1", "0,-1", "--tau2", "0,2"])
         assert code == 2
+
+
+class TestGridStepValidation:
+    @pytest.mark.parametrize("step", ["-1", "0", "nan", "inf"])
+    def test_bad_grid_step(self, step, capsys):
+        code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
+                     "--samples", "100", "--grid-step", step, "--no-cache"])
+        err = capsys.readouterr().err
+        assert code == 2
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-input:")
+
+
+class TestStaleConstantsCache:
+    def test_sampled_b_is_not_served(self, tmp_path, monkeypatch):
+        # a cache file written by the sampled derivation of b must not leak
+        # its value into certificates of the closed form
+        from teichpong import cache, projection
+        (tmp_path / cache.DEFAULT_FILENAME).write_text(
+            json.dumps({"b:theta_samples=4096,margin=0.05": 0.9254422117741002}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(projection, "_constants", None)
+        try:
+            code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
+                         "--samples", "2000", "--out", "cert.json"])
+        finally:
+            cache.disable()
+        assert code == 0
+        doc = json.loads((tmp_path / "cert.json").read_text())
+        assert doc["b"] == 1.05 * math.asinh(1.0)

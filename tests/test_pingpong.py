@@ -219,3 +219,37 @@ class TestSampling:
     def test_bad_box(self):
         with pytest.raises(InvalidInputError):
             sample_box_points(0, 10, box=(1, -1, 0.1, 1))
+
+
+def _loop_grid_count(target, grid_step):
+    """Reference: the step-by-step search for the least grid count k >= 1."""
+    k = 1
+    while k * grid_step < target - 1e-15:
+        k += 1
+    return k
+
+
+class TestRadiusGridCount:
+    @staticmethod
+    def grid_count(target, grid_step):
+        from teichpong.pingpong import _radius_from_intervals
+        # with b = 0 and no margin the radius is exactly k * grid_step
+        return _radius_from_intervals({(0, 1): (-target, target)}, 0.0, grid_step, 0.0)
+
+    def test_matches_step_loop_near_grid_multiples(self):
+        for grid_step in (0.001, 0.003, 0.007, 0.01, 0.05, 0.1, 1.0 / 3.0):
+            for k in list(range(40)) + list(range(995, 1010)):
+                for offset in (0.0, 5e-16, -5e-16, 1e-15, -1e-15, 2e-15, -2e-15):
+                    target = max(0.0, k * grid_step + offset)
+                    expected = _loop_grid_count(target, grid_step) * grid_step
+                    assert self.grid_count(target, grid_step) == expected, (grid_step, k, offset)
+
+    def test_quotient_rounding_case(self):
+        # a bare ceil of the quotient gives 1004 here; the loop gives 1003
+        assert _loop_grid_count(1.0030000000000012, 0.001) == 1003
+        assert self.grid_count(1.0030000000000012, 0.001) == 1003 * 0.001
+
+    def test_tiny_step(self):
+        assert self.grid_count(0.0, 5e-324) == 5e-324
+        with pytest.raises(InvalidInputError):
+            self.grid_count(10.0, 5e-324)

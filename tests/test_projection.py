@@ -321,3 +321,14 @@ class TestFastDivergence:
             th = fast_divergence_thresholds(m1, m2)
             assert isinstance(th, Thresholds)
             assert math.isfinite(th.p_plus) and math.isfinite(th.q_minus)
+
+
+class TestMutualFeet:
+    def test_feet_project_onto_each_other(self):
+        # O' is the projection of O onto c2 and O the projection of O' onto c1
+        c1 = axis(PHI).axis
+        for m2 in [PSI] + [conjugated(PHI, k) for k in range(1, 40)]:
+            c2 = axis(m2).axis
+            pg = pair_geometry(PHI, m2)
+            assert abs(c1.param_of(pg.O_prime) - pg.t_O) <= 1e-12
+            assert abs(c2.param_of(pg.O) - pg.s_O) <= 1e-12
