@@ -2,8 +2,10 @@
 
 Disabled by default so library imports stay side-effect free; the CLI
 enables it on a local JSON file unless --no-cache is given.  Values must be
-JSON-serializable and are keyed by the full derivation parameters, so a hit
-is bit-for-bit the same as recomputation.
+JSON-serializable and are keyed by the derivation's name, its version and
+its full parameters, so a hit is bit-for-bit the same as recomputation.  A
+derivation whose result changes takes a new version, so values written by
+older code are never served.
 """
 
 from __future__ import annotations
@@ -51,7 +53,10 @@ def memo(key: str, compute):
 def flush():
     global _dirty
     if _path is not None and _dirty:
-        with open(_path, "w", encoding="utf-8") as fh:
+        # write beside the file and rename, so a reader never sees half a file
+        tmp = f"{_path}.{os.getpid()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(_store, fh, indent=1, sort_keys=True)
             fh.write("\n")
+        os.replace(tmp, _path)
         _dirty = False

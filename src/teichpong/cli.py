@@ -8,11 +8,12 @@ machine-parsable: "error: <kind>: <detail>".
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import cache, serialize
 from .errors import (CertificateInvalidError, HorizonExceededError,
-                     OracleRefusedError, TeichpongError)
+                     InvalidInputError, OracleRefusedError, TeichpongError)
 from .hyp2 import Point
 from .mcg import (Classification, MappingClass, axis, classify, fixed_slope_test,
                   independent, translation_distance)
@@ -35,8 +36,11 @@ def _write_out(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _add_common(p):
@@ -48,10 +52,13 @@ def _add_common(p):
 
 
 def _parse_box(text):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise TeichpongError(f"expected 'x_lo,x_hi,y_lo,y_hi', got {text!r}")
-    return tuple(parts)
+    try:
+        parts = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) != 4 or not all(map(math.isfinite, parts)):
+        raise InvalidInputError(f"expected finite 'x_lo,x_hi,y_lo,y_hi', got {text!r}")
+    return parts
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,6 @@ class WordReport:
     max_word_length: int
     words_checked: int
     violations: list = field(default_factory=list)
-    wall_time: float = 0.0   # informational; omitted from canonical serialization
     incomplete: bool = False
 
 
@@ -76,7 +75,6 @@ def free_check(generators, N: int, max_word_length: int = 6,
         if depth > 0:
             if time_budget is not None and time.perf_counter() - start > time_budget:
                 report.incomplete = True
-                report.wall_time = time.perf_counter() - start
                 return report
             report.words_checked += 1
             if prod.is_projective_identity():
@@ -91,7 +89,6 @@ def free_check(generators, N: int, max_word_length: int = 6,
                 continue
             stack.append((prod * mat, letter, depth + 1, tokens + (_letter_name(*letter),)))
 
-    report.wall_time = time.perf_counter() - start
     return report
 
 

@@ -251,11 +251,13 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
 def sample_box_points(seed: int, n: int, box=DEFAULT_BOX, chunk: int = 8192) -> np.ndarray:
     """Deterministic sample of the half-plane box, uniform in (x, log y).
 
-    Chunked with spawned seeds so the stream is independent of how many
-    workers later consume it.
+    Drawn in fixed-size chunks, each from its own seed spawned from `seed`.
     """
+    if n < 0 or seed < 0:
+        raise InvalidInputError(f"need a sample count and seed >= 0, got n={n}, seed={seed}")
     x_lo, x_hi, y_lo, y_hi = box
-    if not (x_lo < x_hi and 0.0 < y_lo < y_hi):
+    if not (x_lo < x_hi and 0.0 < y_lo < y_hi and math.isfinite(x_hi - x_lo)
+            and math.isfinite(y_hi)):
         raise InvalidInputError(f"bad sampling box {box}")
     n_chunks = max(1, math.ceil(n / chunk))
     children = np.random.SeedSequence(seed).spawn(n_chunks)

@@ -72,7 +72,7 @@ def derive_contraction_b(margin: float = 0.05) -> float:
     Every configuration reduces to x = e^{i theta} over the imaginary axis by
     the isometries fixing it, where the diameter is asinh|cos theta|.
     """
-    return cache.memo(f"b:sup=asinh(1),margin={margin!r}", lambda: (1.0 + margin) * math.asinh(1.0))
+    return cache.memo(f"b/v1:sup=asinh(1),margin={margin!r}", lambda: (1.0 + margin) * math.asinh(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def derive_morse(K: float, kappa: float, *, levels: int = 96, t_samples: int = 4
 @lru_cache(maxsize=32)
 def _derive_morse_cached(K: float, kappa: float, levels: int, t_samples: int, safety: float,
                          margin: float) -> float:
-    key = (f"morse:K={K!r},kappa={kappa!r},levels={levels},"
+    key = (f"morse/v1:K={K!r},kappa={kappa!r},levels={levels},"
            f"t_samples={t_samples},safety={safety!r},margin={margin!r}")
 
     def compute():

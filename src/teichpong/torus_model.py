@@ -12,6 +12,7 @@ both are asserted in tests).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -213,89 +214,33 @@ def short_curve_bound(R: float, params: ThickParams | None = None) -> int:
     return math.ceil(params.short_curve_coeff * R * R)
 
 
-def _bounded_trace_representatives(trace_bound: int):
-    """Integer matrices of each trace in [3, trace_bound], entry bounds from reduction.
-
-    Every conjugacy class of trace t contains a representative whose
-    fixed-point quadratic is Gauss reduced, hence has |c| and |d - a| at most
-    sqrt(t^2 - 4); sweeping that window visits every class at least once.
-    Duplicates are harmless since only a minimum over classes is taken.
-    """
-    reps = []
-    for t in range(3, trace_bound + 1):
-        win = math.isqrt(t * t - 4) + 1
-        for c in range(-win, win + 1):
-            if c == 0:
-                continue
-            a_lo = (t - win) // 2 - 1
-            a_hi = (t + win) // 2 + 1
-            for a in range(a_lo, a_hi + 1):
-                d = t - a
-                if abs(d - a) > win:
-                    continue
-                num = a * d - 1
-                if num % c != 0:
-                    continue
-                reps.append(MappingClass(a, num // c, c, d))
-    return reps
-
-
-def _axis_min_systole(m: MappingClass, samples: int) -> float:
-    from .mcg import axis, translation_distance
-
-    geo = axis(m).axis
-    period = translation_distance(m)
-    ts = [i * period / samples for i in range(samples)]
-    vals = [systole(geo.point_at(t)) for t in ts]
-    k = min(range(samples), key=lambda i: vals[i])
-    # golden polish around the best sample
-    lo = ts[k] - period / samples
-    hi = ts[k] + period / samples
-    for _ in range(64):
-        m1 = lo + 0.381966011 * (hi - lo)
-        m2 = hi - 0.381966011 * (hi - lo)
-        if systole(geo.point_at(m1)) < systole(geo.point_at(m2)):
-            hi = m2
-        else:
-            lo = m1
-    return min(min(vals), systole(geo.point_at(0.5 * (lo + hi))))
-
-
 @lru_cache(maxsize=32)
-def _derive_thick_params_cached(L: float, axis_samples: int, grid: int, r_max: float, margin: float):
+def _derive_thick_params_cached(L: float, grid: int, r_max: float, margin: float):
     from . import cache
 
-    key = f"thick:L={L!r},axis_samples={axis_samples},grid={grid},r_max={r_max!r},margin={margin!r}"
+    key = f"thick/v2:L={L!r},grid={grid},r_max={r_max!r},margin={margin!r}"
 
     def compute():
         trace_bound = math.floor(2.0 * math.cosh(L) + 1e-12)
         if trace_bound < 3:
             raise ConstantDerivationError(f"no hyperbolic classes with translation <= {L}")
-        reps = _bounded_trace_representatives(trace_bound)
-        if not reps:
-            raise ConstantDerivationError(f"trace enumeration up to {trace_bound} found nothing")
-        epsilon = min(_axis_min_systole(m, axis_samples) for m in reps)
+        # On the axis of a trace-t class (a, b, c, d) the least squared length
+        # of a slope (p, q) is 2 |Q(p, q)| / sqrt(t^2 - 4), where
+        # Q = c p^2 + (a - d) p q - b q^2 has no rational root, so |Q| >= 1 on
+        # primitive vectors, with equality for (0, -1, 1, t) at (1, 0).  The
+        # floor decreases in t, so the largest admissible trace attains it.
+        epsilon = math.sqrt(2.0 / math.sqrt(trace_bound * trace_bound - 4))
 
-        # F and the count coefficient over the thick fundamental domain
-        # {|Re| <= 1/2, |tau| >= 1, systole >= epsilon}; marking lengths and
-        # short-curve counts are invariants of the lattice, so the domain covers
-        # every thick point.
+        # The thick fundamental domain is {|Re| <= 1/2, |tau| >= 1,
+        # Im tau <= y_top}; there the shortest slope is 1/0 and the shortest
+        # transversal is tau itself, longest at the corners (+-1/2, y_top).
         y_top = 1.0 / (epsilon * epsilon)
-        y_bot = math.sqrt(3.0) / 2.0
-        f_raw = 0.0
-        for i in range(grid + 1):
-            x = -0.5 + i / grid
-            for j in range(grid + 1):
-                y = y_bot + (y_top - y_bot) * j / grid
-                tau = Point(x, y)
-                if abs(tau.z) < 1.0 or systole(tau) < epsilon:
-                    continue
-                alpha, beta = _marking_unbounded(tau)
-                f_raw = max(f_raw, curve_length(beta, tau))
-        if f_raw <= 0.0:
-            raise ConstantDerivationError("thick fundamental-domain grid was empty")
-        F = (1.0 + margin) * f_raw
+        F = (1.0 + margin) * math.sqrt(0.25 / y_top + y_top)
 
+        # The count coefficient by grid search over the same domain; short-curve
+        # counts are invariants of the lattice, so the domain covers every
+        # thick point.
+        y_bot = math.sqrt(3.0) / 2.0
         coeff_raw = 0.0
         cgrid = max(grid // 2, 8)
         r_values = [0.5 + 0.02 * k for k in range(int((r_max - 0.5) / 0.02) + 1)]
@@ -306,9 +251,9 @@ def _derive_thick_params_cached(L: float, axis_samples: int, grid: int, r_max: f
                 tau = Point(x, y)
                 if abs(tau.z) < 1.0 or systole(tau) < epsilon:
                     continue
+                lengths = sorted(curve_length(s, tau) for s in short_curves(tau, r_values[-1]))
                 for R in r_values:
-                    n = len(short_curves(tau, R))
-                    coeff_raw = max(coeff_raw, n / (R * R))
+                    coeff_raw = max(coeff_raw, bisect_right(lengths, R) / (R * R))
         coeff = (1.0 + margin) * coeff_raw
         return {"epsilon": epsilon, "F": F, "short_curve_coeff": coeff}
 
@@ -316,14 +261,15 @@ def _derive_thick_params_cached(L: float, axis_samples: int, grid: int, r_max: f
     return ThickParams(data["epsilon"], data["F"], data["short_curve_coeff"])
 
 
-def derive_thick_params(L: float, *, axis_samples: int = 256, grid: int = 48,
-                        r_max: float = 5.0, margin: float = 0.05) -> ThickParams:
-    """Derive the systole floor along bounded-translation axes, the marking
-    bound F, and the short-curve count coefficient, by bounded search with
-    recorded grids and a stated margin."""
+def derive_thick_params(L: float, *, grid: int = 48, r_max: float = 5.0,
+                        margin: float = 0.05) -> ThickParams:
+    """The systole floor along axes of translation <= L and the marking bound
+    F, both in closed form, and the short-curve count coefficient, by grid
+    search over the thick fundamental domain; F and the coefficient carry the
+    stated margin."""
     if L < min_translation() - 1e-12:
         raise InvalidInputError(f"L={L} is below the least translation distance")
-    return _derive_thick_params_cached(float(L), axis_samples, grid, float(r_max), float(margin))
+    return _derive_thick_params_cached(float(L), grid, float(r_max), float(margin))
 
 
 def default_thick_params() -> ThickParams:

@@ -260,3 +260,47 @@ class TestStaleConstantsCache:
         assert code == 0
         doc = json.loads((tmp_path / "cert.json").read_text())
         assert doc["b"] == 1.05 * math.asinh(1.0)
+
+
+class TestInvalidInputContract:
+    PAIR = ["--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "200", "--no-cache"]
+
+    @pytest.mark.parametrize("argv", [
+        ["pingpong", *PAIR, "--samples", "-3"],
+        ["pingpong", *PAIR, "--seed", "-1"],
+        ["pingpong", *PAIR, "--box", "a,b,c,d"],
+        ["pingpong", *PAIR, "--box", "0,1,0.1,inf"],
+        ["pingpong", *PAIR, "--out", "{missing}/x.json"],
+        ["certify-free", *PAIR, "--out", "{missing}/x.json"],
+        ["profile", "--m1", "2,1,1,1", "--m2", "1,1,1,2", "--csv", "{missing}/x.csv"],
+    ])
+    def test_one_line_exit_2(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        code = main([a.format(missing=missing) for a in argv])
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-input:")
+
+
+class TestVersionedCacheKeys:
+    def test_old_thick_key_is_not_served(self, tmp_path):
+        # a value stored under the key of the sampled derivation must not leak
+        from teichpong import cache, torus_model
+        from teichpong.mcg import min_translation
+        path = tmp_path / "consts.json"
+        old_key = ("thick:L=0.9624236501192069,axis_samples=256,grid=48,"
+                   "r_max=5.0,margin=0.05")
+        path.write_text(json.dumps({old_key: {"epsilon": 0.5, "F": 9.0,
+                                              "short_curve_coeff": 99.0}}))
+        torus_model._derive_thick_params_cached.cache_clear()
+        try:
+            cache.enable(str(path))
+            params = torus_model.derive_thick_params(min_translation())
+        finally:
+            cache.disable()
+            torus_model._derive_thick_params_cached.cache_clear()
+        eps = math.sqrt(2 / math.sqrt(5))
+        assert params.epsilon == eps
+        assert params.F == 1.05 * math.sqrt(0.25 / (1 / eps ** 2) + 1 / eps ** 2)
+        assert params.short_curve_coeff < 99.0

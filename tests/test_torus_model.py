@@ -1,11 +1,12 @@
 import math
+from bisect import bisect_right
 
 import pytest
 
 from conftest import PHI, random_pseudo_anosov, random_thick_point
 from teichpong.errors import FViolationError, InvalidInputError
 from teichpong.hyp2 import Point
-from teichpong.mcg import axis, min_translation
+from teichpong.mcg import MappingClass, axis, min_translation, translation_distance
 from teichpong.torus_model import (Slope, curve_length, default_thick_params,
                                    derive_thick_params, extremal_length,
                                    intersection_number, is_thick,
@@ -225,3 +226,69 @@ class TestThickParams:
     def test_rejects_tiny_bound(self):
         with pytest.raises(InvalidInputError):
             derive_thick_params(0.5)
+
+
+def _sampled_axis_min_systole(m, samples=256):
+    """The systole floor along one axis by sampling plus a golden polish."""
+    geo = axis(m).axis
+    period = translation_distance(m)
+    ts = [i * period / samples for i in range(samples)]
+    vals = [systole(geo.point_at(t)) for t in ts]
+    k = min(range(samples), key=lambda i: vals[i])
+    lo, hi = ts[k] - period / samples, ts[k] + period / samples
+    for _ in range(64):
+        m1 = lo + 0.381966011 * (hi - lo)
+        m2 = hi - 0.381966011 * (hi - lo)
+        if systole(geo.point_at(m1)) < systole(geo.point_at(m2)):
+            hi = m2
+        else:
+            lo = m1
+    return min(min(vals), systole(geo.point_at(0.5 * (lo + hi))))
+
+
+def _trace_representatives(t):
+    """Matrices of trace t meeting every conjugacy class (duplicates allowed):
+    each class has a representative with |c|, |d - a| <= sqrt(t^2 - 4)."""
+    win = math.isqrt(t * t - 4) + 1
+    for c in range(-win, win + 1):
+        if c == 0:
+            continue
+        for a in range((t - win) // 2 - 1, (t + win) // 2 + 2):
+            d = t - a
+            if abs(d - a) <= win and (a * d - 1) % c == 0:
+                yield MappingClass(a, (a * d - 1) // c, c, d)
+
+
+def _thick_grid(epsilon, grid=48):
+    """The points of the count-coefficient grid that the derivation visits."""
+    cgrid = max(grid // 2, 8)
+    y_bot, y_top = math.sqrt(3.0) / 2.0, 1.0 / (epsilon * epsilon)
+    for i in range(cgrid + 1):
+        for j in range(cgrid + 1):
+            tau = Point(-0.5 + i / cgrid, y_bot + (y_top - y_bot) * j / cgrid)
+            if abs(tau.z) >= 1.0 and systole(tau) >= epsilon:
+                yield tau
+
+
+class TestThickClosedForms:
+    def test_epsilon_matches_sampled_axes(self):
+        floor = math.inf
+        for t in range(3, 9):
+            floor = min(floor, min(_sampled_axis_min_systole(m) for m in _trace_representatives(t)))
+            eps = derive_thick_params(math.acosh(t / 2)).epsilon
+            assert eps == pytest.approx(floor, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("t", range(3, 13))
+    def test_f_covers_the_top_corner(self, t):
+        params = derive_thick_params(math.acosh(t / 2))
+        corner = Point(-0.5, (1 - 1e-12) / params.epsilon ** 2)
+        marking(corner, params.F / 1.05)
+
+    @pytest.mark.parametrize("t", [3, 9])
+    def test_bisect_counts_match_short_curves(self, t):
+        eps = derive_thick_params(math.acosh(t / 2)).epsilon
+        r_values = [0.5 + 0.02 * k for k in range(226)]
+        for tau in _thick_grid(eps):
+            lengths = sorted(curve_length(s, tau) for s in short_curves(tau, r_values[-1]))
+            for R in r_values:
+                assert bisect_right(lengths, R) == len(short_curves(tau, R))
