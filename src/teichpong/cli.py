@@ -8,6 +8,7 @@ machine-parsable: "error: <kind>: <detail>".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -17,7 +18,7 @@ from .errors import (CertificateInvalidError, HorizonExceededError,
 from .hyp2 import Point
 from .mcg import (Classification, MappingClass, axis, classify, fixed_slope_test,
                   independent, translation_distance)
-from .oracle import free_check
+from .oracle import check_word_length, free_check
 from .pingpong import build_certificate, verify_pingpong
 from .projection import (divergence_profile, fast_divergence_thresholds,
                          pair_geometry, profile_csv, projection_interval)
@@ -61,9 +62,36 @@ def _parse_box(text):
     return parts
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argv as one invalid-input error instead of a usage block."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
+#: options whose values may start with a minus sign, like the box -10,10,0.05,10
+_SIGNED_VALUE_OPTIONS = ("--box", "--matrix", "--m1", "--m2", "--tau1", "--tau2")
+
+
+def _attach_signed_values(argv):
+    """Write ``--box -1,1,0.05,10`` as ``--box=-1,1,0.05,10``.
+
+    argparse reads a value that starts with a single minus sign, and is not
+    one plain number, as an option; the attached form is always a value.
+    """
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _SIGNED_VALUE_OPTIONS
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="teichpong",
-                                 description="quantitative ping-pong on the modular torus")
+    ap = _Parser(prog="teichpong",
+                 description="quantitative ping-pong on the modular torus")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="trace classification of one matrix")
@@ -182,8 +210,13 @@ def _cmd_pingpong(args) -> int:
     try:
         verify_pingpong(cert, sample_budget=min(args.samples, 100_000),
                         seed=args.seed, box=box, threads=args.threads)
-    finally:
-        _write_out(args.out, serialize.certificate_document(cert))
+    except TeichpongError:
+        # the certificate records the failed check, but the verifier's error
+        # decides the message and the exit code
+        with contextlib.suppress(TeichpongError):
+            _write_out(args.out, serialize.certificate_document(cert))
+        raise
+    _write_out(args.out, serialize.certificate_document(cert))
     n_desc = str(cert.N) if cert.N < 10 ** 18 else f"<{serialize.digit_count(cert.N)} digits>"
     print(f"certificate-valid mode={cert.mode} N={n_desc}", file=sys.stderr)
     return 0
@@ -196,6 +229,7 @@ def _cmd_certify_free(args) -> int:
         raise OracleRefusedError(
             "paper-formula powers cannot be exponentiated; use --mode certified"
         )
+    check_word_length(len(gens), args.max_word_len)
     cert = build_certificate(gens, _mode_name(args.mode), seed=args.seed,
                              samples=args.samples, box=box)
     verify_pingpong(cert, sample_budget=min(args.samples, 100_000),
@@ -232,12 +266,13 @@ _CHECK_FAILURES = (CertificateInvalidError, HorizonExceededError)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if not args.no_cache:
-        cache.enable()
-    else:
-        cache.disable()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(_attach_signed_values(argv))
+        if not args.no_cache:
+            cache.enable()
+        else:
+            cache.disable()
         code = _COMMANDS[args.command](args)
         cache.flush()
         return code

@@ -1,11 +1,16 @@
-"""Independent ground truth by exact word enumeration.
+"""Independent ground truth by exact word matching.
 
-Enumerates every reduced word up to a length bound in the alphabet of the
-generators' N-th powers and multiplies exact integer matrices; a word whose
-product is plus or minus the identity is a relation and refutes freeness.
-This is a refutation engine, not a proof: the proof is the certificate, and
-this module exists so the certificate has something real to disagree with
-(commuting inputs are caught at word length four).
+Searches every reduced word up to a length bound in the alphabet of the
+generators' N-th powers for a product equal to plus or minus the identity;
+such a word is a relation and refutes freeness.  The search meets in the
+middle: a reduced word of length l is a relation exactly when its first
+ceil(l/2) letters and the inverse of the rest, two reduced words, have equal
+products, so hashing the exact products of the reduced words up to length
+ceil(L/2) finds every relation up to length L.  That index is the memory
+cost, and lengths whose index would exceed ``MAX_INDEXED_WORDS`` words are
+refused.  This is a refutation engine, not a proof: the proof is the
+certificate, and this module exists so the certificate has something real to
+disagree with (commuting inputs are caught at word length four).
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, OracleRefusedError
 from .mcg import MappingClass
+
+#: most reduced words whose products are held at once (lengths 1..ceil(L/2))
+MAX_INDEXED_WORDS = 2 ** 18
 
 
 @dataclass
@@ -34,61 +42,79 @@ def count_reduced_words(n: int, k: int) -> int:
     return 2 * n * (2 * n - 1) ** (k - 1)
 
 
-def _letter_name(index: int, sign: int) -> str:
-    return f"g{index + 1}" if sign > 0 else f"g{index + 1}^-1"
+def check_word_length(n: int, max_word_length: int) -> None:
+    """Reject a length bound below 1 or one whose index exceeds the ceiling."""
+    if max_word_length < 1:
+        raise InvalidInputError("need max_word_length >= 1")
+    indexed = 0
+    for k in range(1, (max_word_length + 1) // 2 + 1):
+        indexed += count_reduced_words(n, k)
+        if indexed > MAX_INDEXED_WORDS:
+            raise OracleRefusedError(
+                f"word length {max_word_length} over {n} generators needs more than "
+                f"{MAX_INDEXED_WORDS} indexed words"
+            )
+
+
+def _letter_name(letter: int) -> str:
+    return f"g{letter // 2 + 1}" if letter % 2 == 0 else f"g{letter // 2 + 1}^-1"
 
 
 def free_check(generators, N: int, max_word_length: int = 6,
                time_budget: float | None = None) -> WordReport:
-    """Depth-first enumeration of reduced words in the N-th powers.
+    """Meet-in-the-middle search for relations among the N-th powers.
 
-    Letters are ordered generator index first, then inverse; prefix products
-    live on the recursion spine so each word costs one multiplication.  Any
-    input is accepted (the certificate pipeline guards its own
-    preconditions); a time budget yields a partial report flagged
-    incomplete.
+    Letter 2i is g_i^N and letter 2i+1 its inverse.  For each length l, every
+    reduced word u of length ceil(l/2) is looked up among the reduced words x
+    of length floor(l/2) with the same product; u followed by the inverse of
+    x is reduced, and so a relation, when x is empty or ends in a letter
+    other than u's last.  Violations are listed in letter order, shorter
+    prefixes first.  The products of at most ``MAX_INDEXED_WORDS`` words are
+    held at once (``check_word_length``).  Any input is accepted (the
+    certificate pipeline guards its own preconditions); the time budget is
+    checked before each length, and an overrun yields a partial report
+    flagged incomplete.
     """
     if N < 1:
         raise InvalidInputError("need N >= 1")
-    if max_word_length < 1:
-        raise InvalidInputError("need max_word_length >= 1")
     gens = list(generators)
     n = len(gens)
     if n < 1:
         raise InvalidInputError("need at least one generator")
-    powers = []
-    for i, g in enumerate(gens):
+    check_word_length(n, max_word_length)
+    letters = []
+    for g in gens:
         p = g ** N
-        powers.append(((i, 1), p))
-        powers.append(((i, -1), p.inverse()))
+        letters += [p, p.inverse()]
 
     report = WordReport(n_generators=n, N=N, max_word_length=max_word_length,
                         words_checked=0)
     start = time.perf_counter()
     identity = MappingClass.identity()
+    layer = [((), identity)]          # reduced words of length ceil(l/2), with products
+    by_product = {identity: [()]}     # reduced words of length floor(l/2), by product
+    relations = []
+    for length in range(1, max_word_length + 1):
+        if time_budget is not None and time.perf_counter() - start > time_budget:
+            report.incomplete = True
+            break
+        if length % 2:
+            layer = [(u + (j,), p * letters[j]) for u, p in layer
+                     for j in range(2 * n) if not u or j != u[-1] ^ 1]
+        else:
+            by_product = {}
+            for x, p in layer:
+                by_product.setdefault(p, []).append(x)
+        for u, p in layer:
+            for x in by_product.get(p, ()):
+                if not x or x[-1] != u[-1]:
+                    relations.append(u + tuple(j ^ 1 for j in reversed(x)))
+        report.words_checked += count_reduced_words(n, length)
 
-    # iterative DFS: stack holds (product, last_letter, depth, word_tokens);
-    # words are counted when visited, in canonical preorder
-    stack = [(identity, None, 0, ())]
-    while stack:
-        prod, last, depth, tokens = stack.pop()
-        if depth > 0:
-            if time_budget is not None and time.perf_counter() - start > time_budget:
-                report.incomplete = True
-                return report
-            report.words_checked += 1
-            if prod.is_projective_identity():
-                report.violations.append(
-                    {"word": " ".join(tokens), "matrix": list(prod.entries())}
-                )
-        if depth == max_word_length:
-            continue
-        # push in reverse so the next pop follows generator order, then inverse
-        for letter, mat in reversed(powers):
-            if last is not None and letter == (last[0], -last[1]):
-                continue
-            stack.append((prod * mat, letter, depth + 1, tokens + (_letter_name(*letter),)))
-
+    report.violations = [
+        {"word": " ".join(map(_letter_name, w)), "matrix": [1, 0, 0, 1]}
+        for w in sorted(relations)
+    ]
     return report
 
 

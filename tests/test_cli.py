@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from teichpong import cli
 from teichpong.cli import main
+from teichpong.errors import CertificateInvalidError
 from teichpong.serialize import canonical_json, digit_count, exact_int
 
 
@@ -304,3 +306,81 @@ class TestVersionedCacheKeys:
         assert params.epsilon == eps
         assert params.F == 1.05 * math.sqrt(0.25 / (1 / eps ** 2) + 1 / eps ** 2)
         assert params.short_curve_coeff < 99.0
+
+
+class TestSignedValues:
+    PAIR = ["--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "200", "--no-cache"]
+
+    @pytest.mark.parametrize("argv", [
+        ["pingpong", *PAIR, "--box", "-1,1,0.05,10"],
+        ["certify-free", *PAIR, "--box", "-1,1,0.05,10", "--max-word-len", "2"],
+        ["classify", "--matrix", "-2,-1,-1,-1"],
+        ["axis", "--matrix", "-2,-1,-1,-1"],
+        ["pingpong", "--matrix", "-2,-1,-1,-1", "--matrix", "1,1,1,2", "--samples", "200",
+         "--no-cache"],
+        ["pair", "--m1", "-2,-1,-1,-1", "--m2", "-1,-1,-1,-2"],
+        ["profile", "--m1", "-2,-1,-1,-1", "--m2", "-1,-1,-1,-2", "--t-min", "0",
+         "--t-max", "0.5", "--step", "0.5"],
+        ["teich", "--tau1", "-0.3,1.2", "--tau2", "0.1,1", "--farey-depth", "5"],
+        ["teich", "--tau1", "0.1,1", "--tau2", "-.3,1.2", "--farey-depth", "5"],
+    ])
+    def test_leading_minus_is_a_value(self, argv, capsys):
+        code = main(argv)
+        assert code == 0
+        assert "error:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["classify"],
+        ["pingpong", *PAIR, "--box"],
+        ["classify", "--matrix", "--box"],
+        ["certify-free", *PAIR, "--max-word-len", "x"],
+        ["classify", "--matrix", "2,1,1,1", "--bogus"],
+    ])
+    def test_argv_error_is_one_line(self, argv, capsys):
+        code = main(argv)
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-input:")
+
+
+class TestVerifierErrorKept:
+    ARGV = ["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "200",
+            "--no-cache"]
+
+    @staticmethod
+    def _failing_verifier(monkeypatch):
+        def verify(cert, *args, **kwargs):
+            raise CertificateInvalidError("planted failure", witness=[0.5, 1.0])
+        monkeypatch.setattr(cli, "verify_pingpong", verify)
+
+    def test_unwritable_out(self, tmp_path, monkeypatch, capsys):
+        self._failing_verifier(monkeypatch)
+        code = main([*self.ARGV, "--out", str(tmp_path / "missing" / "cert.json")])
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("error: certificate-invalid: planted failure")
+
+    def test_certificate_still_written(self, tmp_path, monkeypatch, capsys):
+        self._failing_verifier(monkeypatch)
+        dest = tmp_path / "cert.json"
+        code = main([*self.ARGV, "--out", str(dest)])
+        assert code == 1
+        assert json.loads(dest.read_text())["format"] == "teichpong.certificate.v1"
+
+
+class TestWordLengthFirst:
+    @pytest.mark.parametrize("length, kind", [("0", "invalid-input"), ("-3", "invalid-input"),
+                                              ("21", "oracle-refused")])
+    def test_checked_before_the_certificate(self, length, kind, monkeypatch, capsys):
+        def build(*args, **kwargs):
+            raise AssertionError("certificate built before the word length was checked")
+        monkeypatch.setattr(cli, "build_certificate", build)
+        code = main(["certify-free", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
+                     "--max-word-len", length, "--no-cache"])
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {kind}:")
