@@ -1,11 +1,12 @@
-"""Optional file-backed memo for derived constants.
+"""The one memo for derived constants: in process always, file-backed when enabled.
 
-Disabled by default so library imports stay side-effect free; the CLI
-enables it on a local JSON file unless --no-cache is given.  Values must be
-JSON-serializable and are keyed by the derivation's name, its version and
-its full parameters, so a hit is bit-for-bit the same as recomputation.  A
-derivation whose result changes takes a new version, so values written by
-older code are never served.
+``enable`` loads a local JSON file into the memo, ``flush`` writes new
+values back and ``disable`` forgets the file and every value; the CLI
+enables it unless --no-cache is given, so imports stay side-effect free.
+Values must be JSON-serializable and are keyed by the derivation's name,
+its version and its full parameters, so a hit is bit-for-bit the same as
+recomputation.  A derivation whose result changes takes a new version, so
+values written by older code are never served.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ def disable():
 
 def memo(key: str, compute):
     global _dirty
-    if _path is None:
-        return compute()
     if key not in _store:
         _store[key] = compute()
         _dirty = True

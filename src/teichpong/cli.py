@@ -45,11 +45,14 @@ def _write_out(path, text):
 
 
 def _add_common(p):
+    p.add_argument("--no-cache", action="store_true", help="keep derived constants in memory only")
+
+
+def _add_sampling(p):
     p.add_argument("--seed", type=int, default=0, help="seed for all Monte Carlo draws")
     p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample budget")
-    p.add_argument("--threads", type=int, default=1, help="accepted and ignored; every command runs in one thread")
-    p.add_argument("--no-cache", action="store_true", help="recompute derived constants")
     p.add_argument("--out", default=None, help="certificate/report destination (default stdout)")
+    _add_common(p)
 
 
 def _parse_box(text):
@@ -123,14 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["paper", "certified"], default="certified")
     p.add_argument("--box", default="-10,10,0.05,10", help="sampling box 'x_lo,x_hi,y_lo,y_hi'")
     p.add_argument("--grid-step", type=float, default=0.01)
-    _add_common(p)
+    _add_sampling(p)
 
     p = sub.add_parser("certify-free", help="certificate plus exact word-oracle cross-check")
     p.add_argument("--matrix", action="append", required=True)
     p.add_argument("--mode", choices=["paper", "certified"], default="certified")
     p.add_argument("--max-word-len", type=int, default=6)
     p.add_argument("--box", default="-10,10,0.05,10")
-    _add_common(p)
+    _add_sampling(p)
 
     p = sub.add_parser("teich", help="distance between two points, two ways")
     p.add_argument("--tau1", required=True, help="point 'x,y'")
@@ -209,7 +212,7 @@ def _cmd_pingpong(args) -> int:
                              samples=args.samples, box=box, grid_step=args.grid_step)
     try:
         verify_pingpong(cert, sample_budget=min(args.samples, 100_000),
-                        seed=args.seed, box=box, threads=args.threads)
+                        seed=args.seed, box=box)
     except TeichpongError:
         # the certificate records the failed check, but the verifier's error
         # decides the message and the exit code
@@ -233,7 +236,7 @@ def _cmd_certify_free(args) -> int:
     cert = build_certificate(gens, _mode_name(args.mode), seed=args.seed,
                              samples=args.samples, box=box)
     verify_pingpong(cert, sample_budget=min(args.samples, 100_000),
-                    seed=args.seed, box=box, threads=args.threads)
+                    seed=args.seed, box=box)
     report = free_check(gens, cert.N, args.max_word_len)
     _write_out(args.out, serialize.word_report_document(report))
     if report.violations or report.incomplete:

@@ -166,6 +166,9 @@ def translation_distance(m: MappingClass) -> float:
     """log of the expanding eigenvalue; realized on the axis."""
     _require_pa(m)
     t = abs(m.trace)
+    if t.bit_length() > 511:
+        # t >= 2^511: t*t - 4 overflows a float; log(lambda) - log(t) < 1/t^2, far under an ulp
+        return math.log(t)
     return math.log((t + math.sqrt(float(t * t - 4))) / 2.0)
 
 

@@ -284,16 +284,14 @@ def _param_matrix(axes, zs):
 
 
 def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
-                    seed: int | None = None, box=None, threads: int = 1,
-                    slack_floor: float = 1e-9) -> dict:
+                    seed: int | None = None, box=None, slack_floor: float = 1e-9) -> dict:
     """Run the analytic and empirical checks; raises on any failure.
 
     Analytic: each generator advances its own axis parameter by its
     translation distance, and N of those steps clear both tables (2S) with
     recorded slack.  Empirical (certified mode): exact N-th matrix powers
     map sampled points off the minus table into the plus table, and the 2n
-    tables are pairwise disjoint on every sample.  ``threads`` is accepted
-    and ignored.
+    tables are pairwise disjoint on every sample.
     """
     seed = cert.config["seed"] if seed is None else seed
     box = tuple(cert.config["box"]) if box is None else tuple(box)

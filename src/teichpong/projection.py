@@ -18,9 +18,7 @@ bounds is part of the test suite.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,27 +29,19 @@ from .hyp2 import Geodesic, Point, dist, dist_to_geodesic, project
 from .mcg import MappingClass, axis, independent
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConstants:
-    """One-time derived constants, guarded for single computation."""
+    """The contraction bound and the slim-triangle constant of the model."""
 
     b: float
     delta: float
 
 
-_constants: ModelConstants | None = None
-_constants_lock = threading.Lock()
-
-
 def model_constants() -> ModelConstants:
-    """Singleton model constants; the contraction bound is derived on first use."""
-    global _constants
-    with _constants_lock:
-        if _constants is None:
-            # sharp slim-triangle constant of the plane, halved for the model metric
-            delta = 0.5 * math.log(1.0 + math.sqrt(2.0))
-            _constants = ModelConstants(b=derive_contraction_b(), delta=delta)
-        return _constants
+    """The model constants; the contraction bound comes from the memo."""
+    # sharp slim-triangle constant of the plane, halved for the model metric
+    delta = 0.5 * math.log(1.0 + math.sqrt(2.0))
+    return ModelConstants(b=derive_contraction_b(), delta=delta)
 
 
 def touching_ball_projection_diameter(c: Geodesic, x: Point) -> float:
@@ -137,12 +127,7 @@ def derive_morse(K: float, kappa: float, *, levels: int = 96, t_samples: int = 4
         raise InvalidInputError(f"need K >= 1 and kappa >= 0, got ({K}, {kappa})")
     if K == 1.0 and kappa == 0.0:
         return 0.0
-    return _derive_morse_cached(float(K), float(kappa), levels, t_samples, float(safety), float(margin))
-
-
-@lru_cache(maxsize=32)
-def _derive_morse_cached(K: float, kappa: float, levels: int, t_samples: int, safety: float,
-                         margin: float) -> float:
+    K, kappa, safety, margin = float(K), float(kappa), float(safety), float(margin)
     key = (f"morse/v1:K={K!r},kappa={kappa!r},levels={levels},"
            f"t_samples={t_samples},safety={safety!r},margin={margin!r}")
 

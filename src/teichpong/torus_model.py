@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import hyp2
+from . import cache, hyp2
 from .errors import ConstantDerivationError, FViolationError, InvalidInputError
 from .hyp2 import Point
 from .mcg import MappingClass, min_translation
@@ -89,15 +88,12 @@ def teich_dist(tau1: Point, tau2: Point) -> float:
     return hyp2.dist(tau1, tau2)
 
 
-@lru_cache(maxsize=8)
 def _slope_table(depth: int):
-    ps, qs = [1], [0]
-    for q in range(1, depth + 1):
-        for p in range(-depth, depth + 1):
-            if math.gcd(abs(p), q) == 1:
-                ps.append(p)
-                qs.append(q)
-    return np.array(ps, dtype=float), np.array(qs, dtype=float)
+    """The slopes 1/0 and (p, q) with 1 <= q <= depth, |p| <= depth, gcd 1, by rows of q."""
+    p = np.arange(-depth, depth + 1)
+    rows = [p[np.gcd(p, q) == 1] for q in range(1, depth + 1)]
+    qs = np.repeat(np.arange(depth + 1.0), [1] + [len(r) for r in rows])
+    return np.concatenate([[1]] + rows, dtype=float), qs
 
 
 def _ext_array(ps, qs, tau: Point):
@@ -214,10 +210,15 @@ def short_curve_bound(R: float, params: ThickParams | None = None) -> int:
     return math.ceil(params.short_curve_coeff * R * R)
 
 
-@lru_cache(maxsize=32)
-def _derive_thick_params_cached(L: float, grid: int, r_max: float, margin: float):
-    from . import cache
-
+def derive_thick_params(L: float, *, grid: int = 48, r_max: float = 5.0,
+                        margin: float = 0.05) -> ThickParams:
+    """The systole floor along axes of translation <= L and the marking bound
+    F, both in closed form, and the short-curve count coefficient, by grid
+    search over the thick fundamental domain; F and the coefficient carry the
+    stated margin."""
+    if L < min_translation() - 1e-12:
+        raise InvalidInputError(f"L={L} is below the least translation distance")
+    L, r_max, margin = float(L), float(r_max), float(margin)
     key = f"thick/v2:L={L!r},grid={grid},r_max={r_max!r},margin={margin!r}"
 
     def compute():
@@ -259,17 +260,6 @@ def _derive_thick_params_cached(L: float, grid: int, r_max: float, margin: float
 
     data = cache.memo(key, compute)
     return ThickParams(data["epsilon"], data["F"], data["short_curve_coeff"])
-
-
-def derive_thick_params(L: float, *, grid: int = 48, r_max: float = 5.0,
-                        margin: float = 0.05) -> ThickParams:
-    """The systole floor along axes of translation <= L and the marking bound
-    F, both in closed form, and the short-curve count coefficient, by grid
-    search over the thick fundamental domain; F and the coefficient carry the
-    stated margin."""
-    if L < min_translation() - 1e-12:
-        raise InvalidInputError(f"L={L} is below the least translation distance")
-    return _derive_thick_params_cached(float(L), grid, float(r_max), float(margin))
 
 
 def default_thick_params() -> ThickParams:

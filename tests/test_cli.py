@@ -94,11 +94,14 @@ class TestConstantsCache:
         finally:
             cache.disable()
 
-    def test_disabled_always_computes(self):
+    def test_disable_forgets(self):
         from teichpong import cache
         cache.disable()
         calls = []
         cache.memo("k2", lambda: calls.append(1) or 7)
+        cache.memo("k2", lambda: calls.append(1) or 7)
+        assert len(calls) == 1
+        cache.disable()
         cache.memo("k2", lambda: calls.append(1) or 7)
         assert len(calls) == 2
 
@@ -249,11 +252,10 @@ class TestStaleConstantsCache:
     def test_sampled_b_is_not_served(self, tmp_path, monkeypatch):
         # a cache file written by the sampled derivation of b must not leak
         # its value into certificates of the closed form
-        from teichpong import cache, projection
+        from teichpong import cache
         (tmp_path / cache.DEFAULT_FILENAME).write_text(
             json.dumps({"b:theta_samples=4096,margin=0.05": 0.9254422117741002}))
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(projection, "_constants", None)
         try:
             code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
                          "--samples", "2000", "--out", "cert.json"])
@@ -295,13 +297,11 @@ class TestVersionedCacheKeys:
                    "r_max=5.0,margin=0.05")
         path.write_text(json.dumps({old_key: {"epsilon": 0.5, "F": 9.0,
                                               "short_curve_coeff": 99.0}}))
-        torus_model._derive_thick_params_cached.cache_clear()
         try:
             cache.enable(str(path))
             params = torus_model.derive_thick_params(min_translation())
         finally:
             cache.disable()
-            torus_model._derive_thick_params_cached.cache_clear()
         eps = math.sqrt(2 / math.sqrt(5))
         assert params.epsilon == eps
         assert params.F == 1.05 * math.sqrt(0.25 / (1 / eps ** 2) + 1 / eps ** 2)
@@ -384,3 +384,60 @@ class TestWordLengthFirst:
         assert code == 2
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {kind}:")
+
+
+class TestOneMemo:
+    PINGPONG = ["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "200",
+                "--out", "cert.json"]
+
+    def test_each_run_writes_its_cache_file(self, tmp_path, monkeypatch):
+        from teichpong import cache
+        for name in ("first", "second"):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            try:
+                assert main(self.PINGPONG) == 0
+            finally:
+                cache.disable()
+            stored = json.loads((run_dir / cache.DEFAULT_FILENAME).read_text())
+            assert any(key.startswith("b/v1:") for key in stored)
+
+    def test_enable_starts_from_the_new_file(self, tmp_path):
+        from teichpong import cache
+        from teichpong.mcg import min_translation
+        from teichpong.torus_model import derive_thick_params
+        try:
+            for name in ("a.json", "b.json"):
+                cache.enable(str(tmp_path / name))
+                derive_thick_params(min_translation())
+                cache.flush()
+        finally:
+            cache.disable()
+        stored = json.loads((tmp_path / "b.json").read_text())
+        assert any(key.startswith("thick/v2:") for key in stored)
+
+
+class TestCommandOptions:
+    @pytest.mark.parametrize("argv", [
+        ["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "200",
+         "--no-cache", "--threads", "2"],
+        ["classify", "--matrix", "2,1,1,1", "--out", "x"],
+        ["teich", "--tau1", "0,1", "--tau2", "0,2", "--farey-depth", "5", "--seed", "1"],
+        ["axis", "--matrix", "2,1,1,1", "--samples", "5"],
+    ])
+    def test_unread_option_is_invalid(self, argv, capsys):
+        code = main(argv)
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-input:")
+
+
+class TestHugeTrace:
+    @pytest.mark.parametrize("t", [10 ** 155, 10 ** 400], ids=["10^155", "10^400"])
+    def test_classify(self, t, capsys):
+        code = main(["classify", "--matrix", f"{t},-1,1,0", "--no-cache"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == f"pseudo_anosov trace={t} Tr={math.log(t):.5f}\n"

@@ -130,6 +130,17 @@ class TestTranslationDistance:
                 translation_distance(m), abs=1e-10
             )
 
+    @pytest.mark.parametrize("t", [3, 10 ** 6, 2 ** 100, 2 ** 510],
+                             ids=["3", "10^6", "2^100", "2^510"])
+    def test_bits_kept_below_the_huge_trace_bound(self, t):
+        old = math.log((t + math.sqrt(float(t * t - 4))) / 2.0)
+        assert translation_distance(MappingClass(t, -1, 1, 0)) == old
+
+    @pytest.mark.parametrize("t", [2 ** 511, 10 ** 155, 10 ** 400],
+                             ids=["2^511", "10^155", "10^400"])
+    def test_huge_trace(self, t):
+        assert translation_distance(MappingClass(t, -1, 1, 0)) == math.log(t)
+
 
 class TestMinTranslation:
     def test_value(self):

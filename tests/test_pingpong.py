@@ -171,13 +171,6 @@ class TestCertificate:
         verify_pingpong(b, 2000)
         assert certificate_document(a) == certificate_document(b)
 
-    def test_threads_do_not_change_results(self):
-        a = build_certificate([PHI, PSI])
-        verify_pingpong(a, 4000, threads=1)
-        b = build_certificate([PHI, PSI])
-        verify_pingpong(b, 4000, threads=4)
-        assert certificate_document(a) == certificate_document(b)
-
     def test_random_pairs_verify(self, rng):
         for _ in range(3):
             m1, m2 = random_independent_pair(rng)

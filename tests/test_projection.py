@@ -65,7 +65,7 @@ class TestContraction:
 
     def test_constants_singleton(self):
         c1, c2 = model_constants(), model_constants()
-        assert c1 is c2
+        assert c1 == c2
         assert c1.delta == pytest.approx(0.5 * math.log(1 + math.sqrt(2)), abs=1e-15)
 
 

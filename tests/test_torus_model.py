@@ -1,14 +1,15 @@
 import math
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from conftest import PHI, random_pseudo_anosov, random_thick_point
 from teichpong.errors import FViolationError, InvalidInputError
 from teichpong.hyp2 import Point
 from teichpong.mcg import MappingClass, axis, min_translation, translation_distance
-from teichpong.torus_model import (Slope, curve_length, default_thick_params,
-                                   derive_thick_params, extremal_length,
+from teichpong.torus_model import (Slope, _slope_table, curve_length,
+                                   default_thick_params, derive_thick_params, extremal_length,
                                    intersection_number, is_thick,
                                    kerckhoff_dist, marking, short_curve_bound,
                                    short_curves, systole, teich_dist,
@@ -87,6 +88,27 @@ class TestDistances:
     def test_kerckhoff_depth_validation(self):
         with pytest.raises(InvalidInputError):
             kerckhoff_dist(I_PT, I_PT, 0)
+
+
+def _slope_table_loop(depth):
+    """The slope table as a plain loop: the reference for the vectorized one."""
+    ps, qs = [1], [0]
+    for q in range(1, depth + 1):
+        for p in range(-depth, depth + 1):
+            if math.gcd(abs(p), q) == 1:
+                ps.append(p)
+                qs.append(q)
+    return np.array(ps, dtype=float), np.array(qs, dtype=float)
+
+
+class TestSlopeTable:
+    @pytest.mark.parametrize("depth", [*range(1, 61), 500])
+    def test_matches_the_loop(self, depth):
+        ps, qs = _slope_table(depth)
+        ref_ps, ref_qs = _slope_table_loop(depth)
+        assert ps.dtype == ref_ps.dtype and qs.dtype == ref_qs.dtype
+        assert np.array_equal(ps, ref_ps)
+        assert np.array_equal(qs, ref_qs)
 
 
 class TestWolpert:
