@@ -15,8 +15,7 @@ from .errors import (CertificateInvalidError, ClassificationError,
                      HorizonExceededError, InvalidInputError,
                      NotIndependentError, OracleRefusedError, TeichpongError)
 from .hyp2 import (BoundaryPoint, Geodesic, Mobius, Point, dist,
-                   dist_to_geodesic, geodesic_through, point_at, project,
-                   transport)
+                   dist_to_geodesic, geodesic_through, project, transport)
 from .mcg import (AxisData, Classification, MappingClass, axis, classify,
                   fixed_slope_test, independent, min_translation,
                   translation_distance)

@@ -73,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: options whose values may start with a minus sign, like the box -10,10,0.05,10
-_SIGNED_VALUE_OPTIONS = ("--box", "--matrix", "--m1", "--m2", "--tau1", "--tau2")
+_SIGNED_VALUE_OPTIONS = ("--box", "--matrix", "--m1", "--m2", "--tau1", "--tau2",
+                         "--t-min", "--t-max")
 
 
 def _attach_signed_values(argv):
@@ -211,8 +212,7 @@ def _cmd_pingpong(args) -> int:
     cert = build_certificate(gens, _mode_name(args.mode), seed=args.seed,
                              samples=args.samples, box=box, grid_step=args.grid_step)
     try:
-        verify_pingpong(cert, sample_budget=min(args.samples, 100_000),
-                        seed=args.seed, box=box)
+        verify_pingpong(cert, sample_budget=min(args.samples, 100_000), seed=args.seed)
     except TeichpongError:
         # the certificate records the failed check, but the verifier's error
         # decides the message and the exit code
@@ -235,8 +235,7 @@ def _cmd_certify_free(args) -> int:
     check_word_length(len(gens), args.max_word_len)
     cert = build_certificate(gens, _mode_name(args.mode), seed=args.seed,
                              samples=args.samples, box=box)
-    verify_pingpong(cert, sample_budget=min(args.samples, 100_000),
-                    seed=args.seed, box=box)
+    verify_pingpong(cert, sample_budget=min(args.samples, 100_000), seed=args.seed)
     report = free_check(gens, cert.N, args.max_word_len)
     _write_out(args.out, serialize.word_report_document(report))
     if report.violations or report.incomplete:
@@ -249,8 +248,9 @@ def _cmd_certify_free(args) -> int:
 def _cmd_teich(args) -> int:
     t1 = _parse_point(args.tau1)
     t2 = _parse_point(args.tau2)
+    kerckhoff = kerckhoff_dist(t1, t2, args.farey_depth)
     print(f"teich={teich_dist(t1, t2):.17g}")
-    print(f"kerckhoff={kerckhoff_dist(t1, t2, args.farey_depth):.17g} depth={args.farey_depth}")
+    print(f"kerckhoff={kerckhoff:.17g} depth={args.farey_depth}")
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,20 +133,11 @@ class Mobius:
         return BoundaryPoint.finite((self.a * xi.value + self.b) / den)
 
 
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     """Foot of the nearest-point projection together with its parameter."""
 
-    __slots__ = ("foot", "t")
-
-    def __init__(self, foot: Point, t: float):
-        self.foot = foot
-        self.t = t
-
-    def __iter__(self):
-        return iter((self.foot, self.t))
-
-    def __repr__(self):
-        return f"ProjectionResult(foot={self.foot}, t={self.t})"
+    foot: Point
+    t: float
 
 
 @dataclass(frozen=True)
@@ -215,9 +207,8 @@ class Geodesic:
         Points that collapse onto an ideal endpoint in floating point get the
         limit parameter -inf / +inf, which is the correct membership answer.
         """
-        m = self.chart.inverse()
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = (m.a * zs + m.b) / (m.c * zs + m.d)
+            w = self.chart.inverse().apply_complex(zs)
             out = 0.5 * np.log(np.abs(w))
         bad = np.isnan(out)
         if bad.any():
@@ -239,10 +230,6 @@ class Geodesic:
         if w.value == 0.0:
             return -math.inf
         return 0.5 * math.log(abs(w.value))
-
-
-def apply(m: Mobius, z: Point) -> Point:
-    return m.apply(z)
 
 
 def transport(m: Mobius, c: Geodesic) -> Geodesic:
@@ -268,10 +255,6 @@ def geodesic_through(z: Point, w: Point) -> Geodesic:
     if w.x > z.x:
         return Geodesic(BoundaryPoint.finite(center - radius), BoundaryPoint.finite(center + radius), z)
     return Geodesic(BoundaryPoint.finite(center + radius), BoundaryPoint.finite(center - radius), z)
-
-
-def point_at(c: Geodesic, t: float) -> Point:
-    return c.point_at(t)
 
 
 def project(c: Geodesic, z: Point) -> ProjectionResult:

@@ -151,10 +151,17 @@ def axis(m: MappingClass) -> AxisData:
     a, b, c, d = m.entries()
     if a + d < 0:
         a, b, c, d = -a, -b, -c, -d
-    disc = math.sqrt(float((a + d) * (a + d) - 4))
-    x_att = ((a - d) + disc) / (2.0 * c)
-    x_rep = ((a - d) - disc) / (2.0 * c)
-    lam = (float(a + d) + disc) / 2.0
+    huge = (a + d).bit_length() > 511
+    try:
+        # from t = 2^511 on, t*t - 4 overflows a float and sqrt(t^2 - 4) is t to far under an ulp
+        disc = float(a + d) if huge else math.sqrt(float((a + d) * (a + d) - 4))
+        x_att = ((a - d) + disc) / (2.0 * c)
+        x_rep = ((a - d) - disc) / (2.0 * c)
+        if huge:  # one root cancels; take it from the product of the roots, -b/c
+            x_att, x_rep = (x_att, -b / (c * x_att)) if a >= d else (-b / (c * x_rep), x_rep)
+        lam = disc if huge else (float(a + d) + disc) / 2.0
+    except OverflowError as exc:
+        raise InvalidInputError("matrix entries are beyond float range") from exc
     summit = Point(0.5 * (x_att + x_rep), 0.5 * abs(x_att - x_rep))
     attracting = BoundaryPoint.finite(x_att)
     repelling = BoundaryPoint.finite(x_rep)

@@ -31,6 +31,11 @@ from .projection import (_axis_points_array, _geodesic_pair_geometry, derive_mor
 from .torus_model import derive_thick_params, short_curve_bound
 
 DEFAULT_BOX = (-10.0, 10.0, 0.05, 10.0)
+GRID_STEP = 0.01  #: default step of the radius grid (the CLI's --grid-step)
+RADIUS_MARGIN = 0.05  #: margin on the certified radius
+FACTORIAL_LIMIT = 20_000_000  #: largest short-curve bound B whose factorial paper mode builds
+SAMPLE_CHUNK = 8192  #: points drawn from each seed spawned by sample_box_points
+SLACK_FLOOR = 1e-9  #: least slack N Tr - 2S the verifier accepts per generator
 
 
 @dataclass(frozen=True)
@@ -119,42 +124,28 @@ def _radius_from_intervals(intervals, b, grid_step, margin):
     return (1.0 + margin) * k * grid_step
 
 
-def certified_radius(generators, *, b: float | None = None, grid_step: float = 0.01,
-                     margin: float = 0.05) -> float:
-    """Least grid radius R such that every projection interval of one axis on
-    another lies inside (-(R + 4b), R + 4b), with a safety margin.
+def certified_radius(generators) -> float:
+    """Least radius R on the GRID_STEP grid such that every projection interval
+    of one axis on another lies inside (-(R + 4b), R + 4b), times 1 + RADIUS_MARGIN.
 
     The intervals are taken in each axis's own parametrization (origin at
     the summit); one radius per axis per sign is what the ping-pong lemma
     needs, so R absorbs the worst offset over all pairs.
     """
     _check_family(generators)
-    if b is None:
-        b = model_constants().b
     axes = [axis(m).axis for m in generators]
-    return _radius_from_intervals(_interval_map(axes), b, grid_step, margin)
+    return _radius_from_intervals(_interval_map(axes), model_constants().b, GRID_STEP, RADIUS_MARGIN)
 
 
-def power_bound(R, b: float, generators=None, *, l_min: float | None = None,
-                use_input_translation: bool = False) -> int:
-    """Least integer N with N > (2R + 12b) / l, computed in exact rationals.
+def power_bound(R, b: float, l_min: float) -> int:
+    """Least integer N with N > (2R + 12b) / l_min, computed in exact rationals.
 
-    By default l is the group-wide least translation distance; the optional
-    flag uses the family's own least translation instead (a smaller N, still
-    sufficient since every generator translates at least that far).
+    The certificates pass the group-wide least translation distance as l_min.
     """
-    if use_input_translation:
-        if not generators:
-            raise InvalidInputError("per-family translation floor needs the generators")
-        l_val = min(translation_distance(m) for m in generators)
-    elif l_min is not None:
-        l_val = l_min
-    else:
-        l_val = min_translation()
-    if l_val <= 0:
+    if l_min <= 0:
         raise InvalidInputError("translation floor must be positive")
     r_frac = Fraction(R) if isinstance(R, int) else Fraction(float(R))
-    threshold = (2 * r_frac + 12 * Fraction(float(b))) / Fraction(float(l_val))
+    threshold = (2 * r_frac + 12 * Fraction(float(b))) / Fraction(float(l_min))
     return math.floor(threshold) + 1
 
 
@@ -170,11 +161,11 @@ def paper_radius_bound(B: int, L) -> int:
     return max(base, scaled)
 
 
-def paper_constants(generators, *, factorial_limit: int = 20_000_000) -> PaperConstants:
+def paper_constants(generators) -> PaperConstants:
     """The literal pipeline: L, F, M, B, then the factorial radius and power.
 
     B grows with e^{4(M + L)}, so the factorial is only materializable for
-    families of small translation distance; past the limit this raises
+    families of small translation distance; past FACTORIAL_LIMIT this raises
     instead of attempting a terabyte integer.
     """
     _check_family(generators)
@@ -188,21 +179,19 @@ def paper_constants(generators, *, factorial_limit: int = 20_000_000) -> PaperCo
     M = derive_morse(2.0, d_max)
     r_short = math.exp(2.0 * (M + L)) * thick.F
     B = short_curve_bound(r_short, thick)
-    if B > factorial_limit:
+    if B > FACTORIAL_LIMIT:
         raise ConstantDerivationError(
-            f"short-curve bound B={B} exceeds the factorial limit {factorial_limit}; "
+            f"short-curve bound B={B} exceeds the factorial limit {FACTORIAL_LIMIT}; "
             f"the literal radius would have about {B} log10(B) digits"
         )
     R_paper = paper_radius_bound(B, L)
-    b = model_constants().b
-    N_paper = power_bound(R_paper, b)
+    N_paper = power_bound(R_paper, model_constants().b, min_translation())
     return PaperConstants(L=L, F=thick.F, M=M, B=B, R_paper=R_paper, N_paper=N_paper)
 
 
 def build_certificate(generators, mode: str = "certified_search", *, seed: int = 0,
-                      samples: int = 100_000, box=DEFAULT_BOX, grid_step: float = 0.01,
-                      radius_margin: float = 0.05, use_input_translation: bool = False,
-                      factorial_limit: int = 20_000_000) -> PingPongCertificate:
+                      samples: int = 100_000, box=DEFAULT_BOX,
+                      grid_step: float = GRID_STEP) -> PingPongCertificate:
     if mode not in ("certified_search", "paper_formula"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     _check_family(generators)
@@ -214,33 +203,32 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
     for i in range(len(axes)):
         for j in range(i + 1, len(axes)):
             pair_data[(i, j)] = _geodesic_pair_geometry(axes[i], axes[j])
-    l_min = (min(translation_distance(m) for m in generators)
-             if use_input_translation else min_translation())
+    l_min = min_translation()
     config = {
         "seed": seed,
         "samples": samples,
         "box": list(box),
         "grid_step": grid_step,
-        "radius_margin": radius_margin,
-        "use_input_translation": use_input_translation,
+        "radius_margin": RADIUS_MARGIN,
+        "use_input_translation": False,
         "notes": [
             "fast-divergence thresholds are grid-certified artifacts; the underlying statement is existence-only",
             "the marking bound F is derived over the whole thick part, a superset of the bounded-translation axes",
         ],
     }
     if mode == "certified_search":
-        R = _radius_from_intervals(intervals, b, grid_step, radius_margin)
-        N = power_bound(R, b, generators, use_input_translation=use_input_translation)
+        R = _radius_from_intervals(intervals, b, grid_step, RADIUS_MARGIN)
+        N = power_bound(R, b, l_min)
         return PingPongCertificate(
             generators=list(generators), mode=mode, b=b, l_min=l_min, R=R,
             S=R + 6.0 * b, N=N, intervals=intervals, pair_data=pair_data,
             paper=None, config=config,
         )
-    pc = paper_constants(generators, factorial_limit=factorial_limit)
-    N = power_bound(pc.R_paper, b, generators, use_input_translation=use_input_translation)
+    pc = paper_constants(generators)
     return PingPongCertificate(
         generators=list(generators), mode=mode, b=b, l_min=l_min, R=pc.R_paper,
-        S=None, N=N, intervals=intervals, pair_data=pair_data, paper=pc, config=config,
+        S=None, N=pc.N_paper, intervals=intervals, pair_data=pair_data, paper=pc,
+        config=config,
     )
 
 
@@ -248,10 +236,10 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
 # Verification
 # ---------------------------------------------------------------------------
 
-def sample_box_points(seed: int, n: int, box=DEFAULT_BOX, chunk: int = 8192) -> np.ndarray:
+def sample_box_points(seed: int, n: int, box=DEFAULT_BOX) -> np.ndarray:
     """Deterministic sample of the half-plane box, uniform in (x, log y).
 
-    Drawn in fixed-size chunks, each from its own seed spawned from `seed`.
+    Drawn in chunks of SAMPLE_CHUNK points, each from its own seed spawned from `seed`.
     """
     if n < 0 or seed < 0:
         raise InvalidInputError(f"need a sample count and seed >= 0, got n={n}, seed={seed}")
@@ -259,12 +247,12 @@ def sample_box_points(seed: int, n: int, box=DEFAULT_BOX, chunk: int = 8192) -> 
     if not (x_lo < x_hi and 0.0 < y_lo < y_hi and math.isfinite(x_hi - x_lo)
             and math.isfinite(y_hi)):
         raise InvalidInputError(f"bad sampling box {box}")
-    n_chunks = max(1, math.ceil(n / chunk))
+    n_chunks = max(1, math.ceil(n / SAMPLE_CHUNK))
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     parts = []
     remaining = n
     for child in children:
-        m = min(chunk, remaining)
+        m = min(SAMPLE_CHUNK, remaining)
         rng = np.random.default_rng(child)
         xs = rng.uniform(x_lo, x_hi, m)
         ys = np.exp(rng.uniform(math.log(y_lo), math.log(y_hi), m))
@@ -274,6 +262,7 @@ def sample_box_points(seed: int, n: int, box=DEFAULT_BOX, chunk: int = 8192) -> 
 
 
 def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
+    # not via Mobius: the float entries of a large power fail its determinant check
     a, b, c, d = (float(v) for v in m.entries())
     return (a * zs + b) / (c * zs + d)
 
@@ -284,8 +273,11 @@ def _param_matrix(axes, zs):
 
 
 def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
-                    seed: int | None = None, box=None, slack_floor: float = 1e-9) -> dict:
+                    seed: int | None = None) -> dict:
     """Run the analytic and empirical checks; raises on any failure.
+
+    Samples are drawn from the box the certificate records, under its seed
+    unless another is given.
 
     Analytic: each generator advances its own axis parameter by its
     translation distance, and N of those steps clear both tables (2S) with
@@ -294,7 +286,7 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     tables are pairwise disjoint on every sample.
     """
     seed = cert.config["seed"] if seed is None else seed
-    box = tuple(cert.config["box"]) if box is None else tuple(box)
+    box = tuple(cert.config["box"])
     gens = cert.generators
     checks = []
     report = {
@@ -340,9 +332,9 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     S = cert.S
 
     slacks = [cert.N * tr - 2.0 * S for tr in trs]
-    ok = all(s >= slack_floor for s in slacks)
+    ok = all(s >= SLACK_FLOOR for s in slacks)
     checks.append({"name": "translation-inclusion", "passed": bool(ok),
-                   "slacks": slacks, "required": slack_floor})
+                   "slacks": slacks, "required": SLACK_FLOOR})
     if not ok:
         fail("N Tr does not clear both tables", witness={"slacks": slacks})
 
@@ -408,7 +400,7 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     for i, c in enumerate(axes):
         for sign in (1, -1):
             w = np.exp(2.0 * sign * witness_params)[:, None] * np.exp(1j * angles)[None, :]
-            pts = ((c.chart.a * w + c.chart.b) / (c.chart.c * w + c.chart.d)).ravel()
+            pts = c.chart.apply_complex(w).ravel()
             wp = _param_matrix(axes, pts)
             own = wp[i] >= S if sign == 1 else wp[i] <= -S
             if not bool(np.all(own)):

@@ -4,7 +4,7 @@ The two derived constants live here:
 
 * the contraction constant b: a uniform bound on the projected diameter of
   any ball whose radius equals its center's distance to the geodesic; it is
-  the closed form (1 + margin) asinh(1);
+  the closed form asinh(1), with a margin of 0.05;
 
 * the stability constant M(K, kappa): how far a continuous unit-speed
   (K, kappa)-quasi-geodesic can stray from the geodesic joining its
@@ -27,6 +27,15 @@ from .errors import (ConstantDerivationError, DegenerateInputError,
                      HorizonExceededError, InvalidInputError, NotIndependentError)
 from .hyp2 import Geodesic, Point, dist, dist_to_geodesic, project
 from .mcg import MappingClass, axis, independent
+
+# The stability search's excursion levels, samples of the excursion length T
+# per level, refutation gap and margin on M; all four are in its memo key.
+_LEVELS, _T_SAMPLES, _SAFETY, _MORSE_MARGIN = 96, 4000, 0.05, 0.05
+#: how far past the nearest-point configuration fast-divergence thresholds
+#: are sampled, and the margin on the certified offsets
+HORIZON, THRESHOLD_MARGIN = 8.0, 0.10
+#: most rows divergence_profile builds
+MAX_PROFILE_ROWS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -56,13 +65,13 @@ def touching_ball_projection_diameter(c: Geodesic, x: Point) -> float:
     return math.asinh(abs(w.real) / abs(w))
 
 
-def derive_contraction_b(margin: float = 0.05) -> float:
-    """The supremum asinh(1) of the touching-ball projection diameter, times 1 + margin.
+def derive_contraction_b() -> float:
+    """The supremum asinh(1) of the touching-ball projection diameter, times 1.05.
 
     Every configuration reduces to x = e^{i theta} over the imaginary axis by
     the isometries fixing it, where the diameter is asinh|cos theta|.
     """
-    return cache.memo(f"b/v1:sup=asinh(1),margin={margin!r}", lambda: (1.0 + margin) * math.asinh(1.0))
+    return cache.memo("b/v1:sup=asinh(1),margin=0.05", lambda: (1.0 + 0.05) * math.asinh(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +88,7 @@ def _chord_upper(cosh2h_sq, sig):
     return out
 
 
-def _level_refutes(K, kappa, h, beta, t_samples, safety):
+def _level_refutes(K, kappa, h, beta):
     """True if excursion level h is impossible for a max height Delta = h + beta/2.
 
     An excursion above height h of length T with max height Delta must spend
@@ -99,23 +108,22 @@ def _level_refutes(K, kappa, h, beta, t_samples, safety):
     cosh2h_sq = math.cosh(2.0 * h) ** 2
     tail_const = 0.5 * math.log(2.0 * cosh2h_sq)
     t_far = (tail_const + kappa + 1.0) / (1.0 / K - sech2h) + beta + 1.0
-    u = np.linspace(0.0, 1.0, t_samples)
+    u = np.linspace(0.0, 1.0, _T_SAMPLES)
     T = beta + (t_far - beta) * u * u
     sig = sech2h * np.sqrt(np.maximum(T * T - beta * beta, 0.0))
     g = _chord_upper(cosh2h_sq, sig) - T / K + kappa
-    return float(np.max(g)) < -safety
+    return float(np.max(g)) < -_SAFETY
 
 
-def _delta_refuted(K, kappa, delta, levels, t_samples, safety):
-    for j in range(1, levels):
-        h = delta * j / levels
-        if _level_refutes(K, kappa, h, 2.0 * (delta - h), t_samples, safety):
+def _delta_refuted(K, kappa, delta):
+    for j in range(1, _LEVELS):
+        h = delta * j / _LEVELS
+        if _level_refutes(K, kappa, h, 2.0 * (delta - h)):
             return True
     return False
 
 
-def derive_morse(K: float, kappa: float, *, levels: int = 96, t_samples: int = 4000,
-                 safety: float = 0.05, margin: float = 0.05) -> float:
+def derive_morse(K: float, kappa: float) -> float:
     """Stability constant for continuous unit-speed (K, kappa)-quasi-geodesics.
 
     Bisects for the least max height that some excursion level refutes; the
@@ -127,23 +135,23 @@ def derive_morse(K: float, kappa: float, *, levels: int = 96, t_samples: int = 4
         raise InvalidInputError(f"need K >= 1 and kappa >= 0, got ({K}, {kappa})")
     if K == 1.0 and kappa == 0.0:
         return 0.0
-    K, kappa, safety, margin = float(K), float(kappa), float(safety), float(margin)
-    key = (f"morse/v1:K={K!r},kappa={kappa!r},levels={levels},"
-           f"t_samples={t_samples},safety={safety!r},margin={margin!r}")
+    K, kappa = float(K), float(kappa)
+    key = (f"morse/v1:K={K!r},kappa={kappa!r},levels={_LEVELS},"
+           f"t_samples={_T_SAMPLES},safety={_SAFETY!r},margin={_MORSE_MARGIN!r}")
 
     def compute():
         lo, hi = 0.0, 1.0
-        while not _delta_refuted(K, kappa, hi, levels, t_samples, safety):
+        while not _delta_refuted(K, kappa, hi):
             lo, hi = hi, 2.0 * hi
             if hi > 512.0:
                 raise ConstantDerivationError(f"no stability bound below 512 for ({K}, {kappa})")
         for _ in range(48):
             mid = 0.5 * (lo + hi)
-            if _delta_refuted(K, kappa, mid, levels, t_samples, safety):
+            if _delta_refuted(K, kappa, mid):
                 hi = mid
             else:
                 lo = mid
-        return (1.0 + margin) * hi
+        return (1.0 + _MORSE_MARGIN) * hi
 
     return cache.memo(key, compute)
 
@@ -235,14 +243,18 @@ def projection_interval(c_target: Geodesic, c_source: Geodesic):
 def divergence_profile(m1: MappingClass, m2: MappingClass, t_min: float, t_max: float,
                        step: float) -> list[tuple[float, float, float]]:
     """Rows (t, s_star, d_min) sampling the distance profile between the axes;
-    the nearest point of c2 to c1(t) is its projection c2(s_star)."""
-    if step <= 0 or t_max < t_min:
-        raise InvalidInputError("need step > 0 and t_max >= t_min")
+    the nearest point of c2 to c1(t) is its projection c2(s_star).  At most
+    MAX_PROFILE_ROWS rows; a longer profile is refused before any is built."""
+    if not (all(map(math.isfinite, (t_min, t_max, step))) and step > 0 and t_max >= t_min):
+        raise InvalidInputError("need finite t_min <= t_max and a finite step > 0")
+    steps = (t_max - t_min) / step + 1e-9
+    if not steps < MAX_PROFILE_ROWS:
+        raise InvalidInputError(f"the profile would have more than {MAX_PROFILE_ROWS} rows")
     if not independent(m1, m2):
         raise NotIndependentError(f"{m1} and {m2} share an axis")
     c1, c2 = axis(m1).axis, axis(m2).axis
     rows = []
-    n = int(math.floor((t_max - t_min) / step + 1e-9))
+    n = math.floor(steps)
     for i in range(n + 1):
         t = t_min + i * step
         z = c1.point_at(t)
@@ -275,9 +287,7 @@ class Thresholds:
 
 
 def _axis_points_array(c: Geodesic, params: np.ndarray) -> np.ndarray:
-    m = c.chart
-    z = 1j * np.exp(2.0 * params)
-    return (m.a * z + m.b) / (m.c * z + m.d)
+    return c.chart.apply_complex(1j * np.exp(2.0 * params))
 
 
 def _dist_matrix(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
@@ -285,13 +295,14 @@ def _dist_matrix(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     return np.arcsinh(diff / (2.0 * np.sqrt(za.imag[:, None] * zb.imag[None, :])))
 
 
-def fast_divergence_thresholds(m1: MappingClass, m2: MappingClass, *, grid_step: float = 0.01,
-                               margin: float = 0.10, horizon: float = 8.0) -> Thresholds:
+def fast_divergence_thresholds(m1: MappingClass, m2: MappingClass, *,
+                               grid_step: float = 0.01) -> Thresholds:
     """Grid-certified thresholds past which the pair diverges faster than
-    either point recedes from the nearest-point configuration."""
+    either point recedes from the nearest-point configuration; offsets are
+    sampled up to HORIZON, and the certified ones enlarged by THRESHOLD_MARGIN."""
     pg = pair_geometry(m1, m2)
     c1, c2 = axis(m1).axis, axis(m2).axis
-    offsets = np.arange(1, int(round(horizon / grid_step)) + 1) * grid_step
+    offsets = np.arange(1, int(round(HORIZON / grid_step)) + 1) * grid_step
     deltas = {}
     for side in (1, -1):
         z1 = _axis_points_array(c1, pg.t_O + side * offsets)
@@ -303,14 +314,14 @@ def fast_divergence_thresholds(m1: MappingClass, m2: MappingClass, *, grid_step:
             delta = float(np.max(np.minimum(offsets[ii], offsets[jj]))) + grid_step
         else:
             delta = grid_step
-        if delta > horizon - 2.0 * grid_step:
+        if delta > HORIZON - 2.0 * grid_step:
             raise HorizonExceededError(
-                f"violations persist to the sampling horizon {horizon} on side {side:+d}"
+                f"violations persist to the sampling horizon {HORIZON} on side {side:+d}"
             )
         deltas[side] = delta
     return Thresholds(
-        p_plus=pg.t_O + (1.0 + margin) * deltas[1],
-        p_minus=pg.t_O - (1.0 + margin) * deltas[-1],
-        q_plus=pg.s_O + (1.0 + margin) * deltas[1],
-        q_minus=pg.s_O - (1.0 + margin) * deltas[-1],
+        p_plus=pg.t_O + (1.0 + THRESHOLD_MARGIN) * deltas[1],
+        p_minus=pg.t_O - (1.0 + THRESHOLD_MARGIN) * deltas[-1],
+        q_plus=pg.s_O + (1.0 + THRESHOLD_MARGIN) * deltas[1],
+        q_minus=pg.s_O - (1.0 + THRESHOLD_MARGIN) * deltas[-1],
     )

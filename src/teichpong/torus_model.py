@@ -100,15 +100,20 @@ def _ext_array(ps, qs, tau: Point):
     return ((ps + qs * tau.x) ** 2 + (qs * tau.y) ** 2) / tau.y
 
 
+#: deepest slope table kerckhoff_dist builds (about 1.2 depth^2 slopes; 186 MiB at 2000)
+MAX_FAREY_DEPTH = 2000
+
+
 def kerckhoff_dist(tau1: Point, tau2: Point, farey_depth: int) -> float:
     """Half the log of the largest extremal-length ratio over bounded slopes.
 
     Converges to teich_dist from below as the depth grows; the maximizing
     direction is approximated quadratically well by fractions of bounded
-    height, so depth 500 is far inside 1e-6 for moderate distances.
+    height, so depth 500 is far inside 1e-6 for moderate distances.  Depths
+    outside 1..MAX_FAREY_DEPTH are refused.
     """
-    if farey_depth < 1:
-        raise InvalidInputError("farey_depth must be >= 1")
+    if not 1 <= farey_depth <= MAX_FAREY_DEPTH:
+        raise InvalidInputError(f"farey_depth must be in 1..{MAX_FAREY_DEPTH}, got {farey_depth}")
     ps, qs = _slope_table(farey_depth)
     ratio = np.max(_ext_array(ps, qs, tau2) / _ext_array(ps, qs, tau1))
     return 0.5 * math.log(ratio)
@@ -210,15 +215,14 @@ def short_curve_bound(R: float, params: ThickParams | None = None) -> int:
     return math.ceil(params.short_curve_coeff * R * R)
 
 
-def derive_thick_params(L: float, *, grid: int = 48, r_max: float = 5.0,
-                        margin: float = 0.05) -> ThickParams:
+def derive_thick_params(L: float) -> ThickParams:
     """The systole floor along axes of translation <= L and the marking bound
     F, both in closed form, and the short-curve count coefficient, by grid
-    search over the thick fundamental domain; F and the coefficient carry the
-    stated margin."""
+    search over the thick fundamental domain; F and the coefficient carry a
+    margin of 0.05."""
     if L < min_translation() - 1e-12:
         raise InvalidInputError(f"L={L} is below the least translation distance")
-    L, r_max, margin = float(L), float(r_max), float(margin)
+    L, grid, r_max, margin = float(L), 48, 5.0, 0.05
     key = f"thick/v2:L={L!r},grid={grid},r_max={r_max!r},margin={margin!r}"
 
     def compute():
@@ -243,7 +247,7 @@ def derive_thick_params(L: float, *, grid: int = 48, r_max: float = 5.0,
         # thick point.
         y_bot = math.sqrt(3.0) / 2.0
         coeff_raw = 0.0
-        cgrid = max(grid // 2, 8)
+        cgrid = grid // 2
         r_values = [0.5 + 0.02 * k for k in range(int((r_max - 0.5) / 0.02) + 1)]
         for i in range(cgrid + 1):
             x = -0.5 + i / cgrid

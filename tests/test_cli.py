@@ -235,6 +235,16 @@ class TestTeichCommand:
         code = main(["teich", "--tau1", "0,-1", "--tau2", "0,2"])
         assert code == 2
 
+    @pytest.mark.parametrize("depth", ["0", "2001", str(10 ** 5)])
+    def test_depth_out_of_bounds(self, depth, capsys):
+        code = main(["teich", "--tau1", "0,1", "--tau2", "0,2", "--farey-depth", depth])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-input: farey_depth")
+
 
 class TestGridStepValidation:
     @pytest.mark.parametrize("step", ["-1", "0", "nan", "inf"])
@@ -321,6 +331,10 @@ class TestSignedValues:
         ["pair", "--m1", "-2,-1,-1,-1", "--m2", "-1,-1,-1,-2"],
         ["profile", "--m1", "-2,-1,-1,-1", "--m2", "-1,-1,-1,-2", "--t-min", "0",
          "--t-max", "0.5", "--step", "0.5"],
+        ["profile", "--m1", "2,1,1,1", "--m2", "1,1,1,2", "--t-min", "-1e1",
+         "--t-max", "-9.5", "--step", "0.5"],
+        ["profile", "--m1", "2,1,1,1", "--m2", "1,1,1,2", "--t-min", "-.5e1",
+         "--t-max", "-4.5"],
         ["teich", "--tau1", "-0.3,1.2", "--tau2", "0.1,1", "--farey-depth", "5"],
         ["teich", "--tau1", "0.1,1", "--tau2", "-.3,1.2", "--farey-depth", "5"],
     ])
@@ -434,7 +448,37 @@ class TestCommandOptions:
         assert lines[0].startswith("error: invalid-input:")
 
 
+class TestProfileBounds:
+    M = ["--m1", "2,1,1,1", "--m2", "1,1,1,2"]
+
+    @pytest.mark.parametrize("extra", [["--step", "1e-300"], ["--step", "nan"],
+                                       ["--t-min", "-inf"], ["--t-max", "inf"]])
+    def test_one_line_exit_2(self, extra, capsys):
+        code = main(["profile", *self.M, *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-input:")
+        assert "expected one argument" not in lines[0]
+
+
 class TestHugeTrace:
+    def test_axis(self, capsys):
+        t = 10 ** 155
+        code = main(["axis", "--matrix", f"{t},-1,1,0", "--no-cache"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "repelling=1e-155\nattracting=1e+155\n" in out
+
+    def test_axis_beyond_float_range(self, capsys):
+        code = main(["axis", "--matrix", f"{10 ** 400},-1,1,0", "--no-cache"])
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-input:")
+
     @pytest.mark.parametrize("t", [10 ** 155, 10 ** 400], ids=["10^155", "10^400"])
     def test_classify(self, t, capsys):
         code = main(["classify", "--matrix", f"{t},-1,1,0", "--no-cache"])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,33 @@ class TestAxis:
             for t in (-0.8, 0.3):
                 moved = m.apply(ax.axis.point_at(t))
                 assert project(ax.axis, moved).t == pytest.approx(t + tr, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [3, 10 ** 6, 2 ** 100, 2 ** 510],
+                             ids=["3", "10^6", "2^100", "2^510"])
+    def test_bits_kept_below_the_huge_trace_bound(self, t):
+        disc = math.sqrt(float(t * t - 4))
+        ax = axis(MappingClass(t, -1, 1, 0))
+        assert ax.attracting.value == (t + disc) / 2.0
+        assert ax.repelling.value == (t - disc) / 2.0
+        assert ax.dilatation == (float(t) + disc) / 2.0
+
+    @pytest.mark.parametrize("t", [2 ** 511, 10 ** 155, 10 ** 300],
+                             ids=["2^511", "10^155", "10^300"])
+    @pytest.mark.parametrize("flip", [False, True], ids=["a>d", "a<d"])
+    def test_huge_trace_endpoints(self, t, flip):
+        # the roots of x^2 - t x + 1 are t - 1/t - ... and 1/t + 1/t^3 + ...
+        m = MappingClass(0, 1, -1, t) if flip else MappingClass(t, -1, 1, 0)
+        ax = axis(m)
+        big = Fraction(t) - Fraction(1, t) - Fraction(1, t ** 3)
+        small = Fraction(1, t) + Fraction(1, t ** 3)
+        ends = (ax.repelling.value, ax.attracting.value) if flip else (
+            ax.attracting.value, ax.repelling.value)
+        for got, want in zip(ends, (big, small)):
+            assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 12) * want
+
+    def test_entries_beyond_float_range(self):
+        with pytest.raises(InvalidInputError):
+            axis(MappingClass(10 ** 400, -1, 1, 0))
 
 
 class TestTranslationDistance:

@@ -80,11 +80,6 @@ class TestPowerBound:
         n = power_bound(10 ** 30, 0.5, l_min=1.0)
         assert n == 2 * 10 ** 30 + 6 + 1
 
-    def test_family_floor(self):
-        n_global = power_bound(1.0, 1.0, [PHI ** 2, PSI ** 2])
-        n_family = power_bound(1.0, 1.0, [PHI ** 2, PSI ** 2], use_input_translation=True)
-        assert n_family <= n_global
-
 
 class TestPaperRadiusBound:
     def test_synthetic_three_one(self):
@@ -97,10 +92,11 @@ class TestPaperRadiusBound:
         # (3! + 2) * 1.3 = 10.4 -> 11
         assert paper_radius_bound(3, 1.3) == 11
 
-    def test_factorial_guard(self):
-        from teichpong.pingpong import paper_constants
+    def test_factorial_guard(self, monkeypatch):
+        from teichpong import pingpong
+        monkeypatch.setattr(pingpong, "FACTORIAL_LIMIT", 10)
         with pytest.raises(ConstantDerivationError):
-            paper_constants([PHI, PSI], factorial_limit=10)
+            pingpong.paper_constants([PHI, PSI])
 
 
 class TestCertificate:
@@ -128,10 +124,10 @@ class TestCertificate:
         # beyond the grid floor, with a correspondingly larger power
         h = (PHI ** 5) * MappingClass(1, 1, 0, 1)
         m2 = PHI.conjugated_by(h)
-        cert = build_certificate([PHI, m2])
+        cert = build_certificate([PHI, m2], box=(-10, 10, 1e-6, 10))
         assert cert.R > 1.0
         assert cert.N > 12
-        report = verify_pingpong(cert, 5000, box=(-10, 10, 1e-6, 10))
+        report = verify_pingpong(cert, 5000)
         assert report["passed"]
         from teichpong.oracle import free_check
         assert free_check([PHI, m2], cert.N, 5).violations == []

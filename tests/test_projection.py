@@ -270,6 +270,21 @@ class TestDivergenceProfile:
         with pytest.raises(NotIndependentError):
             divergence_profile(PHI, PHI ** 2, 0, 1, 0.5)
 
+    @pytest.mark.parametrize("t_min, t_max, step", [
+        (0.0, 1.0, math.nan), (0.0, 1.0, math.inf), (-math.inf, 1.0, 0.5),
+        (0.0, math.inf, 0.5), (math.nan, 1.0, 0.5), (-1e308, 1e308, 1.0),
+    ])
+    def test_rejects_non_finite(self, t_min, t_max, step):
+        with pytest.raises(InvalidInputError):
+            divergence_profile(PHI, PSI, t_min, t_max, step)
+
+    def test_row_cap(self, monkeypatch):
+        from teichpong import projection
+        monkeypatch.setattr(projection, "MAX_PROFILE_ROWS", 10)
+        assert len(divergence_profile(PHI, PSI, 0.0, 0.9, 0.1)) == 10
+        with pytest.raises(InvalidInputError):
+            divergence_profile(PHI, PSI, 0.0, 1.0, 0.1)
+
 
 class TestFastDivergence:
     def test_standard_pair_certified(self):
@@ -311,9 +326,11 @@ class TestFastDivergence:
             offsets.append(th.p_plus - pg.t_O)
         assert offsets[0] >= offsets[1] >= offsets[2] > 0
 
-    def test_horizon_exceeded_reported(self):
+    def test_horizon_exceeded_reported(self, monkeypatch):
+        from teichpong import projection
+        monkeypatch.setattr(projection, "HORIZON", 0.5)
         with pytest.raises(HorizonExceededError):
-            fast_divergence_thresholds(PHI, PSI, horizon=0.5)
+            fast_divergence_thresholds(PHI, PSI)
 
     def test_random_pairs_certify(self, rng):
         for _ in range(3):
