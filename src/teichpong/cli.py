@@ -18,11 +18,9 @@ from .errors import (CertificateInvalidError, HorizonExceededError,
 from .hyp2 import Point
 from .mcg import (Classification, MappingClass, axis, classify, fixed_slope_test,
                   independent, translation_distance)
-from .oracle import check_word_length, free_check
-from .pingpong import build_certificate, verify_pingpong
-from .projection import (divergence_profile, fast_divergence_thresholds,
-                         pair_geometry, profile_csv, projection_interval)
-from .torus_model import kerckhoff_dist, teich_dist
+
+# The handlers import the rest of the package themselves, so a command loads
+# only the modules it runs, and numpy only where it samples arrays.
 
 
 def _parse_point(text: str) -> Point:
@@ -172,33 +170,37 @@ def _cmd_axis(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    from . import projection
+
     m1 = MappingClass.from_string(args.m1)
     m2 = MappingClass.from_string(args.m2)
     ok = independent(m1, m2)
     if not ok:
         print("independent=false")
         raise TeichpongError("generators share an axis (common power)")
-    pg = pair_geometry(m1, m2)
+    pg = projection.pair_geometry(m1, m2)
     print(f"independent=true D={pg.D:.17g} crossing={str(pg.crossing).lower()}")
     print(f"O={pg.O.x:.17g},{pg.O.y:.17g} t_O={pg.t_O:.17g}")
     print(f"O'={pg.O_prime.x:.17g},{pg.O_prime.y:.17g} s_O={pg.s_O:.17g}")
     c1, c2 = axis(m1).axis, axis(m2).axis
-    lo, hi = projection_interval(c1, c2)
+    lo, hi = projection.projection_interval(c1, c2)
     print(f"interval_on_1=[{lo:.17g},{hi:.17g}]")
-    lo, hi = projection_interval(c2, c1)
+    lo, hi = projection.projection_interval(c2, c1)
     print(f"interval_on_2=[{lo:.17g},{hi:.17g}]")
     if args.thresholds:
-        th = fast_divergence_thresholds(m1, m2)
+        th = projection.fast_divergence_thresholds(m1, m2)
         print(f"P+={th.p_plus:.17g} P-={th.p_minus:.17g} "
               f"Q+={th.q_plus:.17g} Q-={th.q_minus:.17g}")
     return 0
 
 
 def _cmd_profile(args) -> int:
+    from . import projection
+
     m1 = MappingClass.from_string(args.m1)
     m2 = MappingClass.from_string(args.m2)
-    rows = divergence_profile(m1, m2, args.t_min, args.t_max, args.step)
-    _write_out(args.csv, profile_csv(rows))
+    rows = projection.divergence_profile(m1, m2, args.t_min, args.t_max, args.step)
+    _write_out(args.csv, projection.profile_csv(rows))
     return 0
 
 
@@ -207,12 +209,14 @@ def _mode_name(short: str) -> str:
 
 
 def _cmd_pingpong(args) -> int:
+    from . import pingpong
+
     gens = [MappingClass.from_string(s) for s in args.matrix]
     box = _parse_box(args.box)
-    cert = build_certificate(gens, _mode_name(args.mode), seed=args.seed,
-                             samples=args.samples, box=box, grid_step=args.grid_step)
+    cert = pingpong.build_certificate(gens, _mode_name(args.mode), seed=args.seed,
+                                      samples=args.samples, box=box, grid_step=args.grid_step)
     try:
-        verify_pingpong(cert, sample_budget=min(args.samples, 100_000), seed=args.seed)
+        pingpong.verify_pingpong(cert, sample_budget=min(args.samples, 100_000), seed=args.seed)
     except TeichpongError:
         # the certificate records the failed check, but the verifier's error
         # decides the message and the exit code
@@ -226,17 +230,19 @@ def _cmd_pingpong(args) -> int:
 
 
 def _cmd_certify_free(args) -> int:
+    from . import oracle, pingpong
+
     gens = [MappingClass.from_string(s) for s in args.matrix]
     box = _parse_box(args.box)
     if args.mode == "paper":
         raise OracleRefusedError(
             "paper-formula powers cannot be exponentiated; use --mode certified"
         )
-    check_word_length(len(gens), args.max_word_len)
-    cert = build_certificate(gens, _mode_name(args.mode), seed=args.seed,
-                             samples=args.samples, box=box)
-    verify_pingpong(cert, sample_budget=min(args.samples, 100_000), seed=args.seed)
-    report = free_check(gens, cert.N, args.max_word_len)
+    oracle.check_word_length(len(gens), args.max_word_len)
+    cert = pingpong.build_certificate(gens, _mode_name(args.mode), seed=args.seed,
+                                      samples=args.samples, box=box)
+    pingpong.verify_pingpong(cert, sample_budget=min(args.samples, 100_000), seed=args.seed)
+    report = oracle.free_check(gens, cert.N, args.max_word_len)
     _write_out(args.out, serialize.word_report_document(report))
     if report.violations or report.incomplete:
         first = report.violations[0] if report.violations else "incomplete run"
@@ -246,10 +252,12 @@ def _cmd_certify_free(args) -> int:
 
 
 def _cmd_teich(args) -> int:
+    from . import torus_model
+
     t1 = _parse_point(args.tau1)
     t2 = _parse_point(args.tau2)
-    kerckhoff = kerckhoff_dist(t1, t2, args.farey_depth)
-    print(f"teich={teich_dist(t1, t2):.17g}")
+    kerckhoff = torus_model.kerckhoff_dist(t1, t2, args.farey_depth)
+    print(f"teich={torus_model.teich_dist(t1, t2):.17g}")
     print(f"kerckhoff={kerckhoff:.17g} depth={args.farey_depth}")
     return 0
 

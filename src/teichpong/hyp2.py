@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateInputError, InvalidInputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: default tolerance for geometric consistency checks
 TOL = 1e-9
@@ -71,8 +72,26 @@ class BoundaryPoint:
 
 
 def dist(z: Point, w: Point) -> float:
-    """Model distance, stable for nearby points: asinh(|z-w| / (2 sqrt(y1 y2)))."""
-    return math.asinh(abs(z.z - w.z) / (2.0 * math.sqrt(z.y * w.y)))
+    """Model distance, stable for nearby points: asinh(|z-w| / (2 sqrt(y1 y2))).
+
+    Where |z - w| or y1 y2 leaves the float range, the argument is formed
+    exactly in rationals and the distance taken through its logarithm.
+    """
+    try:
+        r = abs(z.z - w.z) / (2.0 * math.sqrt(z.y * w.y))
+    except (OverflowError, ZeroDivisionError):
+        r = math.inf
+    if r < math.inf:
+        return math.asinh(r)
+    from fractions import Fraction
+
+    x1, y1, x2, y2 = map(Fraction, (z.x, z.y, w.x, w.y))
+    r2 = ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (4 * y1 * y2)
+    if not r2:
+        return 0.0
+    log_r = 0.5 * (math.log(r2.numerator) - math.log(r2.denominator))
+    # asinh(r) = log(2 r) to double precision once r > 2^27
+    return log_r + math.log(2.0) if log_r > 20.0 else math.asinh(math.exp(log_r))
 
 
 @dataclass(frozen=True)
@@ -181,7 +200,13 @@ class Geodesic:
         if p == q:
             raise DegenerateInputError("geodesic endpoints must be distinct")
         center, radius = 0.5 * (p + q), 0.5 * abs(q - p)
-        if abs((x0 - center) ** 2 + y0 * y0 - radius * radius) > TOL * max(1.0, radius * radius):
+        if radius > 1.0:
+            # relative to radius^2, in units of the radius, which cannot overflow
+            u, v = (x0 - center) / radius, y0 / radius
+            off_circle = abs(u * u + v * v - 1.0) > TOL
+        else:
+            off_circle = abs((x0 - center) ** 2 + y0 * y0 - radius * radius) > TOL
+        if off_circle:
             raise InvalidInputError("origin is not on the geodesic")
         ratio = (q - x0) / (x0 - p)
         if not ratio > 0.0:
@@ -207,6 +232,8 @@ class Geodesic:
         Points that collapse onto an ideal endpoint in floating point get the
         limit parameter -inf / +inf, which is the correct membership answer.
         """
+        import numpy as np
+
         with np.errstate(divide="ignore", invalid="ignore"):
             w = self.chart.inverse().apply_complex(zs)
             out = 0.5 * np.log(np.abs(w))

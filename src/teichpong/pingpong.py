@@ -16,11 +16,10 @@ to shrink the constant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
@@ -30,12 +29,18 @@ from .projection import (_axis_points_array, _geodesic_pair_geometry, derive_mor
                           model_constants, projection_interval)
 from .torus_model import derive_thick_params, short_curve_bound
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_BOX = (-10.0, 10.0, 0.05, 10.0)
 GRID_STEP = 0.01  #: default step of the radius grid (the CLI's --grid-step)
 RADIUS_MARGIN = 0.05  #: margin on the certified radius
 FACTORIAL_LIMIT = 20_000_000  #: largest short-curve bound B whose factorial paper mode builds
 SAMPLE_CHUNK = 8192  #: points drawn from each seed spawned by sample_box_points
 SLACK_FLOOR = 1e-9  #: least slack N Tr - 2S the verifier accepts per generator
+#: N Tr past which the N-th power has an entry beyond the float range: its
+#: trace is 2 cosh(N Tr), so a diagonal entry is at least e^{N Tr} / 2
+FLOAT_POWER_LIMIT = math.log(2.0) + math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -241,6 +246,8 @@ def sample_box_points(seed: int, n: int, box=DEFAULT_BOX) -> np.ndarray:
 
     Drawn in chunks of SAMPLE_CHUNK points, each from its own seed spawned from `seed`.
     """
+    import numpy as np
+
     if n < 0 or seed < 0:
         raise InvalidInputError(f"need a sample count and seed >= 0, got n={n}, seed={seed}")
     x_lo, x_hi, y_lo, y_hi = box
@@ -263,12 +270,18 @@ def sample_box_points(seed: int, n: int, box=DEFAULT_BOX) -> np.ndarray:
 
 def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
     # not via Mobius: the float entries of a large power fail its determinant check
-    a, b, c, d = (float(v) for v in m.entries())
+    try:
+        a, b, c, d = (float(v) for v in m.entries())
+    except OverflowError:
+        raise InvalidInputError(
+            "a matrix entry is beyond the float range of the sampled checks") from None
     return (a * zs + b) / (c * zs + d)
 
 
 def _param_matrix(axes, zs):
     """params[i, k] = projection parameter of sample k on axis i."""
+    import numpy as np
+
     return np.stack([c.params_of_array(zs) for c in axes])
 
 
@@ -285,6 +298,8 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     map sampled points off the minus table into the plus table, and the 2n
     tables are pairwise disjoint on every sample.
     """
+    import numpy as np
+
     seed = cert.config["seed"] if seed is None else seed
     box = tuple(cert.config["box"])
     gens = cert.generators
@@ -362,7 +377,12 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     params = _param_matrix(axes, zs)
 
     # ping-pong inclusion with exact N-th powers
-    for i, (m, c) in enumerate(zip(gens, axes)):
+    for i, (m, c, tr) in enumerate(zip(gens, axes, trs)):
+        if cert.N * tr > FLOAT_POWER_LIMIT:
+            # refused before the power, whose entries would have about N Tr / log 2 bits
+            raise InvalidInputError(
+                f"the N-th power of generator {i} (N = {cert.N}) has entries beyond "
+                f"the float range of the sampled checks")
         power = m ** cert.N
         for sign, mat in ((1, power), (-1, power.inverse())):
             mask = params[i] > -S if sign == 1 else params[i] < S

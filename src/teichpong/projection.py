@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import cache
 from .errors import (ConstantDerivationError, DegenerateInputError,
                      HorizonExceededError, InvalidInputError, NotIndependentError)
 from .hyp2 import Geodesic, Point, dist, dist_to_geodesic, project
 from .mcg import MappingClass, axis, independent
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The stability search's excursion levels, samples of the excursion length T
 # per level, refutation gap and margin on M; all four are in its memo key.
@@ -80,6 +82,8 @@ def derive_contraction_b() -> float:
 
 def _chord_upper(cosh2h_sq, sig):
     """Upper bound on half arccosh(cosh^2(2h) cosh(2 sig) - sinh^2(2h)), vectorized."""
+    import numpy as np
+
     small = sig <= 12.0
     out = np.empty_like(sig)
     arg = cosh2h_sq * np.cosh(2.0 * np.where(small, sig, 0.0)) - (cosh2h_sq - 1.0)
@@ -102,6 +106,8 @@ def _level_refutes(K, kappa, h, beta):
     quadratically (linear in the cusp variable); the safety gap dominates
     the possible rise between samples, keeping refutations conservative.
     """
+    import numpy as np
+
     sech2h = 1.0 / math.cosh(2.0 * h)
     if sech2h >= 1.0 / K:
         return False
@@ -287,10 +293,14 @@ class Thresholds:
 
 
 def _axis_points_array(c: Geodesic, params: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return c.chart.apply_complex(1j * np.exp(2.0 * params))
 
 
 def _dist_matrix(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     diff = np.abs(za[:, None] - zb[None, :])
     return np.arcsinh(diff / (2.0 * np.sqrt(za.imag[:, None] * zb.imag[None, :])))
 
@@ -300,6 +310,8 @@ def fast_divergence_thresholds(m1: MappingClass, m2: MappingClass, *,
     """Grid-certified thresholds past which the pair diverges faster than
     either point recedes from the nearest-point configuration; offsets are
     sampled up to HORIZON, and the certified ones enlarged by THRESHOLD_MARGIN."""
+    import numpy as np
+
     pg = pair_geometry(m1, m2)
     c1, c2 = axis(m1).axis, axis(m2).axis
     offsets = np.arange(1, int(round(HORIZON / grid_step)) + 1) * grid_step

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from . import cache, hyp2
 from .errors import ConstantDerivationError, FViolationError, InvalidInputError
@@ -88,35 +87,123 @@ def teich_dist(tau1: Point, tau2: Point) -> float:
     return hyp2.dist(tau1, tau2)
 
 
-def _slope_table(depth: int):
-    """The slopes 1/0 and (p, q) with 1 <= q <= depth, |p| <= depth, gcd 1, by rows of q."""
-    p = np.arange(-depth, depth + 1)
-    rows = [p[np.gcd(p, q) == 1] for q in range(1, depth + 1)]
-    qs = np.repeat(np.arange(depth + 1.0), [1] + [len(r) for r in rows])
-    return np.concatenate([[1]] + rows, dtype=float), qs
-
-
-def _ext_array(ps, qs, tau: Point):
-    return ((ps + qs * tau.x) ** 2 + (qs * tau.y) ** 2) / tau.y
-
-
-#: deepest slope table kerckhoff_dist builds (about 1.2 depth^2 slopes; 186 MiB at 2000)
+#: deepest Farey order kerckhoff_dist accepts; the cost, which grows with
+#: log(depth), needs no cap, but `teich --farey-depth` keeps exiting 2 beyond it
 MAX_FAREY_DEPTH = 2000
+#: the walk from a critical slope stops once the float ratio is this far
+#: below the best, relatively (thousands of times a ratio's rounding error),
+#: or after this many slopes each way (reached only where the ratio is flat)
+_WALK_MARGIN, _WALK_LIMIT = 2.0 ** -40, 1000
+
+
+def _bracket(t: Fraction, depth: int):
+    """The adjacent slopes a/b <= t < c/d of height at most depth (|numerator|
+    and denominator <= depth), for t >= 0, as vectors (a, b), (c, d).
+
+    A Stern-Brocot descent from 0/1 and 1/0 that takes each run of steps to one
+    side at once, so it needs O(log depth) rounds.  Every fraction strictly
+    between two Stern-Brocot neighbours descends from their mediant, so the
+    two are adjacent once the mediant's height passes depth.  In [-1, 1]
+    these are Farey neighbours of order depth, and beyond it the reciprocals
+    of Farey neighbours of 1/t.
+    """
+    a, b, c, d = 0, 1, 1, 0
+    while True:
+        gap, room = t * b - a, c - t * d
+        # the upper end moves down to (a k + c) / (b k + d) while that stays > t
+        k = min((depth - c) // a if a else depth, (depth - d) // b)
+        if gap:
+            k = min(k, math.ceil(room / gap) - 1)
+        if k > 0:
+            c, d = a * k + c, b * k + d
+            continue
+        # the lower end moves up to (a + j c) / (b + j d) while that stays <= t
+        j = min((depth - a) // c, (depth - b) // d if d else depth, math.floor(gap / room))
+        if j > 0:
+            a, b = a + j * c, b + j * d
+            continue
+        return (a, b), (c, d)
+
+
+def _next_slope(prev, cur, depth: int):
+    """The slope after cur, on the side away from prev, of height at most depth.
+
+    Consecutive primitive vectors of the square |p|, |q| <= depth span
+    parallelograms of area one, so the next is k cur - prev with the largest
+    k that stays in the square.
+    """
+    k = min((depth + (u if w > 0 else -u)) // abs(w) for u, w in zip(prev, cur) if w)
+    return k * cur[0] - prev[0], k * cur[1] - prev[1]
+
+
+def _critical_slopes(tau1: Point, tau2: Point):
+    """The finite slopes where the extremal-length ratio is stationary, as exact Fractions.
+
+    They are the roots t = p/q of (x1 - x2) t^2 + (n1 - n2) t + (x2 n1 - x1 n2)
+    with n = |tau|^2, the negated endpoints of the geodesic through tau1 and
+    tau2; a vanishing leading coefficient puts a root at 1/0, which is left
+    out.  The coordinates are first divided by the power of two at their
+    largest, which is exact and keeps the coefficients in the float range.
+    """
+    s = math.ldexp(1.0, math.frexp(max(abs(tau1.x), abs(tau2.x), tau1.y, tau2.y))[1] - 1)
+    x1, y1, x2, y2 = tau1.x / s, tau1.y / s, tau2.x / s, tau2.y / s
+    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+    a, b, c = x1 - x2, n1 - n2, x2 * n1 - x1 * n2
+    half = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    return [Fraction(s) * Fraction(p) / Fraction(q) for p, q in ((half, a), (c, half)) if q]
+
+
+def _ext(p, q, x, y):
+    """Extremal length of p/q at x + iy, in floats or exactly in Fractions."""
+    u, v = p + q * x, q * y
+    return (u * u + v * v) / y
 
 
 def kerckhoff_dist(tau1: Point, tau2: Point, farey_depth: int) -> float:
-    """Half the log of the largest extremal-length ratio over bounded slopes.
+    """Half the log of the largest extremal-length ratio over the slopes 1/0
+    and p/q with 1 <= q <= farey_depth, |p| <= farey_depth.
 
     Converges to teich_dist from below as the depth grows; the maximizing
     direction is approximated quadratically well by fractions of bounded
-    height, so depth 500 is far inside 1e-6 for moderate distances.  Depths
-    outside 1..MAX_FAREY_DEPTH are refused.
+    height, so depth 500 is far inside 1e-6 for moderate distances.
+
+    On the circle of slopes the ratio of the two extremal lengths, both
+    positive-definite forms, rises from its least direction to its largest
+    and falls back, so over a finite set of slopes it peaks next to a
+    critical direction.  The ratio is evaluated at 1/0, at the two slopes of
+    the set around each critical slope, and on from them while it stays
+    within rounding of the best, so the float maximum is that of the whole
+    set.  Where a float ratio leaves the float range, the ratios are
+    compared exactly.  Depths outside 1..MAX_FAREY_DEPTH are refused.
     """
     if not 1 <= farey_depth <= MAX_FAREY_DEPTH:
         raise InvalidInputError(f"farey_depth must be in 1..{MAX_FAREY_DEPTH}, got {farey_depth}")
-    ps, qs = _slope_table(farey_depth)
-    ratio = np.max(_ext_array(ps, qs, tau2) / _ext_array(ps, qs, tau1))
-    return 0.5 * math.log(ratio)
+
+    def ratio(p, q):
+        e1 = _ext(p, q, tau1.x, tau1.y)
+        return _ext(p, q, tau2.x, tau2.y) / e1 if e1 else math.inf
+
+    brackets = [((farey_depth, 1), (1, 0))]
+    for t in _critical_slopes(tau1, tau2):
+        (a, b), (c, d) = _bracket(abs(t), farey_depth)
+        brackets.append(((a, b), (c, d)) if t >= 0 else ((-c, d), (-a, b)))
+    ratios = {v: ratio(*v) for pair in brackets for v in pair}
+    best = max(ratios.values())
+    for pair in brackets:
+        if max(ratios[v] for v in pair) < best * (1.0 - _WALK_MARGIN):
+            continue
+        for prev, cur in (pair, pair[::-1]):
+            for _ in range(_WALK_LIMIT):
+                prev, cur = cur, _next_slope(prev, cur, farey_depth)
+                r = ratios[cur] = ratio(*cur)
+                if not best * (1.0 - _WALK_MARGIN) <= r < math.inf:
+                    break
+                best = max(best, r)
+    if all(0.0 < r < math.inf for r in ratios.values()):
+        return 0.5 * math.log(best)
+    x1, y1, x2, y2 = map(Fraction, (tau1.x, tau1.y, tau2.x, tau2.y))
+    best = max(_ext(p, q, x2, y2) / _ext(p, q, x1, y1) for p, q in ratios)
+    return 0.5 * (math.log(best.numerator) - math.log(best.denominator))
 
 
 def wolpert_check(tau1: Point, tau2: Point, slopes) -> float:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import signal
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from teichpong import cli
+from teichpong import pingpong
 from teichpong.cli import main
 from teichpong.errors import CertificateInvalidError
 from teichpong.serialize import canonical_json, digit_count, exact_int
@@ -367,7 +372,7 @@ class TestVerifierErrorKept:
     def _failing_verifier(monkeypatch):
         def verify(cert, *args, **kwargs):
             raise CertificateInvalidError("planted failure", witness=[0.5, 1.0])
-        monkeypatch.setattr(cli, "verify_pingpong", verify)
+        monkeypatch.setattr(pingpong, "verify_pingpong", verify)
 
     def test_unwritable_out(self, tmp_path, monkeypatch, capsys):
         self._failing_verifier(monkeypatch)
@@ -391,7 +396,7 @@ class TestWordLengthFirst:
     def test_checked_before_the_certificate(self, length, kind, monkeypatch, capsys):
         def build(*args, **kwargs):
             raise AssertionError("certificate built before the word length was checked")
-        monkeypatch.setattr(cli, "build_certificate", build)
+        monkeypatch.setattr(pingpong, "build_certificate", build)
         code = main(["certify-free", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
                      "--max-word-len", length, "--no-cache"])
         lines = capsys.readouterr().err.strip().split("\n")
@@ -485,3 +490,136 @@ class TestHugeTrace:
         out = capsys.readouterr().out
         assert code == 0
         assert out == f"pseudo_anosov trace={t} Tr={math.log(t):.5f}\n"
+
+
+class TestPowerBeyondFloatRange:
+    @pytest.mark.parametrize("step", ["1e3", "1e9"])
+    def test_coarse_grid_is_refused_before_the_power(self, step, capsys):
+        # R = 1.05 * step makes N Tr pass 710; at 1e3 the float conversion of
+        # the power's entries raised OverflowError, at 1e9 the power never ended
+        code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
+                     "--grid-step", step, "--samples", "10", "--no-cache"])
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-input: the N-th power of generator 0")
+
+
+class TestTeichBeyondFloatRange:
+    @pytest.mark.parametrize("tau1, tau2", [("0,1", "1e200,1"), ("1,5e-324", "-1,5e-324"),
+                                            ("1e-300,1e-300", "0,1")])
+    def test_finite_values(self, tau1, tau2, capsys):
+        code = main(["teich", "--tau1", tau1, "--tau2", tau2, "--no-cache"])
+        out = capsys.readouterr().out.split("\n")
+        teich = float(out[0].removeprefix("teich="))
+        kerckhoff = float(out[1].split()[0].removeprefix("kerckhoff="))
+        assert code == 0
+        assert math.isfinite(teich) and 0.0 < kerckhoff <= teich + 1e-9
+
+
+# Each option draws from well-formed values and from malformed ones.
+_MATRICES = (("2,1,1,1", "1,1,1,2", "3,8,1,3", "5,3,3,2", "13,8,8,5", f"{10 ** 155},-1,1,0",
+              "0,1,-1,100000000000"),
+             ("1,1,0,1", "0,-1,1,0", "1,0,0,1", "2,0,0,2", "-2,-1,-1,-1", "1,2,3", "a,b,c,d",
+              "", "-", f"{10 ** 400},-1,1,0"))
+_REALS = (("0", "1", "-1", "3", "-3", "0.05", "0.5", "-1e1", "1e3", "1e9", "1e300"),
+          ("1e-300", "nan", "inf", "-inf", "x", ""))
+_POINTS = (("0,1", "0.3,2", "-0.5,0.8", "1e200,1", "1,5e-324", "-1,5e-324", "1e308,1.5e308",
+            "-0.5e308,1"),
+           ("0,0", "0,-1", "1", "a,b", "nan,1"))
+_DEPTHS = (("1", "7", "500", "2000"), ("-5", "0", "2001", "x", "1e3"))
+_PATHS = (("out.txt", "-"), ("missing/dir/out.txt",))
+_BOXES = (("-10,10,0.05,10", "-1,1,0.05,10", "-1e308,1e308,1e-300,1e300"),
+          ("1,-1,0.05,10", "-1,1,0,1", "a,b,c,d", "-1,1,nan,1"))
+
+
+def _opt(name, values):
+    good, bad = values
+    return st.tuples(st.just(name), st.sampled_from(good) | st.sampled_from(bad))
+
+
+def _flag(name):
+    return st.just((name,))
+
+
+_COMMON = [_flag("--no-cache")]
+_SAMPLING = [_opt("--seed", (("0", "3"), ("-1", "x"))),
+             _opt("--samples", (("0", "1", "200"), ("-3", "x"))),
+             _opt("--out", _PATHS), _opt("--box", _BOXES)]
+_MATRIX_PAIR = [_opt("--m1", _MATRICES), _opt("--m2", _MATRICES)]
+#: per command, the fragments an argv is drawn from; pingpong's paper mode,
+#: which computes B! for about a minute by design, is left to the acceptance tests
+_FRAGMENTS = {
+    "classify": [_opt("--matrix", _MATRICES)],
+    "axis": [_opt("--matrix", _MATRICES)],
+    "pair": [*_MATRIX_PAIR, _flag("--thresholds")],
+    "profile": [*_MATRIX_PAIR, _opt("--t-min", _REALS), _opt("--t-max", _REALS),
+                _opt("--step", _REALS), _opt("--csv", _PATHS)],
+    "pingpong": [_opt("--matrix", _MATRICES), _opt("--mode", (("certified",), ("other",))),
+                 _opt("--grid-step", _REALS), *_SAMPLING],
+    "certify-free": [_opt("--matrix", _MATRICES), _opt("--mode", (("certified",), ("paper",))),
+                     _opt("--max-word-len", (("1", "6", "8"), ("-1", "0", "21", "x"))),
+                     *_SAMPLING],
+    "teich": [_opt("--tau1", _POINTS), _opt("--tau2", _POINTS), _opt("--farey-depth", _DEPTHS)],
+}
+_STRAY = st.sampled_from(("--bogus", "-x", "--", "1", "-h", "classify", "--matrix"))
+
+
+#: per command, options that make a working argv, drawn as a start most of the time
+_STARTS = {
+    "classify": (("--matrix", "2,1,1,1"),),
+    "axis": (("--matrix", "2,1,1,1"),),
+    "pair": (("--m1", "2,1,1,1"), ("--m2", "3,8,1,3")),
+    "profile": (("--m1", "2,1,1,1"), ("--m2", "3,8,1,3")),
+    "pingpong": (("--matrix", "2,1,1,1"), ("--matrix", "1,1,1,2"), ("--samples", "200")),
+    "certify-free": (("--matrix", "2,1,1,1"), ("--matrix", "1,1,1,2"), ("--samples", "200")),
+    "teich": (("--tau1", "0,1"), ("--tau2", "0.3,2")),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FRAGMENTS)))
+    pool = st.one_of(*_FRAGMENTS[command], *_COMMON)
+    frags = list(_STARTS[command]) if draw(st.integers(0, 4)) else []
+    frags += draw(st.lists(pool, max_size=5))
+    if not draw(st.integers(0, 9)):
+        frags.insert(draw(st.integers(0, len(frags))), (draw(_STRAY),))
+    return [command, *(token for frag in frags for token in frag)]
+
+
+class TestArgvFuzz:
+    """Every argv ends in exit 0, 1 or 2, with one error line exactly when it
+    fails, no traceback, and within a fixed wall time."""
+
+    BOUND_S = 20
+
+    @given(_argvs())
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                       HealthCheck.too_slow])
+    def test_outcome_is_bounded(self, tmp_path, monkeypatch, argv):
+        from teichpong import cache
+        monkeypatch.chdir(tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+
+        def expire(signum, frame):
+            raise TimeoutError(f"{argv} ran past {self.BOUND_S} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(self.BOUND_S)
+        start = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # -h prints the help and exits
+                    code = exc.code
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            cache.disable()
+        assert time.perf_counter() - start < self.BOUND_S
+        assert code in (0, 1, 2), argv
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == (code != 0), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() + out.getvalue()

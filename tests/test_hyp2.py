@@ -43,6 +43,20 @@ class TestDist:
         expected = 0.5 * math.acosh(1.0 + 1.0 / 2.0)
         assert dist(Point(0, 1), Point(1, 1)) == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("z, w, expected", [
+        # |z - w| / (2 sqrt(y1 y2)) = 1 / y: the heights' product underflows
+        ((1.0, 5e-324), (-1.0, 5e-324), math.log(2.0) - math.log(5e-324)),
+        # |z - w| = 1.5e308 sqrt(2) overflows
+        ((1e308, 1.5e308), (-0.5e308, 1.0),
+         math.log(1.5e308) + 0.5 * math.log(2.0) - 0.5 * math.log(1.5e308)),
+        # x1 - x2 = 3.4e308 is inf in floats; |z - w| = sqrt(5) 1.7e308
+        ((1.7e308, 1.7e308), (-1.7e308, 5e-324),
+         0.5 * (math.log(1.7e308) + math.log(5.0) - math.log(5e-324))),
+    ], ids=["heights-underflow", "offset-overflows", "difference-overflows"])
+    def test_beyond_float_range(self, z, w, expected):
+        assert dist(Point(*z), Point(*w)) == pytest.approx(expected, rel=1e-14)
+        assert dist(Point(0.0, 5e-324), Point(0.0, 5e-324)) == 0.0
+
     def test_rejects_bad_points(self):
         with pytest.raises(InvalidInputError):
             Point(0.0, 0.0)
@@ -115,6 +129,33 @@ class TestGeodesicThrough:
     def test_origin_must_lie_on_geodesic(self):
         with pytest.raises(InvalidInputError):
             Geodesic(BoundaryPoint.finite(-1.0), BoundaryPoint.finite(1.0), Point(0.5, 1.0))
+
+
+class TestChartCheck:
+    """The origin must lie on the half circle, relative to its radius squared."""
+
+    @pytest.mark.parametrize("r", [1e10, 1e155, 1e300])
+    def test_off_circle_rejected_at_any_radius(self, r):
+        with pytest.raises(InvalidInputError):
+            Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(r), Point(0.5 * r, 1.0))
+
+    @pytest.mark.parametrize("r", [1e10, 1e155, 1e300])
+    def test_summit_accepted_at_any_radius(self, r):
+        c = Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(r), Point(0.5 * r, 0.5 * r))
+        assert c.chart.apply_boundary(BoundaryPoint.infinity()).value == pytest.approx(r)
+
+    def test_offset_beyond_float_squares(self):
+        # (x0 - center)^2 overflows; within radius^2 * TOL of the circle
+        c = Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(1e160), Point(1e100, 1.0))
+        assert c.chart.apply_boundary(BoundaryPoint.finite(0.0)).value == 0.0
+        assert c.chart.apply_boundary(BoundaryPoint.infinity()).value == pytest.approx(1e160)
+
+    def test_small_radius_unchanged(self):
+        assert Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(2.0), Point(1.0, 1.0))
+        with pytest.raises(InvalidInputError):
+            Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(2.0), Point(1.0, 1.0 + 1e-6))
+        with pytest.raises(InvalidInputError):
+            Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(1.0), Point(0.5, 0.6))
 
 
 class TestPointAt:

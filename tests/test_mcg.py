@@ -6,7 +6,7 @@ import pytest
 
 from conftest import PHI, PSI, random_pseudo_anosov
 from teichpong.errors import ClassificationError, InvalidInputError
-from teichpong.hyp2 import Point, dist, project
+from teichpong.hyp2 import BoundaryPoint, Point, dist, project
 from teichpong.mcg import (Classification, MappingClass, axis, classify,
                            fixed_slope_test, independent, min_translation,
                            translation_distance)
@@ -135,6 +135,19 @@ class TestAxis:
             ax.attracting.value, ax.repelling.value)
         for got, want in zip(ends, (big, small)):
             assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 12) * want
+
+    @pytest.mark.parametrize("t", [2 ** 511, 10 ** 155, 10 ** 300],
+                             ids=["2^511", "10^155", "10^300"])
+    def test_huge_trace_chart(self, t):
+        ax = axis(MappingClass(t, -1, 1, 0))
+        chart = ax.axis.chart
+        assert chart.apply_boundary(BoundaryPoint.finite(0.0)).value == pytest.approx(
+            ax.repelling.value, rel=1e-12)
+        assert chart.apply_boundary(BoundaryPoint.infinity()).value == pytest.approx(
+            ax.attracting.value, rel=1e-12)
+        summit = chart.apply(Point(0.0, 1.0))
+        assert (summit.x, summit.y) == pytest.approx(
+            (ax.axis.origin.x, ax.axis.origin.y), rel=1e-12)
 
     def test_entries_beyond_float_range(self):
         with pytest.raises(InvalidInputError):

@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import PHI, random_pseudo_anosov, random_thick_point
 from teichpong.errors import FViolationError, InvalidInputError
 from teichpong.hyp2 import Point
 from teichpong.mcg import MappingClass, axis, min_translation, translation_distance
-from teichpong.torus_model import (Slope, _slope_table, curve_length,
+from teichpong.torus_model import (Slope, _bracket, _next_slope, curve_length,
                                    default_thick_params, derive_thick_params, extremal_length,
                                    intersection_number, is_thick,
                                    kerckhoff_dist, marking, short_curve_bound,
@@ -101,6 +102,58 @@ def _slope_table_loop(depth):
     return np.array(ps, dtype=float), np.array(qs, dtype=float)
 
 
+def _slope_table(depth):
+    """The slopes 1/0 and (p, q) with 1 <= q <= depth, |p| <= depth, gcd 1, by rows of q."""
+    p = np.arange(-depth, depth + 1)
+    rows = [p[np.gcd(p, q) == 1] for q in range(1, depth + 1)]
+    qs = np.repeat(np.arange(depth + 1.0), [1] + [len(r) for r in rows])
+    return np.concatenate([[1]] + rows, dtype=float), qs
+
+
+def _table_ratio(table, tau1, tau2):
+    """The largest extremal-length ratio over the whole table, in its float expression."""
+    ps, qs = table
+
+    def ext(tau):
+        return ((ps + qs * tau.x) ** 2 + (qs * tau.y) ** 2) / tau.y
+
+    return float(np.max(ext(tau2) / ext(tau1)))
+
+
+def _seeded_pairs(seed, n):
+    """Pairs drawn like the benchmark's, from a wider box, and within 1e-9..1e-2 of each other."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        if k % 3 == 0:
+            a = Point(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.8, 2.5)))
+            b = Point(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.8, 2.5)))
+        elif k % 3 == 1:
+            a = Point(float(rng.uniform(-5, 5)), float(np.exp(rng.uniform(-4, 3))))
+            b = Point(float(rng.uniform(-5, 5)), float(np.exp(rng.uniform(-4, 3))))
+        else:
+            a = Point(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.8, 2.5)))
+            eps = 10.0 ** rng.uniform(-9, -2)
+            b = Point(a.x + eps * float(rng.normal()), a.y * (1 + eps * float(rng.normal())))
+        yield a, b
+
+
+def _check_against_table(depth, n_pairs, seed):
+    """kerckhoff_dist takes the table's maximum, bit for bit, on pairs at distance
+    >= 1e-4; closer pairs may miss a float-noise peak of the table by at most
+    4 ulps of the ratio, and never exceed it.  Returns the number of far pairs."""
+    table = _slope_table(depth)
+    far = 0
+    for tau1, tau2 in _seeded_pairs(seed, n_pairs):
+        ratio = _table_ratio(table, tau1, tau2)
+        got = kerckhoff_dist(tau1, tau2, depth)
+        if teich_dist(tau1, tau2) >= 1e-4:
+            assert got == 0.5 * math.log(ratio), (tau1, tau2)
+            far += 1
+        else:
+            assert 0.5 * math.log(ratio - 4 * math.ulp(ratio)) <= got <= 0.5 * math.log(ratio)
+    return far
+
+
 class TestSlopeTable:
     @pytest.mark.parametrize("depth", [*range(1, 61), 500])
     def test_matches_the_loop(self, depth):
@@ -109,6 +162,69 @@ class TestSlopeTable:
         assert ps.dtype == ref_ps.dtype and qs.dtype == ref_qs.dtype
         assert np.array_equal(ps, ref_ps)
         assert np.array_equal(qs, ref_qs)
+        # kerckhoff_dist evaluates only the Farey neighbours of the critical slopes
+        assert _check_against_table(depth, 60 if depth <= 60 else 240, seed=depth) >= 40
+
+    def test_depth_2000(self):
+        assert _check_against_table(2000, 45, seed=2000) >= 30
+        # d = 1.5e-4: the Farey neighbours of the critical slope alone miss a
+        # slope further out whose float ratio rounds one ulp higher
+        tau1 = Point(0.3593277702397276, 0.9389039260440046)
+        tau2 = Point(0.3590975254561485, 0.9387511518790737)
+        ratio = _table_ratio(_slope_table(2000), tau1, tau2)
+        assert kerckhoff_dist(tau1, tau2, 2000) == 0.5 * math.log(ratio)
+
+
+class TestSlopeWalk:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 7, 12])
+    def test_walk_visits_the_table_in_order(self, depth):
+        ps, qs = _slope_table_loop(depth)
+        table = {(int(p), int(q)) for p, q in zip(ps, qs)}
+        prev, cur, seen = (depth, 1), (1, 0), []
+        for _ in range(len(table)):
+            prev, cur = cur, _next_slope(prev, cur, depth)
+            assert prev[0] * cur[1] - prev[1] * cur[0] == -1
+            seen.append(Slope.canonical(*cur))
+        assert seen[-1] == Slope(1, 0)
+        assert {(s.p, s.q) for s in seen} == table
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 60, 2000])
+    def test_bracket_is_adjacent(self, depth):
+        rng = np.random.default_rng(depth)
+        points = [Fraction(0), Fraction(depth), Fraction(depth + 1), Fraction(1, depth)]
+        points += [Fraction(float(rng.exponential(3.0))) for _ in range(40)]
+        points += [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(20)]
+        for t in points:
+            (a, b), (c, d) = _bracket(t, depth)
+            assert Fraction(a, b) <= t and (d == 0 or t < Fraction(c, d))
+            assert max(a, b, c, d) <= depth and b * c - a * d == 1
+            # every fraction between descends from the mediant, which is too high
+            assert max(a + c, b + d) > depth
+
+
+class TestKerckhoffBeyondFloatRange:
+    @staticmethod
+    def _exact(tau1, tau2, depth):
+        x1, y1, x2, y2 = map(Fraction, (tau1.x, tau1.y, tau2.x, tau2.y))
+        ps, qs = _slope_table_loop(depth)
+
+        def ext(p, q, x, y):
+            return ((p + q * x) ** 2 + (q * y) ** 2) / y
+
+        ratio = max(ext(int(p), int(q), x2, y2) / ext(int(p), int(q), x1, y1)
+                    for p, q in zip(ps, qs))
+        return 0.5 * (math.log(ratio.numerator) - math.log(ratio.denominator))
+
+    @pytest.mark.parametrize("tau1, tau2", [
+        ((1e200, 1.0), (0.0, 1.0)), ((0.0, 1.0), (1e200, 1.0)),
+        ((1e-300, 1e-300), (0.0, 1.0)), ((0.0, 1e-200), (0.0, 1e200)),
+        ((1.0, 5e-324), (-1.0, 5e-324)), ((1.7e308, 1.7e308), (-1.7e308, 5e-324)),
+    ])
+    def test_matches_exact_rationals(self, tau1, tau2):
+        tau1, tau2 = Point(*tau1), Point(*tau2)
+        for depth in (1, 7):
+            ref = self._exact(tau1, tau2, depth)
+            assert kerckhoff_dist(tau1, tau2, depth) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 class TestWolpert:
