@@ -13,8 +13,8 @@ import math
 import sys
 
 from . import cache, serialize
-from .errors import (CertificateInvalidError, HorizonExceededError,
-                     InvalidInputError, OracleRefusedError, TeichpongError)
+from .errors import (CertificateInvalidError, HorizonExceededError, InvalidInputError,
+                     TeichpongError)
 from .hyp2 import Point
 from .mcg import (Classification, MappingClass, axis, classify, fixed_slope_test,
                   independent, translation_distance)
@@ -124,12 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a generator 'a,b,c,d'; repeat at least twice")
     p.add_argument("--mode", choices=["paper", "certified"], default="certified")
     p.add_argument("--box", default="-10,10,0.05,10", help="sampling box 'x_lo,x_hi,y_lo,y_hi'")
-    p.add_argument("--grid-step", type=float, default=0.01)
     _add_sampling(p)
 
     p = sub.add_parser("certify-free", help="certificate plus exact word-oracle cross-check")
     p.add_argument("--matrix", action="append", required=True)
-    p.add_argument("--mode", choices=["paper", "certified"], default="certified")
     p.add_argument("--max-word-len", type=int, default=6)
     p.add_argument("--box", default="-10,10,0.05,10")
     _add_sampling(p)
@@ -204,17 +202,13 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _mode_name(short: str) -> str:
-    return "paper_formula" if short == "paper" else "certified_search"
-
-
 def _cmd_pingpong(args) -> int:
     from . import pingpong
 
     gens = [MappingClass.from_string(s) for s in args.matrix]
     box = _parse_box(args.box)
-    cert = pingpong.build_certificate(gens, _mode_name(args.mode), seed=args.seed,
-                                      samples=args.samples, box=box, grid_step=args.grid_step)
+    mode = "paper_formula" if args.mode == "paper" else "certified_search"
+    cert = pingpong.build_certificate(gens, mode, seed=args.seed, samples=args.samples, box=box)
     try:
         pingpong.verify_pingpong(cert, sample_budget=min(args.samples, 100_000), seed=args.seed)
     except TeichpongError:
@@ -234,13 +228,8 @@ def _cmd_certify_free(args) -> int:
 
     gens = [MappingClass.from_string(s) for s in args.matrix]
     box = _parse_box(args.box)
-    if args.mode == "paper":
-        raise OracleRefusedError(
-            "paper-formula powers cannot be exponentiated; use --mode certified"
-        )
     oracle.check_word_length(len(gens), args.max_word_len)
-    cert = pingpong.build_certificate(gens, _mode_name(args.mode), seed=args.seed,
-                                      samples=args.samples, box=box)
+    cert = pingpong.build_certificate(gens, seed=args.seed, samples=args.samples, box=box)
     pingpong.verify_pingpong(cert, sample_budget=min(args.samples, 100_000), seed=args.seed)
     report = oracle.free_check(gens, cert.N, args.max_word_len)
     _write_out(args.out, serialize.word_report_document(report))

@@ -105,8 +105,12 @@ class Mobius:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if not math.isfinite(det) or abs(det - 1.0) > 1e-12:
-            raise InvalidInputError(f"determinant must be 1, got {det}")
+        if not abs(det - 1.0) <= 1e-12:
+            # relative to |ad| + |bc|: the chart of a narrow axis has entries
+            # whose products round by more than 1e-12
+            scale = abs(self.a * self.d) + abs(self.b * self.c)
+            if not (math.isfinite(det) and abs(det - 1.0) <= 1e-12 * scale):
+                raise InvalidInputError(f"determinant must be 1, got {det}")
 
     @classmethod
     def identity(cls) -> "Mobius":

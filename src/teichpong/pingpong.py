@@ -25,15 +25,15 @@ from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
 from .hyp2 import Geodesic, Point
 from .mcg import MappingClass, axis, independent, min_translation, translation_distance
-from .projection import (_axis_points_array, _geodesic_pair_geometry, derive_morse,
-                          model_constants, projection_interval)
+from .projection import (_geodesic_pair_geometry, derive_morse, model_constants,
+                          projection_interval)
 from .torus_model import derive_thick_params, short_curve_bound
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_BOX = (-10.0, 10.0, 0.05, 10.0)
-GRID_STEP = 0.01  #: default step of the radius grid (the CLI's --grid-step)
+GRID_STEP = 0.01  #: step of the radius grid
 RADIUS_MARGIN = 0.05  #: margin on the certified radius
 FACTORIAL_LIMIT = 20_000_000  #: largest short-curve bound B whose factorial paper mode builds
 SAMPLE_CHUNK = 8192  #: points drawn from each seed spawned by sample_box_points
@@ -113,13 +113,9 @@ def _interval_map(axes):
 
 
 def _radius_from_intervals(intervals, b, grid_step, margin):
-    if not (grid_step > 0.0 and math.isfinite(grid_step)):
-        raise InvalidInputError(f"grid_step must be finite and positive, got {grid_step!r}")
     need = max(max(abs(lo), abs(hi)) for lo, hi in intervals.values())
     floor = max(0.0, need - 4.0 * b) - 1e-15
     steps = max(0.0, floor) / grid_step
-    if not math.isfinite(steps):
-        raise InvalidInputError(f"grid_step {grid_step!r} is too fine to count the radius {need!r}")
     # least k >= 1 with k * grid_step >= floor; the rounded quotient may be one off
     k = max(1, math.ceil(steps))
     if k > 1 and (k - 1) * grid_step >= floor:
@@ -195,8 +191,7 @@ def paper_constants(generators) -> PaperConstants:
 
 
 def build_certificate(generators, mode: str = "certified_search", *, seed: int = 0,
-                      samples: int = 100_000, box=DEFAULT_BOX,
-                      grid_step: float = GRID_STEP) -> PingPongCertificate:
+                      samples: int = 100_000, box=DEFAULT_BOX) -> PingPongCertificate:
     if mode not in ("certified_search", "paper_formula"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     _check_family(generators)
@@ -213,7 +208,7 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
         "seed": seed,
         "samples": samples,
         "box": list(box),
-        "grid_step": grid_step,
+        "grid_step": GRID_STEP,
         "radius_margin": RADIUS_MARGIN,
         "use_input_translation": False,
         "notes": [
@@ -222,7 +217,7 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
         ],
     }
     if mode == "certified_search":
-        R = _radius_from_intervals(intervals, b, grid_step, RADIUS_MARGIN)
+        R = _radius_from_intervals(intervals, b, GRID_STEP, RADIUS_MARGIN)
         N = power_bound(R, b, l_min)
         return PingPongCertificate(
             generators=list(generators), mode=mode, b=b, l_min=l_min, R=R,
@@ -266,6 +261,12 @@ def sample_box_points(seed: int, n: int, box=DEFAULT_BOX) -> np.ndarray:
         parts.append(xs + 1j * ys)
         remaining -= m
     return np.concatenate(parts)
+
+
+def _axis_points_array(c: Geodesic, params: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    return c.chart.apply_complex(1j * np.exp(2.0 * params))
 
 
 def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:

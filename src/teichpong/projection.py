@@ -1,6 +1,6 @@
 """Quantitative projection theory between axes.
 
-The two derived constants live here:
+Two derived constants and the geometry of a pair of axes live here:
 
 * the contraction constant b: a uniform bound on the projected diameter of
   any ball whose radius equals its center's distance to the geodesic; it is
@@ -8,18 +8,21 @@ The two derived constants live here:
 
 * the stability constant M(K, kappa): how far a continuous unit-speed
   (K, kappa)-quasi-geodesic can stray from the geodesic joining its
-  endpoints.
+  endpoints;
 
-Only M is searched numerically; its grids and margins are recorded so
-results are reproducible bit for bit, and Monte Carlo validation of both
-bounds is part of the test suite.
+* the nearest-point configuration of two axes, a closed form in the chart
+  of the first, and the fast-divergence thresholds past it, a closed form
+  in the traces.
+
+Only M is searched numerically, and only its helpers load numpy; its grids
+and margins are recorded so results are reproducible bit for bit, and
+Monte Carlo validation of the bounds is part of the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import cache
 from .errors import (ConstantDerivationError, DegenerateInputError,
@@ -27,14 +30,10 @@ from .errors import (ConstantDerivationError, DegenerateInputError,
 from .hyp2 import Geodesic, Point, dist, dist_to_geodesic, project
 from .mcg import MappingClass, axis, independent
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # The stability search's excursion levels, samples of the excursion length T
 # per level, refutation gap and margin on M; all four are in its memo key.
 _LEVELS, _T_SAMPLES, _SAFETY, _MORSE_MARGIN = 96, 4000, 0.05, 0.05
-#: how far past the nearest-point configuration fast-divergence thresholds
-#: are sampled, and the margin on the certified offsets
+#: bound on the fast-divergence offsets, and the margin on the certified ones
 HORIZON, THRESHOLD_MARGIN = 8.0, 0.10
 #: most rows divergence_profile builds
 MAX_PROFILE_ROWS = 10 ** 6
@@ -281,9 +280,10 @@ class Thresholds:
     """Certified fast-divergence parameters, in the axes' own parametrizations.
 
     Beyond the plus (resp. minus) thresholds on both axes simultaneously,
-    every sampled pair satisfies d(x, y) > max(d(O, x), d(O', y)).  The
-    statement these certify is existence-only; the grid step and margin make
-    the certified values an artifact-level, reproducible substitute.
+    every pair of points satisfies d(x, y) > max(d(O, x), d(O', y)).  The
+    statement these certify is existence-only; rounding the offset up to the
+    grid and enlarging it by the margin make the certified values a
+    reproducible artifact.
     """
 
     p_plus: float
@@ -292,48 +292,53 @@ class Thresholds:
     q_minus: float
 
 
-def _axis_points_array(c: Geodesic, params: np.ndarray) -> np.ndarray:
-    import numpy as np
+def _largest_violating_offset(m1: MappingClass, m2: MappingClass) -> float:
+    """Supremum of min(a, b) over offsets a, b from the nearest points, on one
+    side, with d <= max(a, b); 0 if there are none.
 
-    return c.chart.apply_complex(1j * np.exp(2.0 * params))
-
-
-def _dist_matrix(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    diff = np.abs(za[:, None] - zb[None, :])
-    return np.arcsinh(diff / (2.0 * np.sqrt(za.imag[:, None] * zb.imag[None, :])))
+    In the chart of the first axis let the second be the half circle on
+    (p, q).  Then k = (p + q)/(q - p) is the cosine of the crossing angle of
+    crossing axes and cosh 2D, signed by orientation, for disjoint ones; with
+    both traces made positive it is (2 tr AB - tr A tr B) / sqrt((tr^2 A - 4)
+    (tr^2 B - 4)), exact until the one rounding of k^2.  In doubled lengths
+    cosh 2d = kappa cosh 2a cosh 2b - sigma sinh 2a sinh 2b with
+    (kappa, sigma) = (1, k) for crossing axes and (|k|, sign k) for disjoint
+    ones.  For a >= b a violation reads tanh b <= k tanh 2a, respectively
+    |k| cosh 2b - tanh 2a sinh 2b <= 1, which is weakest as a grows:
+    b <= atanh(k), respectively e^{2b} between the roots of
+    (k - 1) x^2 - 2x + (k + 1).  So violations need 0 < k <= sqrt 2, and the
+    two sides, which flip the signs of both sinh terms, share them.
+    """
+    t1, t2 = m1.trace, m2.trace
+    t12 = m1.a * m2.a + m1.b * m2.c + m1.c * m2.b + m1.d * m2.d
+    num = (2 * t12 if t1 * t2 > 0 else -2 * t12) - abs(t1 * t2)
+    den = (t1 * t1 - 4) * (t2 * t2 - 4)
+    if num <= 0 or num * num > 2 * den:
+        return 0.0
+    k2 = num * num / den
+    if k2 == 1.0:
+        # k = 1 is a shared endpoint; independent axes round to it only for huge traces
+        return math.inf
+    if k2 < 1.0:
+        return math.atanh(math.sqrt(k2))
+    return 0.5 * math.log((1.0 + math.sqrt(2.0 - k2)) / (math.sqrt(k2) - 1.0))
 
 
 def fast_divergence_thresholds(m1: MappingClass, m2: MappingClass, *,
                                grid_step: float = 0.01) -> Thresholds:
-    """Grid-certified thresholds past which the pair diverges faster than
-    either point recedes from the nearest-point configuration; offsets are
-    sampled up to HORIZON, and the certified ones enlarged by THRESHOLD_MARGIN."""
-    import numpy as np
+    """Thresholds past which the pair diverges faster than either point
+    recedes from the nearest-point configuration.
 
+    The largest violating offset is a closed form in the traces
+    (_largest_violating_offset) and the same on both sides.
+    It is rounded up to the next multiple of grid_step past it and enlarged
+    by THRESHOLD_MARGIN; an offset within two steps of HORIZON is refused.
+    """
     pg = pair_geometry(m1, m2)
-    c1, c2 = axis(m1).axis, axis(m2).axis
-    offsets = np.arange(1, int(round(HORIZON / grid_step)) + 1) * grid_step
-    deltas = {}
-    for side in (1, -1):
-        z1 = _axis_points_array(c1, pg.t_O + side * offsets)
-        z2 = _axis_points_array(c2, pg.s_O + side * offsets)
-        dd = _dist_matrix(z1, z2)
-        viol = dd <= np.maximum(offsets[:, None], offsets[None, :])
-        if viol.any():
-            ii, jj = np.nonzero(viol)
-            delta = float(np.max(np.minimum(offsets[ii], offsets[jj]))) + grid_step
-        else:
-            delta = grid_step
-        if delta > HORIZON - 2.0 * grid_step:
-            raise HorizonExceededError(
-                f"violations persist to the sampling horizon {HORIZON} on side {side:+d}"
-            )
-        deltas[side] = delta
-    return Thresholds(
-        p_plus=pg.t_O + (1.0 + THRESHOLD_MARGIN) * deltas[1],
-        p_minus=pg.t_O - (1.0 + THRESHOLD_MARGIN) * deltas[-1],
-        q_plus=pg.s_O + (1.0 + THRESHOLD_MARGIN) * deltas[1],
-        q_minus=pg.s_O - (1.0 + THRESHOLD_MARGIN) * deltas[-1],
-    )
+    sup = _largest_violating_offset(m1, m2)
+    delta = math.floor(sup / grid_step) * grid_step + grid_step if sup < HORIZON else math.inf
+    if delta > HORIZON - 2.0 * grid_step:
+        raise HorizonExceededError(f"violations persist to the sampling horizon {HORIZON}")
+    offset = (1.0 + THRESHOLD_MARGIN) * delta
+    return Thresholds(p_plus=pg.t_O + offset, p_minus=pg.t_O - offset,
+                      q_plus=pg.s_O + offset, q_minus=pg.s_O - offset)

@@ -210,11 +210,13 @@ class TestPingpongCommand:
 
 class TestCertifyFreeCommand:
     def test_paper_mode_refused(self, capsys):
+        # certify-free runs certified mode only and takes no --mode
         code = main(["certify-free", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
                      "--mode", "paper", "--no-cache"])
-        err = capsys.readouterr().err
+        lines = capsys.readouterr().err.strip().split("\n")
         assert code == 2
-        assert err.startswith("error: oracle-refused:")
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-input: unrecognized arguments: --mode")
 
     def test_clean_run(self, tmp_path, capsys):
         dest = tmp_path / "words.json"
@@ -254,13 +256,14 @@ class TestTeichCommand:
 class TestGridStepValidation:
     @pytest.mark.parametrize("step", ["-1", "0", "nan", "inf"])
     def test_bad_grid_step(self, step, capsys):
+        # the radius grid is pingpong.GRID_STEP; --grid-step is no option
         code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
                      "--samples", "100", "--grid-step", step, "--no-cache"])
         err = capsys.readouterr().err
         assert code == 2
         lines = err.strip().split("\n")
         assert len(lines) == 1
-        assert lines[0].startswith("error: invalid-input:")
+        assert lines[0].startswith("error: invalid-input: unrecognized arguments: --grid-step")
 
 
 class TestStaleConstantsCache:
@@ -492,17 +495,39 @@ class TestHugeTrace:
         assert out == f"pseudo_anosov trace={t} Tr={math.log(t):.5f}\n"
 
 
-class TestPowerBeyondFloatRange:
-    @pytest.mark.parametrize("step", ["1e3", "1e9"])
-    def test_coarse_grid_is_refused_before_the_power(self, step, capsys):
-        # R = 1.05 * step makes N Tr pass 710; at 1e3 the float conversion of
-        # the power's entries raised OverflowError, at 1e9 the power never ended
-        code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
-                     "--grid-step", step, "--samples", "10", "--no-cache"])
-        lines = capsys.readouterr().err.strip().split("\n")
-        assert code == 2
-        assert len(lines) == 1
-        assert lines[0].startswith("error: invalid-input: the N-th power of generator 0")
+def _narrow(k, g):
+    """phi conjugated by phi^k g: as k grows, the axis closes in on phi's
+    attracting end and its endpoints on each other (about 3e-5 apart at k = 6)."""
+    from teichpong.mcg import MappingClass
+    phi = MappingClass(2, 1, 1, 1)
+    h = phi ** k * (MappingClass(1, 1, 0, 1) if g == "L" else MappingClass(1, 0, 1, 1))
+    return ",".join(map(str, phi.conjugated_by(h).entries()))
+
+
+class TestNarrowAxes:
+    """The charts of narrow axes have large entries, whose determinant rounds
+    by more than an absolute 1e-12; the axes are valid input all the same."""
+
+    def test_trace_3_example(self):
+        assert _narrow(6, "L") == "108579,-175681,67105,-108576"
+
+    @pytest.mark.parametrize("g", ["L", "R"])
+    def test_axis_and_pair(self, g, capsys):
+        for k in range(5, 19):
+            m = _narrow(k, g)
+            assert main(["axis", "--matrix", m, "--no-cache"]) == 0, k
+            assert main(["pair", "--m1", "2,1,1,1", "--m2", m, "--thresholds",
+                         "--no-cache"]) == 0, k
+        assert "error:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [6, 7])
+    @pytest.mark.parametrize("g", ["L", "R"])
+    def test_pingpong_certifies(self, k, g, tmp_path, capsys):
+        code = main(["pingpong", "--matrix", "1,1,1,2", "--matrix", _narrow(k, g),
+                     "--box", "-10,10,1e-9,10", "--samples", "20000",
+                     "--out", str(tmp_path / "cert.json"), "--no-cache"])
+        assert code == 0
+        assert json.loads((tmp_path / "cert.json").read_text())["verification"]["passed"]
 
 
 class TestTeichBeyondFloatRange:
@@ -519,7 +544,7 @@ class TestTeichBeyondFloatRange:
 
 # Each option draws from well-formed values and from malformed ones.
 _MATRICES = (("2,1,1,1", "1,1,1,2", "3,8,1,3", "5,3,3,2", "13,8,8,5", f"{10 ** 155},-1,1,0",
-              "0,1,-1,100000000000"),
+              "0,1,-1,100000000000", "108579,-175681,67105,-108576"),
              ("1,1,0,1", "0,-1,1,0", "1,0,0,1", "2,0,0,2", "-2,-1,-1,-1", "1,2,3", "a,b,c,d",
               "", "-", f"{10 ** 400},-1,1,0"))
 _REALS = (("0", "1", "-1", "3", "-3", "0.05", "0.5", "-1e1", "1e3", "1e9", "1e300"),
@@ -542,6 +567,11 @@ def _flag(name):
     return st.just((name,))
 
 
+def _unknown(name, values):
+    """An option the command does not take, with values it once accepted."""
+    return st.tuples(st.just(name), st.sampled_from(values))
+
+
 _COMMON = [_flag("--no-cache")]
 _SAMPLING = [_opt("--seed", (("0", "3"), ("-1", "x"))),
              _opt("--samples", (("0", "1", "200"), ("-3", "x"))),
@@ -556,8 +586,8 @@ _FRAGMENTS = {
     "profile": [*_MATRIX_PAIR, _opt("--t-min", _REALS), _opt("--t-max", _REALS),
                 _opt("--step", _REALS), _opt("--csv", _PATHS)],
     "pingpong": [_opt("--matrix", _MATRICES), _opt("--mode", (("certified",), ("other",))),
-                 _opt("--grid-step", _REALS), *_SAMPLING],
-    "certify-free": [_opt("--matrix", _MATRICES), _opt("--mode", (("certified",), ("paper",))),
+                 _unknown("--grid-step", ("0.01", "1e308")), *_SAMPLING],
+    "certify-free": [_opt("--matrix", _MATRICES), _unknown("--mode", ("certified", "paper")),
                      _opt("--max-word-len", (("1", "6", "8"), ("-1", "0", "21", "x"))),
                      *_SAMPLING],
     "teich": [_opt("--tau1", _POINTS), _opt("--tau2", _POINTS), _opt("--farey-depth", _DEPTHS)],

@@ -52,6 +52,11 @@ DOCUMENTS = {
     "constants.json": _constants_file,
     "pair_thresholds.txt": lambda tmp: _stdout(
         ["pair", "--m1", "2,1,1,1", "--m2", "3,8,1,3", "--thresholds"]),
+    # crossing axes with offset 0.70, and disjoint axes with offset 2.05
+    "pair_thresholds_crossing.txt": lambda tmp: _stdout(
+        ["pair", "--m1", "2,1,1,1", "--m2", "1,1,1,2", "--thresholds"]),
+    "pair_thresholds_disjoint.txt": lambda tmp: _stdout(
+        ["pair", "--m1", "2,1,1,1", "--m2", "3,1,2,1", "--thresholds"]),
     "axis.txt": lambda tmp: _stdout(["axis", "--matrix", "2,1,1,1"]),
 }
 

@@ -94,6 +94,15 @@ class TestMobius:
         with pytest.raises(InvalidInputError):
             Mobius(2.0, 0.0, 0.0, 1.0)
 
+    def test_determinant_tolerance_scales_with_entries(self):
+        # the chart of the axis of 108579,-175681,67105,-108576, whose
+        # endpoints are 3e-5 apart: ad and bc near 5e4 round by about 1e-11
+        m = Mobius(280.3008200329428, 280.2950475199352, 173.23472032424095, 173.23472032539533)
+        assert abs(m.a * m.d - m.b * m.c - 1.0) > 1e-12
+        for bad in ((2, 0, 0, 1), (1e5, 0.0, 0.0, 1.0001e-5), (math.inf, 0.0, 0.0, 1.0)):
+            with pytest.raises(InvalidInputError):
+                Mobius(*bad)
+
     def test_compose_inverse(self):
         m = Mobius.from_det_positive(2.0, 1.0, 1.0, 1.0)
         r = m.compose(m.inverse())

@@ -238,7 +238,12 @@ class TestRadiusGridCount:
         assert _loop_grid_count(1.0030000000000012, 0.001) == 1003
         assert self.grid_count(1.0030000000000012, 0.001) == 1003 * 0.001
 
-    def test_tiny_step(self):
-        assert self.grid_count(0.0, 5e-324) == 5e-324
-        with pytest.raises(InvalidInputError):
-            self.grid_count(10.0, 5e-324)
+
+class TestPowerBeyondFloatRange:
+    def test_refused_before_the_power(self):
+        # N Tr far past 710: the power's entries would leave the float range,
+        # and forming it at N = 10**9 would not end
+        cert = build_certificate([PHI, PSI], samples=10)
+        cert.N = 10 ** 9
+        with pytest.raises(InvalidInputError, match="the N-th power of generator 0"):
+            verify_pingpong(cert, 10)

@@ -9,7 +9,8 @@ from teichpong.errors import (DegenerateInputError, HorizonExceededError,
 from teichpong.hyp2 import (BoundaryPoint, Geodesic, Point, dist,
                             dist_to_geodesic, geodesic_through, project)
 from teichpong.mcg import MappingClass, axis
-from teichpong.projection import (Thresholds, common_perpendicular_distance,
+from teichpong.projection import (HORIZON, THRESHOLD_MARGIN, Thresholds,
+                                  common_perpendicular_distance,
                                   derive_contraction_b, derive_morse,
                                   divergence_profile,
                                   fast_divergence_thresholds, model_constants,
@@ -286,7 +287,44 @@ class TestDivergenceProfile:
             divergence_profile(PHI, PSI, 0.0, 1.0, 0.1)
 
 
+def _grid_thresholds(m1, m2, grid_step=0.01):
+    """Reference: the grid search over every pair of offsets up to HORIZON on
+    each side, or None where violations reach the horizon."""
+    pg = pair_geometry(m1, m2)
+    c1, c2 = axis(m1).axis, axis(m2).axis
+    offsets = np.arange(1, int(round(HORIZON / grid_step)) + 1) * grid_step
+    deltas = {}
+    for side in (1, -1):
+        z1 = c1.chart.apply_complex(1j * np.exp(2.0 * (pg.t_O + side * offsets)))
+        z2 = c2.chart.apply_complex(1j * np.exp(2.0 * (pg.s_O + side * offsets)))
+        dd = np.arcsinh(np.abs(z1[:, None] - z2[None, :])
+                        / (2.0 * np.sqrt(z1.imag[:, None] * z2.imag[None, :])))
+        viol = dd <= np.maximum(offsets[:, None], offsets[None, :])
+        delta = grid_step
+        if viol.any():
+            ii, jj = np.nonzero(viol)
+            delta = float(np.max(np.minimum(offsets[ii], offsets[jj]))) + grid_step
+        if delta > HORIZON - 2.0 * grid_step:
+            return None
+        deltas[side] = delta
+    grow = 1.0 + THRESHOLD_MARGIN
+    return Thresholds(p_plus=pg.t_O + grow * deltas[1], p_minus=pg.t_O - grow * deltas[-1],
+                      q_plus=pg.s_O + grow * deltas[1], q_minus=pg.s_O - grow * deltas[-1])
+
+
 class TestFastDivergence:
+    def test_closed_form_matches_grid(self):
+        # 600 seeded pairs of positive twist words with traces up to 200
+        rng = np.random.default_rng(2006)
+        for _ in range(600):
+            m1, m2 = random_independent_pair(rng, max_trace=200)
+            expected = _grid_thresholds(m1, m2)
+            if expected is None:
+                with pytest.raises(HorizonExceededError):
+                    fast_divergence_thresholds(m1, m2)
+            else:
+                assert fast_divergence_thresholds(m1, m2) == expected, (m1, m2)
+
     def test_standard_pair_certified(self):
         th = fast_divergence_thresholds(PHI, PSI)
         pg = pair_geometry(PHI, PSI)
@@ -306,6 +344,19 @@ class TestFastDivergence:
                 lhs = dist(x, y)
                 rhs = max(abs(t - pg.t_O), abs(s - pg.s_O))
                 assert lhs > rhs
+
+    def test_narrow_conjugates_keep_the_offset(self):
+        # phi^-k maps the pair (phi, phi conjugated by phi^k g) onto
+        # (phi, g phi g^-1), so the offset cannot depend on k, though from
+        # k = 16 the second axis's endpoints are closer than float resolution
+        for g, delta in ((MappingClass(1, 1, 0, 1), 0.70), (MappingClass(1, 0, 1, 1), 0.70),
+                         (MappingClass(1, 2, 0, 1), 0.01)):
+            for k in range(19):
+                m2 = PHI.conjugated_by(PHI ** k * g)
+                for th in (fast_divergence_thresholds(PHI, m2), fast_divergence_thresholds(m2, PHI)):
+                    grown = (1.0 + THRESHOLD_MARGIN) * delta
+                    assert th.p_plus - th.p_minus == pytest.approx(2.0 * grown, abs=1e-9), (g, k)
+                    assert th.q_plus - th.q_minus == pytest.approx(2.0 * grown, abs=1e-9), (g, k)
 
     def test_thresholds_strictly_positive_offsets(self):
         # at the nearest-point configuration itself the inequality fails
@@ -331,6 +382,14 @@ class TestFastDivergence:
         monkeypatch.setattr(projection, "HORIZON", 0.5)
         with pytest.raises(HorizonExceededError):
             fast_divergence_thresholds(PHI, PSI)
+
+    @pytest.mark.parametrize("t", [10 ** 5, 10 ** 12], ids=["10^5", "10^12"])
+    def test_nearly_tangent_axes_exceed_the_horizon(self, t):
+        # the axes (1/t, t) and (1/t + 1, t + 1) cross at an angle near 0;
+        # at 10^12 the cosine rounds to 1
+        m1 = MappingClass(t, -1, 1, 0)
+        with pytest.raises(HorizonExceededError):
+            fast_divergence_thresholds(m1, m1.conjugated_by(MappingClass(1, 1, 0, 1)))
 
     def test_random_pairs_certify(self, rng):
         for _ in range(3):

@@ -62,11 +62,13 @@ def _has_numpy(modules):
     (["classify", "--matrix", "2,1,1,1"], 0),
     (["axis", "--matrix", "2,1,1,1"], 0),
     (["pair", "--m1", "2,1,1,1", "--m2", "3,8,1,3"], 0),
+    (["pair", "--m1", "2,1,1,1", "--m2", "3,8,1,3", "--thresholds"], 0),
     (["profile", "--m1", "2,1,1,1", "--m2", "3,8,1,3"], 0),
     (["teich", "--tau1", "0,1", "--tau2", "0.3,2", "--farey-depth", "2000"], 0),
     # (phi^2, phi^3) share an axis: refused before any sample is drawn
     (["pingpong", "--matrix", "5,3,3,2", "--matrix", "13,8,8,5"], 2),
-], ids=["classify", "axis", "pair", "profile", "teich", "pingpong-dependent"])
+], ids=["classify", "axis", "pair", "pair-thresholds", "profile", "teich",
+        "pingpong-dependent"])
 def test_command_loads_no_numpy(argv, code, tmp_path):
     got, modules = _cli_modules([*argv, "--no-cache"], tmp_path)
     assert got == code
@@ -77,8 +79,7 @@ def test_command_loads_no_numpy(argv, code, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "100"],
-    ["pair", "--m1", "2,1,1,1", "--m2", "3,8,1,3", "--thresholds"],
-], ids=["pingpong", "pair-thresholds"])
+], ids=["pingpong"])
 def test_array_commands_load_numpy(argv, tmp_path):
     got, modules = _cli_modules([*argv, "--no-cache"], tmp_path)
     assert got == 0
