@@ -530,6 +530,21 @@ class TestNarrowAxes:
         assert json.loads((tmp_path / "cert.json").read_text())["verification"]["passed"]
 
 
+class TestPowerBeyondFloatRange:
+    @pytest.mark.parametrize("step", ["1e3", "1e9"])
+    def test_coarse_grid_is_refused_before_the_power(self, step, capsys, monkeypatch):
+        # R = 1.05 * step makes N Tr pass 710; at 1e3 the float conversion of
+        # the power's entries raised OverflowError, at 1e9 the power never ended.
+        # The grid step is no option, so the test coarsens pingpong.GRID_STEP
+        monkeypatch.setattr(pingpong, "GRID_STEP", float(step))
+        code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
+                     "--samples", "10", "--no-cache"])
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error: invalid-input: the N-th power of generator 0")
+
+
 class TestTeichBeyondFloatRange:
     @pytest.mark.parametrize("tau1, tau2", [("0,1", "1e200,1"), ("1,5e-324", "-1,5e-324"),
                                             ("1e-300,1e-300", "0,1")])
