@@ -14,7 +14,7 @@ import sys
 
 from . import cache, serialize
 from .errors import (CertificateInvalidError, HorizonExceededError, InvalidInputError,
-                     TeichpongError)
+                     NotIndependentError, TeichpongError)
 from .hyp2 import Point
 from .mcg import (Classification, MappingClass, axis, classify, fixed_slope_test,
                   independent, translation_distance)
@@ -28,7 +28,7 @@ def _parse_point(text: str) -> Point:
         xs, ys = text.split(",")
         return Point(float(xs), float(ys))
     except ValueError as exc:
-        raise TeichpongError(f"expected 'x,y', got {text!r}") from exc
+        raise InvalidInputError(f"expected 'x,y', got {text!r}") from exc
 
 
 def _write_out(path, text):
@@ -175,7 +175,7 @@ def _cmd_pair(args) -> int:
     ok = independent(m1, m2)
     if not ok:
         print("independent=false")
-        raise TeichpongError("generators share an axis (common power)")
+        raise NotIndependentError("generators share an axis (common power)")
     pg = projection.pair_geometry(m1, m2)
     print(f"independent=true D={pg.D:.17g} crossing={str(pg.crossing).lower()}")
     print(f"O={pg.O.x:.17g},{pg.O.y:.17g} t_O={pg.t_O:.17g}")

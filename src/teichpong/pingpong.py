@@ -318,18 +318,15 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     def fail(message, witness=None):
         raise CertificateInvalidError(message, witness=witness)
 
-    # power threshold, exact in paper mode
+    # power threshold, decided in exact rationals in both modes
+    ok = cert.N >= 1 and (Fraction(cert.N) * Fraction(cert.l_min)
+                          > 2 * Fraction(cert.R) + 12 * Fraction(cert.b))
     if cert.mode == "paper_formula":
-        lhs = Fraction(cert.N) * Fraction(cert.l_min)
-        rhs = 2 * Fraction(cert.R) + 12 * Fraction(cert.b)
-        ok = cert.N >= 1 and lhs > rhs
         checks.append({"name": "power-threshold", "passed": bool(ok),
                        "detail": "exact rational comparison N l_min > 2R + 12b"})
     else:
-        threshold = (2.0 * cert.R + 12.0 * cert.b) / cert.l_min
-        ok = cert.N >= 1 and cert.N > threshold
         checks.append({"name": "power-threshold", "passed": bool(ok),
-                       "threshold": threshold, "N": cert.N})
+                       "threshold": (2.0 * cert.R + 12.0 * cert.b) / cert.l_min, "N": cert.N})
     if not ok:
         fail("N does not clear (2R + 12b) / l_min", witness={"N": str(cert.N)})
 
@@ -397,7 +394,8 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
                 z_bad = zs[mask][k]
                 fail(
                     f"power of generator {i} (sign {sign:+d}) failed the inclusion",
-                    witness={"point": [z_bad.real, z_bad.imag], "param": float(t_img[k])},
+                    witness={"point": [float(z_bad.real), float(z_bad.imag)],
+                             "param": float(t_img[k])},
                 )
     checks.append({"name": "inclusion-empirical", "passed": True,
                    "samples": int(sample_budget), "powers": "exact integer matrices"})
@@ -411,7 +409,7 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     if not ok:
         k = int(np.argmax(counts))
         fail("a sample lies in two tables",
-             witness={"point": [zs[k].real, zs[k].imag]})
+             witness={"point": [float(zs[k].real), float(zs[k].imag)]})
 
     # uniform-box samples rarely reach the tables, so also plant witnesses on
     # and near each table (points over the axis feet at parameter beyond S)
@@ -430,7 +428,7 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
             if int(others.max()) > 1:
                 k = int(np.argmax(others))
                 fail("a planted table witness lies in a second table",
-                     witness={"point": [pts[k].real, pts[k].imag],
+                     witness={"point": [float(pts[k].real), float(pts[k].imag)],
                               "table": [i, sign]})
     checks.append({"name": "table-witness-disjointness", "passed": True,
                    "witnesses_per_table": int(witness_params.size * angles.size)})

@@ -7,16 +7,19 @@ the square of this, which makes the supremum formula for the model distance
 hold with the one-half prefactor, and makes the length-ratio bound hold with
 a single exponent (strictly sharper than the general two-exponent bound,
 both are asserted in tests).
+
+The thick-part constants (systole floor, marking bound, short-curve count
+coefficient) are closed forms in the largest admissible trace; see
+derive_thick_params.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import cache, hyp2
+from . import hyp2
 from .errors import ConstantDerivationError, FViolationError, InvalidInputError
 from .hyp2 import Point
 from .mcg import MappingClass, min_translation
@@ -303,54 +306,45 @@ def short_curve_bound(R: float, params: ThickParams | None = None) -> int:
 
 
 def derive_thick_params(L: float) -> ThickParams:
-    """The systole floor along axes of translation <= L and the marking bound
-    F, both in closed form, and the short-curve count coefficient, by grid
-    search over the thick fundamental domain; F and the coefficient carry a
-    margin of 0.05."""
+    """The systole floor along axes of translation <= L, the marking bound F
+    and the short-curve count coefficient, all in closed form and all through
+    T = floor(2 cosh L) only; F and the coefficient carry a margin of 0.05.
+
+    The coefficient is the supremum of N / R^2 over every thick lattice
+    (covolume 1, systole >= epsilon) and every count radius
+    R = 0.5 + 0.02 k (k = 0..225), with N the number of R-short slopes.  N = 1 needs R >= epsilon.  N = 2 needs
+    R^2 >= l1 l2 >= 1 (Minkowski).  N = 3 needs R^2 >= 2 / sqrt(3): the three
+    slope lines split pi and each pair has |det| >= 1, and the hexagonal
+    torus attains it.  For N >= 4, counting the slopes on the lattice lines
+    parallel to the systole gives N / R^2 <= 2 when R < 2 / systole, and at
+    most 0.29 + pi/2 + 0.58 < 2.44 otherwise.  So the supremum is the larger
+    of 1 / r^2 at the least radius r >= epsilon and 3 / r^2 at the least
+    r >= sqrt(2 / sqrt(3)), which is 1.08.
+    """
     if L < min_translation() - 1e-12:
         raise InvalidInputError(f"L={L} is below the least translation distance")
-    L, grid, r_max, margin = float(L), 48, 5.0, 0.05
-    key = f"thick/v2:L={L!r},grid={grid},r_max={r_max!r},margin={margin!r}"
+    margin = 0.05
+    trace_bound = math.floor(2.0 * math.cosh(L) + 1e-12)
+    if trace_bound < 3:
+        raise ConstantDerivationError(f"no hyperbolic classes with translation <= {L}")
+    # On the axis of a trace-t class (a, b, c, d) the least squared length
+    # of a slope (p, q) is 2 |Q(p, q)| / sqrt(t^2 - 4), where
+    # Q = c p^2 + (a - d) p q - b q^2 has no rational root, so |Q| >= 1 on
+    # primitive vectors, with equality for (0, -1, 1, t) at (1, 0).  The
+    # floor decreases in t, so the largest admissible trace attains it.
+    epsilon = math.sqrt(2.0 / math.sqrt(trace_bound * trace_bound - 4))
 
-    def compute():
-        trace_bound = math.floor(2.0 * math.cosh(L) + 1e-12)
-        if trace_bound < 3:
-            raise ConstantDerivationError(f"no hyperbolic classes with translation <= {L}")
-        # On the axis of a trace-t class (a, b, c, d) the least squared length
-        # of a slope (p, q) is 2 |Q(p, q)| / sqrt(t^2 - 4), where
-        # Q = c p^2 + (a - d) p q - b q^2 has no rational root, so |Q| >= 1 on
-        # primitive vectors, with equality for (0, -1, 1, t) at (1, 0).  The
-        # floor decreases in t, so the largest admissible trace attains it.
-        epsilon = math.sqrt(2.0 / math.sqrt(trace_bound * trace_bound - 4))
+    # The thick fundamental domain is {|Re| <= 1/2, |tau| >= 1,
+    # Im tau <= y_top}; there the shortest slope is 1/0 and the shortest
+    # transversal is tau itself, longest at the corners (+-1/2, y_top).
+    y_top = 1.0 / (epsilon * epsilon)
+    F = (1.0 + margin) * math.sqrt(0.25 / y_top + y_top)
 
-        # The thick fundamental domain is {|Re| <= 1/2, |tau| >= 1,
-        # Im tau <= y_top}; there the shortest slope is 1/0 and the shortest
-        # transversal is tau itself, longest at the corners (+-1/2, y_top).
-        y_top = 1.0 / (epsilon * epsilon)
-        F = (1.0 + margin) * math.sqrt(0.25 / y_top + y_top)
-
-        # The count coefficient by grid search over the same domain; short-curve
-        # counts are invariants of the lattice, so the domain covers every
-        # thick point.
-        y_bot = math.sqrt(3.0) / 2.0
-        coeff_raw = 0.0
-        cgrid = grid // 2
-        r_values = [0.5 + 0.02 * k for k in range(int((r_max - 0.5) / 0.02) + 1)]
-        for i in range(cgrid + 1):
-            x = -0.5 + i / cgrid
-            for j in range(cgrid + 1):
-                y = y_bot + (y_top - y_bot) * j / cgrid
-                tau = Point(x, y)
-                if abs(tau.z) < 1.0 or systole(tau) < epsilon:
-                    continue
-                lengths = sorted(curve_length(s, tau) for s in short_curves(tau, r_values[-1]))
-                for R in r_values:
-                    coeff_raw = max(coeff_raw, bisect_right(lengths, R) / (R * R))
-        coeff = (1.0 + margin) * coeff_raw
-        return {"epsilon": epsilon, "F": F, "short_curve_coeff": coeff}
-
-    data = cache.memo(key, compute)
-    return ThickParams(data["epsilon"], data["F"], data["short_curve_coeff"])
+    radii = [0.5 + 0.02 * k for k in range(226)]
+    one = next(r for r in radii if r >= epsilon)
+    three = next(r for r in radii if r >= math.sqrt(2.0 / math.sqrt(3.0)))
+    coeff = (1.0 + margin) * max(1 / (one * one), 3 / (three * three))
+    return ThickParams(epsilon, F, coeff)
 
 
 def default_thick_params() -> ThickParams:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from teichpong import pingpong
 from teichpong.cli import main
-from teichpong.errors import CertificateInvalidError
+from teichpong.errors import CertificateInvalidError, TeichpongError
 from teichpong.serialize import canonical_json, digit_count, exact_int
 
 
@@ -138,6 +138,7 @@ class TestPairCommand:
         code = main(["pair", "--m1", "2,1,1,1", "--m2", "5,3,3,2"])  # phi^2 entries
         captured = capsys.readouterr()
         assert code == 2
+        assert captured.err == "error: not-independent: generators share an axis (common power)\n"
 
     def test_thresholds_flag(self, capsys):
         code = main(["pair", "--m1", "2,1,1,1", "--m2", "1,1,1,2", "--thresholds"])
@@ -241,6 +242,11 @@ class TestTeichCommand:
     def test_bad_point(self, capsys):
         code = main(["teich", "--tau1", "0,-1", "--tau2", "0,2"])
         assert code == 2
+
+    def test_malformed_point(self, capsys):
+        code = main(["teich", "--tau1", "a,b", "--tau2", "0,1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: invalid-input: expected 'x,y', got 'a,b'\n"
 
     @pytest.mark.parametrize("depth", ["0", "2001", str(10 ** 5)])
     def test_depth_out_of_bounds(self, depth, capsys):
@@ -393,6 +399,19 @@ class TestVerifierErrorKept:
         assert json.loads(dest.read_text())["format"] == "teichpong.certificate.v1"
 
 
+class TestWitnessPrint:
+    def test_sampled_witness_is_plain_floats(self, capsys):
+        # psi conjugated by phi^8 (1,0,1,1): a narrow axis whose sampled
+        # inclusion check fails (the exit 1 is the sampled check's, not this test's)
+        code = main(["pingpong", "--matrix", "2,1,1,1",
+                     "--matrix", "5100816,-8253295,3152479,-5100819",
+                     "--box", "-10,10,1e-6,10", "--no-cache"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: certificate-invalid: ") and "witness={'point': [" in err
+        assert "np." not in err
+
+
 class TestWordLengthFirst:
     @pytest.mark.parametrize("length, kind", [("0", "invalid-input"), ("-3", "invalid-input"),
                                               ("21", "oracle-refused")])
@@ -427,17 +446,16 @@ class TestOneMemo:
 
     def test_enable_starts_from_the_new_file(self, tmp_path):
         from teichpong import cache
-        from teichpong.mcg import min_translation
-        from teichpong.torus_model import derive_thick_params
+        from teichpong.projection import derive_morse
         try:
             for name in ("a.json", "b.json"):
                 cache.enable(str(tmp_path / name))
-                derive_thick_params(min_translation())
+                derive_morse(2.0, 0.7)
                 cache.flush()
         finally:
             cache.disable()
         stored = json.loads((tmp_path / "b.json").read_text())
-        assert any(key.startswith("thick/v2:") for key in stored)
+        assert any(key.startswith("morse/v1:") for key in stored)
 
 
 class TestCommandOptions:
@@ -633,6 +651,10 @@ def _argvs(draw):
     return [command, *(token for frag in frags for token in frag)]
 
 
+#: the kind of every concrete error; the base class's placeholder is not one
+_ERROR_KINDS = {cls.code for cls in TeichpongError.__subclasses__()}
+
+
 class TestArgvFuzz:
     """Every argv ends in exit 0, 1 or 2, with one error line exactly when it
     fails, no traceback, and within a fixed wall time."""
@@ -668,3 +690,6 @@ class TestArgvFuzz:
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
         assert len(errors) == (code != 0), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue() + out.getvalue()
+        assert "np.float64" not in err.getvalue() + out.getvalue()
+        for line in errors:
+            assert line.split(":")[1].strip() in _ERROR_KINDS, line

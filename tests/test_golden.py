@@ -16,9 +16,7 @@ import pytest
 
 from teichpong import cache
 from teichpong.cli import main
-from teichpong.mcg import min_translation
 from teichpong.projection import derive_contraction_b, derive_morse
-from teichpong.torus_model import derive_thick_params
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 PAIR = ["--matrix", "2,1,1,1", "--matrix", "1,1,1,2"]
@@ -38,8 +36,6 @@ def _constants_file(tmp_dir):
         cache.enable(str(path))
         derive_contraction_b()
         derive_morse(2.0, 0.7)
-        derive_thick_params(min_translation())
-        derive_thick_params(1.7)
         cache.flush()
     finally:
         cache.disable()

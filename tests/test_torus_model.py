@@ -9,7 +9,7 @@ from conftest import PHI, random_pseudo_anosov, random_thick_point
 from teichpong.errors import FViolationError, InvalidInputError
 from teichpong.hyp2 import Point
 from teichpong.mcg import MappingClass, axis, min_translation, translation_distance
-from teichpong.torus_model import (Slope, _bracket, _next_slope, curve_length,
+from teichpong.torus_model import (Slope, ThickParams, _bracket, _next_slope, curve_length,
                                    default_thick_params, derive_thick_params, extremal_length,
                                    intersection_number, is_thick,
                                    kerckhoff_dist, marking, short_curve_bound,
@@ -398,7 +398,7 @@ def _trace_representatives(t):
 
 
 def _thick_grid(epsilon, grid=48):
-    """The points of the count-coefficient grid that the derivation visits."""
+    """The thick points of the count-coefficient grid the reference search visits."""
     cgrid = max(grid // 2, 8)
     y_bot, y_top = math.sqrt(3.0) / 2.0, 1.0 / (epsilon * epsilon)
     for i in range(cgrid + 1):
@@ -408,7 +408,50 @@ def _thick_grid(epsilon, grid=48):
                 yield tau
 
 
+def _grid_thick_params(L):
+    """The thick-part constants with the count coefficient found by searching
+    the thick grid against the count radii: the reference for the closed form."""
+    t = math.floor(2.0 * math.cosh(L) + 1e-12)
+    eps = math.sqrt(2.0 / math.sqrt(t * t - 4))
+    y_top = 1.0 / (eps * eps)
+    r_values = [0.5 + 0.02 * k for k in range(226)]
+    coeff = 0.0
+    for tau in _thick_grid(eps):
+        lengths = sorted(curve_length(s, tau) for s in short_curves(tau, r_values[-1]))
+        coeff = max(coeff, *(bisect_right(lengths, R) / (R * R) for R in r_values))
+    return ThickParams(eps, 1.05 * math.sqrt(0.25 / y_top + y_top), 1.05 * coeff)
+
+
 class TestThickClosedForms:
+    @pytest.mark.parametrize("t", range(3, 21))
+    def test_equals_the_grid_search(self, t):
+        L = math.acosh(t / 2)
+        assert derive_thick_params(L) == _grid_thick_params(L)
+
+    @pytest.mark.parametrize("t, coeff", [(3, 2.700617283950617), (5, 2.700617283950617),
+                                          (6, 2.9166666666666665), (7, 3.3482142857142856),
+                                          (8, 3.883136094674556), (9, 4.2), (10 ** 5, 4.2)])
+    def test_coefficient_by_trace(self, t, coeff):
+        assert derive_thick_params(math.acosh(t / 2)).short_curve_coeff == coeff
+        # L enters only through the trace bound floor(2 cosh L)
+        assert derive_thick_params(math.acosh((t + 0.9) / 2)) == \
+            derive_thick_params(math.acosh(t / 2))
+
+    @pytest.mark.parametrize("t", [3, 6, 9, 20])
+    def test_random_thick_points_stay_below(self, t):
+        params = derive_thick_params(math.acosh(t / 2))
+        y_top = 1.0 / params.epsilon ** 2
+        rng = np.random.default_rng(t)
+        r_values = [0.5 + 0.02 * k for k in range(226)]
+        for _ in range(200):
+            tau = Point(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.8, y_top)))
+            if abs(tau.z) < 1.0 or systole(tau) < params.epsilon:
+                continue
+            lengths = sorted(curve_length(s, tau) for s in short_curves(tau, r_values[-1]))
+            for R in r_values:
+                assert bisect_right(lengths, R) / (R * R) * 1.05 <= params.short_curve_coeff
+
+
     def test_epsilon_matches_sampled_axes(self):
         floor = math.inf
         for t in range(3, 9):
