@@ -43,10 +43,6 @@ class Point:
     def z(self) -> complex:
         return complex(self.x, self.y)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "Point":
-        return cls(z.real, z.imag)
-
 
 @dataclass(frozen=True)
 class BoundaryPoint:
@@ -209,7 +205,10 @@ class Geodesic:
             u, v = (x0 - center) / radius, y0 / radius
             off_circle = abs(u * u + v * v - 1.0) > TOL
         else:
-            off_circle = abs((x0 - center) ** 2 + y0 * y0 - radius * radius) > TOL
+            # an origin this far off is off the circle by more than TOL, and
+            # squaring its offset could overflow
+            off_circle = (abs(x0 - center) > radius + 1.0
+                          or abs((x0 - center) ** 2 + y0 * y0 - radius * radius) > TOL)
         if off_circle:
             raise InvalidInputError("origin is not on the geodesic")
         ratio = (q - x0) / (x0 - p)

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -562,6 +565,20 @@ class TestPowerBeyondFloatRange:
         assert len(lines) == 1
         assert lines[0].startswith("error: invalid-input: the N-th power of generator 0")
 
+
+class TestHugeEntryStderr:
+    def test_one_error_line_and_no_numpy_warning(self, tmp_path):
+        # the axis check applies the 10^155 generator in floats, which overflows;
+        # numpy's RuntimeWarning lines once preceded the error line
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "teichpong.cli", "pingpong", "--matrix",
+             f"{10 ** 155},-1,1,0", "--matrix", "1,1,1,2", "--no-cache"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: invalid-input: non-finite input point in projection batch"]
 
 class TestTeichBeyondFloatRange:
     @pytest.mark.parametrize("tau1, tau2", [("0,1", "1e200,1"), ("1,5e-324", "-1,5e-324"),

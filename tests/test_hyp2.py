@@ -167,6 +167,12 @@ class TestChartCheck:
             Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(1.0), Point(0.5, 0.6))
 
 
+    @pytest.mark.parametrize("x0", [1e200, -1e200, 3.0])
+    def test_far_origin_small_radius(self, x0):
+        # (x0 - center)^2 once raised OverflowError for a radius <= 1
+        with pytest.raises(InvalidInputError, match="origin is not on the geodesic"):
+            Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(1.0), Point(x0, 1.0))
+
 class TestPointAt:
     def test_origin(self):
         assert vertical_axis().point_at(0.0).z == pytest.approx(1j, abs=1e-15)

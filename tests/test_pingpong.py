@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import PHI, PSI, random_independent_pair
+from conftest import L_GEN, PHI, PSI, R_GEN, random_independent_pair
 from teichpong.errors import (CertificateInvalidError, ConstantDerivationError,
                               InvalidInputError, NotIndependentError)
 from teichpong.hyp2 import BoundaryPoint, Geodesic, Point
+from teichpong import pingpong
 from teichpong.mcg import MappingClass, axis, min_translation
 from teichpong.pingpong import (PiSet, build_certificate, certified_radius,
                                 paper_radius_bound, pi_membership, power_bound,
@@ -247,3 +250,179 @@ class TestPowerBeyondFloatRange:
         cert.N = 10 ** 9
         with pytest.raises(InvalidInputError, match="the N-th power of generator 0"):
             verify_pingpong(cert, 10)
+
+
+def whole_array_sampled_checks(cert, axes, trs, seed, sample_budget, box, checks):
+    """Reference: the sampled inclusion and disjointness checks as one pass over
+    the whole sample, kept as complex points, through Geodesic.params_of_array
+    and complex Mobius maps."""
+    S = cert.S
+    zs = sample_box_points(seed, sample_budget, box)
+    params = np.stack([c.params_of_array(zs) for c in axes])
+    for i, (m, c, tr) in enumerate(zip(cert.generators, axes, trs)):
+        if cert.N * tr > pingpong.FLOAT_POWER_LIMIT:
+            raise InvalidInputError(
+                f"the N-th power of generator {i} (N = {cert.N}) has entries beyond "
+                f"the float range of the sampled checks")
+        power = m ** cert.N
+        for sign, mat in ((1, power), (-1, power.inverse())):
+            mask = params[i] > -S if sign == 1 else params[i] < S
+            if not mask.any():
+                continue
+            images = pingpong._mobius_apply_array(mat, zs[mask])
+            t_img = c.params_of_array(images)
+            good = t_img >= S if sign == 1 else t_img <= -S
+            if not bool(np.all(good)):
+                k = int(np.argmin(good))
+                z_bad = zs[mask][k]
+                raise CertificateInvalidError(
+                    f"power of generator {i} (sign {sign:+d}) failed the inclusion",
+                    witness={"point": [float(z_bad.real), float(z_bad.imag)],
+                             "param": float(t_img[k])})
+    checks.append({"name": "inclusion-empirical", "passed": True,
+                   "samples": int(sample_budget), "powers": "exact integer matrices"})
+    membership = np.concatenate([params >= S, params <= -S])
+    counts = membership.sum(axis=0)
+    per_set = [int(v) for v in membership.sum(axis=1)]
+    ok = int(counts.max(initial=0)) <= 1
+    checks.append({"name": "table-disjointness", "passed": bool(ok),
+                   "samples": int(sample_budget), "per_set_hits": per_set})
+    if not ok:
+        k = int(np.argmax(counts))
+        raise CertificateInvalidError("a sample lies in two tables",
+                                      witness={"point": [float(zs[k].real), float(zs[k].imag)]})
+
+
+WIDE_BOX = (-10.0, 10.0, 1e-6, 10.0)
+
+
+def positive_word_family(rng, n, max_trace=30):
+    """n pairwise independent positive words in the two Dehn twists, each of
+    2-4 syllables with |trace| <= max_trace, drawn as perfbench draws them."""
+    from teichpong.mcg import independent
+
+    def word():
+        while True:
+            m = MappingClass(1, 0, 0, 1)
+            for k in range(rng.randint(2, 4)):
+                m = m * (L_GEN if k % 2 == 0 else R_GEN) ** rng.randint(1, 3)
+            if abs(m.trace) <= max_trace:
+                return m
+
+    while True:
+        fam = [word() for _ in range(n)]
+        if all(independent(fam[i], fam[j]) for i in range(n) for j in range(i + 1, n)):
+            return fam
+
+
+def verify_outcome(cert, samples):
+    """The certificate document after verification, or the error's class,
+    message and witness."""
+    try:
+        verify_pingpong(cert, samples)
+    except (CertificateInvalidError, InvalidInputError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return certificate_document(cert)
+
+
+class TestStreamedVerifier:
+    """The block-by-block verifier against the whole-sample pass it replaced."""
+
+    @staticmethod
+    def both(monkeypatch, make_cert, samples=100_000):
+        streamed = verify_outcome(make_cert(), samples)
+        with monkeypatch.context() as mp:
+            mp.setattr(pingpong, "_sampled_checks", whole_array_sampled_checks)
+            whole = verify_outcome(make_cert(), samples)
+        return streamed, whole
+
+    @pytest.mark.parametrize("box", [pingpong.DEFAULT_BOX, WIDE_BOX], ids=["default", "wide"])
+    def test_seeded_pairs(self, box, monkeypatch):
+        import random
+        for seed in range(10):
+            gens = positive_word_family(random.Random(seed), 2)
+            streamed, whole = self.both(monkeypatch, lambda: build_certificate(gens, box=box))
+            assert isinstance(streamed, str) and streamed == whole, seed
+
+    def test_triples(self, monkeypatch):
+        import random
+        for seed in range(3):
+            gens = positive_word_family(random.Random(100 + seed), 3)
+            streamed, whole = self.both(monkeypatch, lambda: build_certificate(gens))
+            assert isinstance(streamed, str) and streamed == whole, seed
+
+    @pytest.mark.parametrize("k", [10, 1000, 10 ** 5, 3 * 10 ** 5])
+    def test_large_entries(self, k, monkeypatch):
+        gens = [L_GEN ** k * R_GEN, R_GEN ** 3 * L_GEN ** 2]
+        streamed, whole = self.both(monkeypatch, lambda: build_certificate(gens))
+        assert isinstance(streamed, str) and streamed == whole
+
+    def test_partial_and_empty_blocks(self, monkeypatch):
+        for samples in (0, 1, pingpong.SAMPLE_CHUNK, pingpong.SAMPLE_CHUNK + 1):
+            streamed, whole = self.both(monkeypatch, lambda: build_certificate([PHI, PSI]),
+                                        samples)
+            assert isinstance(streamed, str) and streamed == whole, samples
+
+    @pytest.mark.parametrize("box", [(-1e200, 1e200, 0.05, 1e200), (-10.0, 10.0, 1e-300, 1e300)],
+                             ids=["wide-x", "wide-y"])
+    def test_squares_beyond_float_range(self, box, monkeypatch):
+        # the squares of the real form overflow; those points take the complex form
+        streamed, whole = self.both(monkeypatch, lambda: build_certificate([PHI, PSI], box=box),
+                                    20_000)
+        assert isinstance(streamed, str) and streamed == whole
+
+    def test_power_near_float_limit(self, monkeypatch):
+        # N Tr = 709.3: the power's images overflow in both forms and end in
+        # the same invalid-input error
+        def near_limit():
+            cert = build_certificate([PHI, PSI])
+            cert.N = 737
+            return cert
+        streamed, whole = self.both(monkeypatch, near_limit, 20_000)
+        assert streamed == whole == (InvalidInputError,
+                                     "non-finite input point in projection batch", None)
+
+    def test_inclusion_witness(self, monkeypatch):
+        # psi conjugated by phi^8 L; only the witness's param may move, by rounding
+        gens = [PHI, MappingClass(5100816, -8253295, 3152479, -5100819)]
+        cert = build_certificate(gens, box=WIDE_BOX)
+        streamed, whole = self.both(monkeypatch, lambda: build_certificate(gens, box=WIDE_BOX))
+        assert streamed[:2] == whole[:2] == (
+            CertificateInvalidError, "power of generator 1 (sign +1) failed the inclusion")
+        assert streamed[2]["point"] == whole[2]["point"]
+        assert streamed[2]["param"] == pytest.approx(whole[2]["param"], rel=1e-3)
+        assert streamed[2]["param"] < cert.S
+
+    def test_disjointness_witness(self, monkeypatch):
+        def lowered():
+            cert = build_certificate([PHI, PSI])
+            cert.S = 0.5
+            return cert
+        streamed, whole = self.both(monkeypatch, lowered)
+        assert streamed[:2] == (CertificateInvalidError, "a sample lies in two tables")
+        assert streamed == whole
+
+    def test_refusal_after_earlier_generator(self, monkeypatch):
+        # N Tr is about 67 for phi and 806 for L^100000 R: phi's inclusion is
+        # checked in full, then the second power is refused
+        def raised():
+            cert = build_certificate([PHI, L_GEN ** (10 ** 5) * R_GEN])
+            cert.N = 70
+            return cert
+        streamed, whole = self.both(monkeypatch, raised)
+        assert streamed[:2] == (InvalidInputError,
+                                "the N-th power of generator 1 (N = 70) has entries beyond "
+                                "the float range of the sampled checks")
+        assert streamed == whole
+
+    def test_memory_stays_within_blocks(self):
+        # the whole-sample pass peaked at about 10 MiB on 100k samples
+        cert = build_certificate([PHI, PSI])
+        verify_pingpong(cert, 1000)
+        tracemalloc.start()
+        try:
+            verify_pingpong(cert, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
