@@ -237,8 +237,8 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
 # ---------------------------------------------------------------------------
 
 def _sample_blocks(seed: int, n: int, box):
-    """The sample of sample_box_points as real (x, y) arrays, one block of at
-    most SAMPLE_CHUNK points per seed spawned from `seed`, in sample order.
+    """The sample of sample_box_points as complex arrays, one block of at most
+    SAMPLE_CHUNK points per seed spawned from `seed`, in sample order.
 
     The seed and the box are checked at the call; the blocks are drawn as
     they are consumed.
@@ -254,20 +254,19 @@ def _sample_blocks(seed: int, n: int, box):
     sizes = [min(SAMPLE_CHUNK, n - k) for k in range(0, n, SAMPLE_CHUNK)] or [0]
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     log_lo, log_hi = math.log(y_lo), math.log(y_hi)
-    return ((rng.uniform(x_lo, x_hi, m), np.exp(rng.uniform(log_lo, log_hi, m)))
+    return (rng.uniform(x_lo, x_hi, m) + 1j * np.exp(rng.uniform(log_lo, log_hi, m))
             for rng, m in zip(map(np.random.default_rng, children), sizes))
 
 
 def sample_box_points(seed: int, n: int, box=DEFAULT_BOX) -> np.ndarray:
-    """Deterministic sample of the half-plane box, uniform in (x, log y), as
-    complex points.
+    """Deterministic sample of the half-plane box, uniform in (x, log y).
 
     Drawn in blocks of SAMPLE_CHUNK points, each from its own seed spawned
     from `seed`; the verifier streams the same blocks without joining them.
     """
     import numpy as np
 
-    return np.concatenate([xs + 1j * ys for xs, ys in _sample_blocks(seed, n, box)])
+    return np.concatenate(list(_sample_blocks(seed, n, box)))
 
 
 def _axis_points_array(c: Geodesic, params: np.ndarray) -> np.ndarray:
@@ -276,19 +275,15 @@ def _axis_points_array(c: Geodesic, params: np.ndarray) -> np.ndarray:
     return c.chart.apply_complex(1j * np.exp(2.0 * params))
 
 
-def _float_entries(m: MappingClass) -> tuple:
-    try:
-        return tuple(float(v) for v in m.entries())
-    except OverflowError:
-        raise InvalidInputError(
-            "a matrix entry is beyond the float range of the sampled checks") from None
-
-
 def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
     # not via Mobius: the float entries of a large power fail its determinant check
     import numpy as np
 
-    a, b, c, d = _float_entries(m)
+    try:
+        a, b, c, d = (float(v) for v in m.entries())
+    except OverflowError:
+        raise InvalidInputError(
+            "a matrix entry is beyond the float range of the sampled checks") from None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return (a * zs + b) / (c * zs + d)
 
@@ -300,80 +295,24 @@ def _param_matrix(axes, zs):
     return np.stack([c.params_of_array(zs) for c in axes])
 
 
-def _abs2_into(out, tmp, p, q, xs, ys):
-    """out = |p z + q|^2 = (p x + q)^2 + (p y)^2 for z = x + iy; tmp is scratch."""
-    import numpy as np
-
-    np.multiply(xs, p, out=out)
-    out += q
-    np.square(out, out=out)
-    np.multiply(ys, p, out=tmp)
-    np.square(tmp, out=tmp)
-    out += tmp
-
-
-def _params_into(out, tmp, geo: Geodesic, inv, xs, ys):
-    """Geodesic.params_of_array in real arithmetic: the parameter of x + iy on
-    geo, whose chart inverse has the entries inv = (a, b, c, d), is
-    1/4 log(|a z + b|^2 / |c z + d|^2).  Where that is not finite (a square
-    left the float range) it is params_of_array's."""
-    import numpy as np
-
-    a, b, c, d = inv
-    _abs2_into(out, tmp[0], a, b, xs, ys)
-    _abs2_into(tmp[1], tmp[0], c, d, xs, ys)
-    out /= tmp[1]
-    np.log(out, out=out)
-    out *= 0.25
-    bad = ~np.isfinite(out)
-    if bad.any():
-        out[bad] = geo.params_of_array(xs[bad] + 1j * ys[bad])
-
-
-def _image_into(xo, yo, tmp, mat: MappingClass, entries, xs, ys):
-    """The image of x + iy under the determinant-1 map mat with float entries
-    (a, b, c, d): x' = ((a x + b)(c x + d) + a c y^2) / |c z + d|^2 and
-    y' = y / |c z + d|^2.  Where |c z + d|^2 or the image is not finite it is
-    the complex image of _mobius_apply_array."""
-    import numpy as np
-
-    a, b, c, d = entries
-    np.multiply(xs, c, out=yo)
-    yo += d
-    np.multiply(xs, a, out=xo)
-    xo += b
-    xo *= yo
-    np.square(ys, out=tmp)
-    tmp *= a * c
-    xo += tmp
-    np.square(yo, out=yo)
-    np.multiply(ys, c, out=tmp)
-    np.square(tmp, out=tmp)
-    yo += tmp
-    bad = ~np.isfinite(yo)
-    xo /= yo
-    np.divide(ys, yo, out=yo)
-    bad |= ~np.isfinite(xo)
-    if bad.any():
-        w = _mobius_apply_array(mat, xs[bad] + 1j * ys[bad])
-        xo[bad], yo[bad] = w.real, w.imag
-
-
 def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budget: int,
                     box, checks: list) -> None:
     """Inclusion under the exact N-th powers and table disjointness, on the
     box sample streamed one SAMPLE_CHUNK block at a time.
 
-    Each check keeps its first failing sample, and the checks are decided
-    after the stream in the order of a whole-sample pass: inclusion by
-    generator and sign (a generator whose power leaves the float range is
-    refused at its turn), then disjointness.
+    Each power maps only the samples its check selects, and keeps the
+    witness of its first failing sample unless some block refuses its
+    entries or one of its images, which wins as it does over the whole
+    sample.  The checks are decided after the stream in the
+    order of a whole-sample pass: inclusion by generator and sign (a
+    generator whose power leaves the float range is refused at its turn),
+    then disjointness.
     """
     import numpy as np
 
     S, N = cert.S, cert.N
     blocks = _sample_blocks(seed, sample_budget, box)
-    maps = []  # (i, sign, g_i^(sign N), its float entries), in order up to the first refusal
+    maps = []  # (i, sign, g_i^(sign N)), in order up to the first refused generator
     refused = None
     for i, (m, tr) in enumerate(zip(cert.generators, trs)):
         if N * tr > FLOAT_POWER_LIMIT:
@@ -383,52 +322,43 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
                 f"the float range of the sampled checks")
             break
         power = m ** N
-        try:
-            maps += [(i, sign, mat, _float_entries(mat))
-                     for sign, mat in ((1, power), (-1, power.inverse()))]
-        except InvalidInputError as exc:
-            refused = exc
-            break
-    invs = [(u.a, u.b, u.c, u.d) for u in (c.chart.inverse() for c in axes)]
-    n_axes = len(axes)
-    params = np.empty((n_axes, SAMPLE_CHUNK))
-    xo, yo, to = np.empty((3, SAMPLE_CHUNK))
-    tmp = np.empty((2, SAMPLE_CHUNK))
-    first_bad = {}           # (i, sign) -> witness of the first sample that failed
-    per_set = np.zeros(2 * n_axes, dtype=np.int64)
+        maps += [(i, 1, power), (i, -1, power.inverse())]
+    outcome = {}  # (i, sign) -> its InvalidInputError, or the witness of its first failure
+    per_set = np.zeros(2 * len(axes), dtype=np.int64)
     most, most_at = 0, None  # most tables one sample lies in, and the first such sample
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for xs, ys in blocks:
-            k = xs.size
-            p, sc, x_img, y_img, t = params[:, :k], tmp[:, :k], xo[:k], yo[:k], to[:k]
-            for i in range(n_axes):
-                _params_into(p[i], sc, axes[i], invs[i], xs, ys)
-            for i, sign, mat, entries in maps:
-                if (i, sign) in first_bad:
-                    continue
-                _image_into(x_img, y_img, sc[0], mat, entries, xs, ys)
-                _params_into(t, sc, axes[i], invs[i], x_img, y_img)
-                if sign == 1:
-                    bad = (p[i] > -S) & ~(t >= S)
-                else:
-                    bad = (p[i] < S) & ~(t <= -S)
-                if bad.any():
-                    j = int(np.argmax(bad))
-                    first_bad[(i, sign)] = {"point": [float(xs[j]), float(ys[j])],
-                                            "param": float(t[j])}
-            plus_hits, minus_hits = p >= S, p <= -S
-            per_set[:n_axes] += plus_hits.sum(axis=1)
-            per_set[n_axes:] += minus_hits.sum(axis=1)
-            counts = plus_hits.sum(axis=0) + minus_hits.sum(axis=0)
-            if k and int(counts.max()) > most:
-                j = int(np.argmax(counts))
-                most, most_at = int(counts[j]), [float(xs[j]), float(ys[j])]
+    for zs in blocks:
+        params = _param_matrix(axes, zs)
+        for i, sign, mat in maps:
+            if isinstance(outcome.get((i, sign)), InvalidInputError):
+                continue
+            mask = params[i] > -S if sign == 1 else params[i] < S
+            if not mask.any():
+                continue
+            try:
+                t_img = axes[i].params_of_array(_mobius_apply_array(mat, zs[mask]))
+            except InvalidInputError as exc:
+                outcome[(i, sign)] = exc
+                continue
+            good = t_img >= S if sign == 1 else t_img <= -S
+            if (i, sign) not in outcome and not bool(np.all(good)):
+                k = int(np.argmin(good))
+                z_bad = zs[mask][k]
+                outcome[(i, sign)] = {"point": [float(z_bad.real), float(z_bad.imag)],
+                                      "param": float(t_img[k])}
+        membership = np.concatenate([params >= S, params <= -S])
+        per_set += membership.sum(axis=1)
+        counts = membership.sum(axis=0)
+        if int(counts.max(initial=0)) > most:
+            k = int(np.argmax(counts))
+            most, most_at = int(counts[k]), [float(zs[k].real), float(zs[k].imag)]
 
-    for i, sign, _, _ in maps:
-        if (i, sign) in first_bad:
+    for i, sign, _ in maps:
+        found = outcome.get((i, sign))
+        if isinstance(found, InvalidInputError):
+            raise found
+        if found is not None:
             raise CertificateInvalidError(
-                f"power of generator {i} (sign {sign:+d}) failed the inclusion",
-                witness=first_bad[(i, sign)])
+                f"power of generator {i} (sign {sign:+d}) failed the inclusion", witness=found)
     if refused is not None:
         raise refused
     checks.append({"name": "inclusion-empirical", "passed": True,
@@ -456,9 +386,9 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     tables are pairwise disjoint on every sample.
 
     The samples are those of sample_box_points, streamed one SAMPLE_CHUNK
-    block at a time in real arithmetic, so memory stays bounded by a block
-    whatever the budget; the verdict and the witness are those of a pass
-    over the whole sample.
+    block at a time, so memory stays bounded by a block whatever the
+    budget; the verdict and the witness are those of a pass over the whole
+    sample.
     """
     import numpy as np
 

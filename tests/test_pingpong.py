@@ -294,6 +294,7 @@ def whole_array_sampled_checks(cert, axes, trs, seed, sample_budget, box, checks
 
 
 WIDE_BOX = (-10.0, 10.0, 1e-6, 10.0)
+PSI_CONJUGATE = MappingClass(5100816, -8253295, 3152479, -5100819)  # psi conjugated by phi^8 L
 
 
 def positive_word_family(rng, n, max_trace=30):
@@ -365,15 +366,13 @@ class TestStreamedVerifier:
 
     @pytest.mark.parametrize("box", [(-1e200, 1e200, 0.05, 1e200), (-10.0, 10.0, 1e-300, 1e300)],
                              ids=["wide-x", "wide-y"])
-    def test_squares_beyond_float_range(self, box, monkeypatch):
-        # the squares of the real form overflow; those points take the complex form
+    def test_boxes_near_float_range(self, box, monkeypatch):
         streamed, whole = self.both(monkeypatch, lambda: build_certificate([PHI, PSI], box=box),
                                     20_000)
         assert isinstance(streamed, str) and streamed == whole
 
     def test_power_near_float_limit(self, monkeypatch):
-        # N Tr = 709.3: the power's images overflow in both forms and end in
-        # the same invalid-input error
+        # N Tr = 709.3: the power's images overflow and are refused
         def near_limit():
             cert = build_certificate([PHI, PSI])
             cert.N = 737
@@ -382,16 +381,79 @@ class TestStreamedVerifier:
         assert streamed == whole == (InvalidInputError,
                                      "non-finite input point in projection batch", None)
 
-    def test_inclusion_witness(self, monkeypatch):
-        # psi conjugated by phi^8 L; only the witness's param may move, by rounding
-        gens = [PHI, MappingClass(5100816, -8253295, 3152479, -5100819)]
-        cert = build_certificate(gens, box=WIDE_BOX)
-        streamed, whole = self.both(monkeypatch, lambda: build_certificate(gens, box=WIDE_BOX))
-        assert streamed[:2] == whole[:2] == (
+    @pytest.mark.parametrize("conjugate, box", [
+        (PSI_CONJUGATE, WIDE_BOX),
+        # psi conjugated by phi^10 L^3: a rounding-sensitive failure, whose
+        # first failing sample moves under any other evaluation of the images
+        (MappingClass(627359044, -1015088255, 387729211, -627359041), pingpong.DEFAULT_BOX),
+    ], ids=["phi8-L", "phi10-L3"])
+    def test_inclusion_witness(self, conjugate, box, monkeypatch):
+        streamed, whole = self.both(monkeypatch, lambda: build_certificate([PHI, conjugate],
+                                                                           box=box))
+        assert streamed[:2] == (CertificateInvalidError,
+                                "power of generator 1 (sign +1) failed the inclusion")
+        assert streamed == whole
+
+    # L^k R with k = 7036818 has N Tr = 709.5 at N = 45: its power's images
+    # overflow.  With k = 50992965, N Tr = 709.9 at N = 40: its power's entries
+    # leave the float range although N Tr is under FLOAT_POWER_LIMIT.
+    @pytest.mark.parametrize("k, n_power, refusal", [
+        (7036818, 45, "non-finite input point in projection batch"),
+        (50992965, 40, "a matrix entry is beyond the float range of the sampled checks"),
+    ], ids=["images", "entries"])
+    @pytest.mark.parametrize("overflow_first", [False, True],
+                             ids=["failure-first", "refusal-first"])
+    def test_inclusion_failure_beside_overflowing_power(self, k, n_power, refusal,
+                                                        overflow_first, monkeypatch):
+        # the psi conjugate fails its inclusion; whichever generator comes
+        # first decides the verdict
+        big = L_GEN ** k * R_GEN
+        gens = [big, PHI, PSI_CONJUGATE] if overflow_first else [PHI, PSI_CONJUGATE, big]
+
+        def make():
+            cert = build_certificate(gens, box=WIDE_BOX)
+            cert.N = n_power
+            return cert
+        streamed, whole = self.both(monkeypatch, make)
+        assert streamed == whole
+        if overflow_first:
+            assert streamed == (InvalidInputError, refusal, None)
+        else:
+            assert streamed[:2] == (CertificateInvalidError,
+                                    "power of generator 1 (sign +1) failed the inclusion")
+
+    @pytest.mark.parametrize("far_first", [False, True])
+    def test_failure_and_non_finite_image_of_one_power(self, far_first, monkeypatch):
+        # two one-point blocks for the psi conjugate's power: its inclusion
+        # witness, and a far point whose image is nan; the nan refuses the
+        # input whichever block comes first
+        witness = np.array([1.6662428350713014 + 0.002496617881310062j])
+        far = np.array([1e300 + 1j])
+        blocks = [far, witness] if far_first else [witness, far]
+
+        def make():
+            return build_certificate([PHI, PSI_CONJUGATE], box=WIDE_BOX)
+        monkeypatch.setattr(pingpong, "_sample_blocks", lambda seed, n, box: iter([witness]))
+        assert self.both(monkeypatch, make, 1)[0][:2] == (
             CertificateInvalidError, "power of generator 1 (sign +1) failed the inclusion")
-        assert streamed[2]["point"] == whole[2]["point"]
-        assert streamed[2]["param"] == pytest.approx(whole[2]["param"], rel=1e-3)
-        assert streamed[2]["param"] < cert.S
+        monkeypatch.setattr(pingpong, "_sample_blocks", lambda seed, n, box: iter(blocks))
+        streamed, whole = self.both(monkeypatch, make, 2)
+        assert streamed == whole == (InvalidInputError,
+                                     "non-finite input point in projection batch", None)
+
+    def test_entries_converted_only_for_sampled_points(self, monkeypatch):
+        # the third power's entries leave the float range; with no sample
+        # they are never converted and the certificate passes
+        def make():
+            cert = build_certificate([PHI, PSI, L_GEN ** 50992965 * R_GEN], box=WIDE_BOX)
+            cert.N = 40
+            return cert
+        streamed, whole = self.both(monkeypatch, make, 0)
+        assert isinstance(streamed, str) and streamed == whole
+        streamed, whole = self.both(monkeypatch, make, 1)
+        assert streamed == whole == (
+            InvalidInputError, "a matrix entry is beyond the float range of the sampled checks",
+            None)
 
     def test_disjointness_witness(self, monkeypatch):
         def lowered():
