@@ -12,7 +12,7 @@ import contextlib
 import math
 import sys
 
-from . import cache, serialize
+from . import cache
 from .errors import (CertificateInvalidError, HorizonExceededError, InvalidInputError,
                      NotIndependentError, TeichpongError)
 from .hyp2 import Point
@@ -20,7 +20,8 @@ from .mcg import (Classification, MappingClass, axis, classify, fixed_slope_test
                   independent, translation_distance)
 
 # The handlers import the rest of the package themselves, so a command loads
-# only the modules it runs, and numpy only where it samples arrays.
+# only the modules it runs, numpy only where it samples arrays, and
+# serialize only where it writes a document.
 
 
 def _parse_point(text: str) -> Point:
@@ -203,7 +204,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_pingpong(args) -> int:
-    from . import pingpong
+    from . import pingpong, serialize
 
     gens = [MappingClass.from_string(s) for s in args.matrix]
     box = _parse_box(args.box)
@@ -224,7 +225,7 @@ def _cmd_pingpong(args) -> int:
 
 
 def _cmd_certify_free(args) -> int:
-    from . import oracle, pingpong
+    from . import oracle, pingpong, serialize
 
     gens = [MappingClass.from_string(s) for s in args.matrix]
     box = _parse_box(args.box)

@@ -14,7 +14,7 @@ feet and parameters come from closed formulas, with log-of-sum forms
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateInputError, InvalidInputError
@@ -26,34 +26,77 @@ if TYPE_CHECKING:
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Point:
+class Record:
+    """Base of the package's record classes, which declare ``__slots__``.
+
+    A record equals a record of the same class with equal fields, the names
+    in its ``_fields``, and reprs as ``Name(field=value, ...)``.  Records
+    are mutable and unhashable; see Value.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return attrgetter(*self._fields)(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # __init__ takes the fields in order, so copies and pickles rebuild through it
+        return type(self), self._values()
+
+
+class Value(Record):
+    """An immutable, hashable record: __init__ sets the fields with
+    object.__setattr__, and any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point(Value):
     """A point x + iy of the model plane, y > 0."""
 
-    x: float
-    y: float
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidInputError(f"non-finite point ({self.x}, {self.y})")
-        if self.y <= 0.0:
-            raise InvalidInputError(f"point must have positive height, got y={self.y}")
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InvalidInputError(f"non-finite point ({x}, {y})")
+        if y <= 0.0:
+            raise InvalidInputError(f"point must have positive height, got y={y}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def z(self) -> complex:
         return complex(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(Value):
     """A boundary value: a finite real number or the distinguished infinity."""
 
-    value: float = 0.0
-    infinite: bool = False
+    __slots__ = _fields = ("value", "infinite")
 
-    def __post_init__(self):
-        if not self.infinite and not math.isfinite(self.value):
+    def __init__(self, value: float = 0.0, infinite: bool = False):
+        if not infinite and not math.isfinite(value):
             raise InvalidInputError("finite boundary point must be a finite real")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "infinite", infinite)
 
     @classmethod
     def finite(cls, x: float) -> "BoundaryPoint":
@@ -90,23 +133,23 @@ def dist(z: Point, w: Point) -> float:
     return log_r + math.log(2.0) if log_r > 20.0 else math.asinh(math.exp(log_r))
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Value):
     """A real unit-determinant fractional-linear map of the half plane."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+    def __init__(self, a: float, b: float, c: float, d: float):
+        det = a * d - b * c
         if not abs(det - 1.0) <= 1e-12:
             # relative to |ad| + |bc|: the chart of a narrow axis has entries
             # whose products round by more than 1e-12
-            scale = abs(self.a * self.d) + abs(self.b * self.c)
+            scale = abs(a * d) + abs(b * c)
             if not (math.isfinite(det) and abs(det - 1.0) <= 1e-12 * scale):
                 raise InvalidInputError(f"determinant must be 1, got {det}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def identity(cls) -> "Mobius":
@@ -159,23 +202,23 @@ class ProjectionResult(NamedTuple):
     t: float
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(Value):
     """Oriented bi-infinite geodesic with a marked unit-speed origin.
 
     The parametrization satisfies c(0) = origin and c(t) -> endpoint_pos as
-    t -> +oo.  Internally the geodesic stores the chart: the unique
-    determinant-1 map u with u(0) = endpoint_neg, u(oo) = endpoint_pos and
-    u(i) = origin, so that c(t) = u(i e^{2t}).
+    t -> +oo.  Internally the geodesic stores the chart, which is not a
+    field: the unique determinant-1 map u with u(0) = endpoint_neg,
+    u(oo) = endpoint_pos and u(i) = origin, so that c(t) = u(i e^{2t}).
     """
 
-    endpoint_neg: BoundaryPoint
-    endpoint_pos: BoundaryPoint
-    origin: Point
-    chart: Mobius = field(init=False, repr=False, compare=False)
+    _fields = ("endpoint_neg", "endpoint_pos", "origin")
+    __slots__ = _fields + ("chart",)
 
-    def __post_init__(self):
-        if self.endpoint_neg == self.endpoint_pos:
+    def __init__(self, endpoint_neg: BoundaryPoint, endpoint_pos: BoundaryPoint, origin: Point):
+        object.__setattr__(self, "endpoint_neg", endpoint_neg)
+        object.__setattr__(self, "endpoint_pos", endpoint_pos)
+        object.__setattr__(self, "origin", origin)
+        if endpoint_neg == endpoint_pos:
             raise DegenerateInputError("geodesic endpoints must be distinct")
         object.__setattr__(self, "chart", self._build_chart())
 
@@ -219,7 +262,14 @@ class Geodesic:
         return Mobius.from_det_positive(q, sg * p * s, 1.0, sg * s)
 
     def point_at(self, t: float) -> Point:
-        return self.chart.apply(Point(0.0, math.exp(2.0 * t)))
+        try:
+            height = math.exp(2.0 * t)
+        except OverflowError:
+            height = math.inf
+        if not 0.0 < height < math.inf:
+            raise InvalidInputError(f"parameter t={t} is out of range: e^(2t) is not a "
+                                    "positive finite float")
+        return self.chart.apply(Point(0.0, height))
 
     def reversed(self) -> "Geodesic":
         return Geodesic(self.endpoint_pos, self.endpoint_neg, self.origin)

@@ -9,12 +9,11 @@ with stated tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .errors import ClassificationError, DichotomyViolationError, InvalidInputError
-from .hyp2 import BoundaryPoint, Geodesic, Mobius, Point
+from .hyp2 import BoundaryPoint, Geodesic, Mobius, Point, Value
 
 
 class Classification(str, Enum):
@@ -30,21 +29,17 @@ def _canonical_sign(a, b, c, d):
     raise InvalidInputError("zero matrix is not a mapping class")
 
 
-@dataclass(frozen=True)
-class MappingClass:
+class MappingClass(Value):
     """Integer matrix of determinant one, stored with a canonical sign.
 
     The first nonzero entry of (a, b, c, d) is made positive, so projective
     equality is plain equality.  Entries are arbitrary-precision.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        a, b, c, d = (int(self.a), int(self.b), int(self.c), int(self.d))
+    def __init__(self, a: int, b: int, c: int, d: int):
+        a, b, c, d = (int(a), int(b), int(c), int(d))
         if a * d - b * c != 1:
             raise InvalidInputError(f"determinant must be exactly 1, got {a * d - b * c}")
         a, b, c, d = _canonical_sign(a, b, c, d)
@@ -52,6 +47,15 @@ class MappingClass:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
+
+    # written out, as cheap as generated ones: the word oracle keys a dict by each product
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
 
     @classmethod
     def identity(cls) -> "MappingClass":
@@ -113,15 +117,18 @@ class MappingClass:
         return f"{self.a},{self.b},{self.c},{self.d}"
 
 
-@dataclass(frozen=True)
-class AxisData:
+class AxisData(Value):
     """Invariant geodesic of a hyperbolic class with its dynamical data."""
 
-    axis: Geodesic
-    repelling: BoundaryPoint
-    attracting: BoundaryPoint
-    translation: float
-    dilatation: float
+    __slots__ = _fields = ("axis", "repelling", "attracting", "translation", "dilatation")
+
+    def __init__(self, axis: Geodesic, repelling: BoundaryPoint, attracting: BoundaryPoint,
+                 translation: float, dilatation: float):
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "repelling", repelling)
+        object.__setattr__(self, "attracting", attracting)
+        object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "dilatation", dilatation)
 
 
 def classify(m: MappingClass) -> Classification:

@@ -16,23 +16,27 @@ disagree with (commuting inputs are caught at word length four).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, OracleRefusedError
+from .hyp2 import Record
 from .mcg import MappingClass
 
 #: most reduced words whose products are held at once (lengths 1..ceil(L/2))
 MAX_INDEXED_WORDS = 2 ** 18
 
 
-@dataclass
-class WordReport:
-    n_generators: int
-    N: int
-    max_word_length: int
-    words_checked: int
-    violations: list = field(default_factory=list)
-    incomplete: bool = False
+class WordReport(Record):
+    __slots__ = _fields = ("n_generators", "N", "max_word_length", "words_checked",
+                           "violations", "incomplete")
+
+    def __init__(self, n_generators: int, N: int, max_word_length: int, words_checked: int,
+                 violations: list | None = None, incomplete: bool = False):
+        self.n_generators = n_generators
+        self.N = N
+        self.max_word_length = max_word_length
+        self.words_checked = words_checked
+        self.violations = [] if violations is None else violations
+        self.incomplete = incomplete
 
 
 def count_reduced_words(n: int, k: int) -> int:

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
-from .hyp2 import Geodesic, Point
+from .hyp2 import Geodesic, Point, Record, Value
 from .mcg import MappingClass, axis, independent, min_translation, translation_distance
 from .projection import (_geodesic_pair_geometry, derive_morse, model_constants,
                           projection_interval)
@@ -43,19 +42,19 @@ SLACK_FLOOR = 1e-9  #: least slack N Tr - 2S the verifier accepts per generator
 FLOAT_POWER_LIMIT = math.log(2.0) + math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class PiSet:
+class PiSet(Value):
     """Points whose projection parameter on the axis lies beyond sign * R."""
 
-    axis: Geodesic
-    R: float
-    sign: int
+    __slots__ = _fields = ("axis", "R", "sign")
 
-    def __post_init__(self):
-        if not self.R > 0:
+    def __init__(self, axis: Geodesic, R: float, sign: int):
+        if not R > 0:
             raise InvalidInputError("PiSet radius must be positive")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise InvalidInputError("sign must be +1 or -1")
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "sign", sign)
 
 
 def pi_membership(s: PiSet, x: Point) -> bool:
@@ -63,33 +62,40 @@ def pi_membership(s: PiSet, x: Point) -> bool:
     return t >= s.R if s.sign > 0 else t <= -s.R
 
 
-@dataclass(frozen=True)
-class PaperConstants:
+class PaperConstants(Value):
     """The literal constants: translation cap, marking bound, stability
     constant, short-curve count, and the exact factorial-sized radius and power."""
 
-    L: float
-    F: float
-    M: float
-    B: int
-    R_paper: int
-    N_paper: int
+    __slots__ = _fields = ("L", "F", "M", "B", "R_paper", "N_paper")
+
+    def __init__(self, L: float, F: float, M: float, B: int, R_paper: int, N_paper: int):
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "R_paper", R_paper)
+        object.__setattr__(self, "N_paper", N_paper)
 
 
-@dataclass
-class PingPongCertificate:
-    generators: list
-    mode: str
-    b: float
-    l_min: float
-    R: object            # float in certified mode, exact int in paper mode
-    S: Optional[float]   # R + 6b; None in paper mode (not representable as a float)
-    N: int
-    intervals: dict      # (i, j) -> (lo, hi), projection of axis_j onto axis_i
-    pair_data: dict      # (i, j), i < j -> PairGeometry
-    paper: Optional[PaperConstants]
-    config: dict
-    verification: Optional[dict] = field(default=None)
+class PingPongCertificate(Record):
+    __slots__ = _fields = ("generators", "mode", "b", "l_min", "R", "S", "N", "intervals",
+                           "pair_data", "paper", "config", "verification")
+
+    def __init__(self, generators: list, mode: str, b: float, l_min: float, R, S: Optional[float],
+                 N: int, intervals: dict, pair_data: dict, paper: Optional[PaperConstants],
+                 config: dict, verification: Optional[dict] = None):
+        self.generators = generators
+        self.mode = mode
+        self.b = b
+        self.l_min = l_min
+        self.R = R                  # float in certified mode, exact int in paper mode
+        self.S = S                  # R + 6b; None in paper mode (not representable as a float)
+        self.N = N
+        self.intervals = intervals  # (i, j) -> (lo, hi), projection of axis_j onto axis_i
+        self.pair_data = pair_data  # (i, j), i < j -> PairGeometry
+        self.paper = paper
+        self.config = config
+        self.verification = verification
 
 
 def _check_family(generators):

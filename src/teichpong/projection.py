@@ -22,12 +22,11 @@ Monte Carlo validation of the bounds is part of the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import cache
 from .errors import (ConstantDerivationError, DegenerateInputError,
                      HorizonExceededError, InvalidInputError, NotIndependentError)
-from .hyp2 import Geodesic, Point, dist, dist_to_geodesic, project
+from .hyp2 import Geodesic, Point, Value, dist, dist_to_geodesic, project
 from .mcg import MappingClass, axis, independent
 
 # The stability search's excursion levels, samples of the excursion length T
@@ -39,12 +38,14 @@ HORIZON, THRESHOLD_MARGIN = 8.0, 0.10
 MAX_PROFILE_ROWS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class ModelConstants:
+class ModelConstants(Value):
     """The contraction bound and the slim-triangle constant of the model."""
 
-    b: float
-    delta: float
+    __slots__ = _fields = ("b", "delta")
+
+    def __init__(self, b: float, delta: float):
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "delta", delta)
 
 
 def model_constants() -> ModelConstants:
@@ -165,16 +166,19 @@ def derive_morse(K: float, kappa: float) -> float:
 # Pair geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairGeometry:
+class PairGeometry(Value):
     """Nearest-point data for a pair of axes."""
 
-    D: float
-    O: Point
-    O_prime: Point
-    t_O: float
-    s_O: float
-    crossing: bool
+    __slots__ = _fields = ("D", "O", "O_prime", "t_O", "s_O", "crossing")
+
+    def __init__(self, D: float, O: Point, O_prime: Point, t_O: float, s_O: float,
+                 crossing: bool):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "O", O)
+        object.__setattr__(self, "O_prime", O_prime)
+        object.__setattr__(self, "t_O", t_O)
+        object.__setattr__(self, "s_O", s_O)
+        object.__setattr__(self, "crossing", crossing)
 
 
 def _normalized_endpoints(c_target: Geodesic, c_source: Geodesic):
@@ -275,8 +279,7 @@ def profile_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(Value):
     """Certified fast-divergence parameters, in the axes' own parametrizations.
 
     Beyond the plus (resp. minus) thresholds on both axes simultaneously,
@@ -286,10 +289,13 @@ class Thresholds:
     reproducible artifact.
     """
 
-    p_plus: float
-    p_minus: float
-    q_plus: float
-    q_minus: float
+    __slots__ = _fields = ("p_plus", "p_minus", "q_plus", "q_minus")
+
+    def __init__(self, p_plus: float, p_minus: float, q_plus: float, q_minus: float):
+        object.__setattr__(self, "p_plus", p_plus)
+        object.__setattr__(self, "p_minus", p_minus)
+        object.__setattr__(self, "q_plus", q_plus)
+        object.__setattr__(self, "q_minus", q_minus)
 
 
 def _largest_violating_offset(m1: MappingClass, m2: MappingClass) -> float:

@@ -16,29 +16,26 @@ derive_thick_params.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hyp2
 from .errors import ConstantDerivationError, FViolationError, InvalidInputError
-from .hyp2 import Point
+from .hyp2 import Point, Value
 from .mcg import MappingClass, min_translation
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Value):
     """Primitive integer pair in canonical form: q > 0, or (p, q) = (1, 0)."""
 
-    p: int
-    q: int
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self):
-        if math.gcd(abs(self.p), abs(self.q)) != 1:
-            raise InvalidInputError(f"slope ({self.p},{self.q}) is not primitive")
-        if not (self.q > 0 or (self.q == 0 and self.p == 1)):
-            raise InvalidInputError(
-                f"slope ({self.p},{self.q}) is not canonical (need q > 0, or (1,0))"
-            )
+    def __init__(self, p: int, q: int):
+        if math.gcd(abs(p), abs(q)) != 1:
+            raise InvalidInputError(f"slope ({p},{q}) is not primitive")
+        if not (q > 0 or (q == 0 and p == 1)):
+            raise InvalidInputError(f"slope ({p},{q}) is not canonical (need q > 0, or (1,0))")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def canonical(cls, p: int, q: int) -> "Slope":
@@ -287,13 +284,15 @@ def marking(tau: Point, F: float):
     return alpha, beta
 
 
-@dataclass(frozen=True)
-class ThickParams:
+class ThickParams(Value):
     """Derived thick-part constants: systole floor, marking bound, count coefficient."""
 
-    epsilon: float
-    F: float
-    short_curve_coeff: float
+    __slots__ = _fields = ("epsilon", "F", "short_curve_coeff")
+
+    def __init__(self, epsilon: float, F: float, short_curve_coeff: float):
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "short_curve_coeff", short_curve_coeff)
 
 
 def short_curve_bound(R: float, params: ThickParams | None = None) -> int:

@@ -492,6 +492,15 @@ class TestProfileBounds:
         assert lines[0].startswith("error: invalid-input:")
         assert "expected one argument" not in lines[0]
 
+    # e^(2t) overflows from about t = 355 and underflows to 0 from about t = -373
+    @pytest.mark.parametrize("t_min, t_max", [("400", "401"), ("-400", "-399")])
+    def test_parameter_beyond_float_range(self, t_min, t_max, capsys):
+        code = main(["profile", *self.M, "--t-min", t_min, "--t-max", t_max, "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: invalid-input: parameter t={float(t_min)} is out of "
+                                "range: e^(2t) is not a positive finite float\n")
+
 
 class TestHugeTrace:
     def test_axis(self, capsys):

@@ -75,15 +75,28 @@ def test_command_loads_no_numpy(argv, code, tmp_path):
     assert not _has_numpy(modules)
     assert "teichpong.oracle" not in modules
     assert argv[0] == "pingpong" or "teichpong.pingpong" not in modules
+    # only the handlers that write documents load serialize
+    assert argv[0] == "pingpong" or "teichpong.serialize" not in modules
+    assert "dataclasses" not in modules and "inspect" not in modules
 
 
 @pytest.mark.parametrize("argv", [
     ["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "100"],
-], ids=["pingpong"])
+    ["certify-free", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "100"],
+], ids=["pingpong", "certify-free"])
 def test_array_commands_load_numpy(argv, tmp_path):
     got, modules = _cli_modules([*argv, "--no-cache"], tmp_path)
     assert got == 0
     assert _has_numpy(modules)
+    # numpy itself loads inspect, but nothing loads dataclasses
+    assert "dataclasses" not in modules
+
+
+def test_cli_import_loads_no_dataclasses(tmp_path):
+    out = _run("import json, sys, teichpong.cli\nprint(json.dumps(sorted(sys.modules)))",
+               tmp_path)
+    assert "dataclasses" not in out and "inspect" not in out
+    assert "teichpong.serialize" not in out and not _has_numpy(out)
 
 
 def test_bare_import_loads_no_module(tmp_path):
@@ -127,3 +140,4 @@ def test_importtime_of_classify_shows_no_numpy(tmp_path):
                 if line.startswith("import time:")]
     assert "teichpong.hyp2" in imported
     assert not _has_numpy(imported)
+    assert "dataclasses" not in imported and "inspect" not in imported
