@@ -282,14 +282,27 @@ class Geodesic(Value):
     def params_of_array(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized projection parameters for an array of complex points.
 
-        Points that collapse onto an ideal endpoint in floating point get the
-        limit parameter -inf / +inf, which is the correct membership answer.
+        Evaluated in place with the same operations as
+        ``0.5 * log|chart.inverse().apply_complex(zs)|``, so each parameter
+        has the bits of param_of.  Points that collapse onto an ideal
+        endpoint in floating point get the limit parameter -inf / +inf,
+        which is the correct membership answer.
         """
         import numpy as np
 
+        # chart.inverse() is (d, -b, -c, a); the negated entries are added,
+        # as apply_complex adds them, which keeps the sign of a zero part
+        m = self.chart
+        a, b, c, d = m.a, m.b, m.c, m.d
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = self.chart.inverse().apply_complex(zs)
-            out = 0.5 * np.log(np.abs(w))
+            w = d * zs
+            w += -b
+            den = -c * zs
+            den += a
+            w /= den
+            out = np.abs(w)
+            np.log(out, out=out)
+            out *= 0.5
         bad = np.isnan(out)
         if bad.any():
             if not np.isfinite(zs[bad]).all():
@@ -344,8 +357,15 @@ def project(c: Geodesic, z: Point) -> ProjectionResult:
 
 
 def dist_to_geodesic(c: Geodesic, z: Point) -> float:
-    """Distance from z to the image of c: half asinh(|Re w| / Im w) in the chart."""
+    """Distance from z to the image of c: half asinh(|Re w| / Im w) in the chart.
+
+    Past 2^27 the ratio's asinh is log(2 |Re w|) - log(Im w) to double
+    precision, which is taken instead, since the ratio itself may overflow.
+    """
     w = c.chart.inverse().apply_complex(z.z)
     if w.imag <= 0.0:
         raise InvalidInputError("point left the half plane under the chart")
-    return 0.5 * math.asinh(abs(w.real) / w.imag)
+    r = abs(w.real) / w.imag
+    if r > 2.0 ** 27:
+        return 0.5 * (math.log(2.0) + math.log(abs(w.real)) - math.log(w.imag))
+    return 0.5 * math.asinh(r)

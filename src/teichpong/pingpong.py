@@ -260,8 +260,15 @@ def _sample_blocks(seed: int, n: int, box):
     sizes = [min(SAMPLE_CHUNK, n - k) for k in range(0, n, SAMPLE_CHUNK)] or [0]
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     log_lo, log_hi = math.log(y_lo), math.log(y_hi)
-    return (rng.uniform(x_lo, x_hi, m) + 1j * np.exp(rng.uniform(log_lo, log_hi, m))
-            for rng, m in zip(map(np.random.default_rng, children), sizes))
+
+    def draw(rng, m):
+        # for finite heights, the bits of x + 1j * y
+        zs = np.empty(m, dtype=complex)
+        zs.real = rng.uniform(x_lo, x_hi, m)
+        zs.imag = np.exp(rng.uniform(log_lo, log_hi, m))
+        return zs
+
+    return (draw(rng, m) for rng, m in zip(map(np.random.default_rng, children), sizes))
 
 
 def sample_box_points(seed: int, n: int, box=DEFAULT_BOX) -> np.ndarray:
@@ -282,7 +289,12 @@ def _axis_points_array(c: Geodesic, params: np.ndarray) -> np.ndarray:
 
 
 def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
-    # not via Mobius: the float entries of a large power fail its determinant check
+    """(a zs + b) / (c zs + d) for the float entries of m, evaluated in place
+    with the same operations as Mobius.apply_complex.
+
+    Not via Mobius: the float entries of a large power fail its
+    determinant check.
+    """
     import numpy as np
 
     try:
@@ -291,7 +303,12 @@ def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             "a matrix entry is beyond the float range of the sampled checks") from None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (a * zs + b) / (c * zs + d)
+        num = a * zs
+        num += b
+        den = c * zs
+        den += d
+        num /= den
+    return num
 
 
 def _param_matrix(axes, zs):
@@ -340,15 +357,16 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
             mask = params[i] > -S if sign == 1 else params[i] < S
             if not mask.any():
                 continue
+            selected = zs if mask.all() else zs[mask]
             try:
-                t_img = axes[i].params_of_array(_mobius_apply_array(mat, zs[mask]))
+                t_img = axes[i].params_of_array(_mobius_apply_array(mat, selected))
             except InvalidInputError as exc:
                 outcome[(i, sign)] = exc
                 continue
             good = t_img >= S if sign == 1 else t_img <= -S
             if (i, sign) not in outcome and not bool(np.all(good)):
                 k = int(np.argmin(good))
-                z_bad = zs[mask][k]
+                z_bad = selected[k]
                 outcome[(i, sign)] = {"point": [float(z_bad.real), float(z_bad.imag)],
                                       "param": float(t_img[k])}
         membership = np.concatenate([params >= S, params <= -S])

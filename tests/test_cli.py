@@ -501,6 +501,19 @@ class TestProfileBounds:
         assert captured.err == (f"error: invalid-input: parameter t={float(t_min)} is out of "
                                 "range: e^(2t) is not a positive finite float\n")
 
+    def test_far_rows_are_finite(self, tmp_path):
+        # |Re w| / Im w overflows here; d_min is -t - 0.352177688 on every row
+        path = tmp_path / "profile.csv"
+        code = main(["profile", *self.M, "--t-min", "-360", "--t-max", "-359",
+                     "--csv", str(path), "--no-cache"])
+        lines = path.read_text().splitlines()
+        assert code == 0 and lines[0] == "t,s_star,d_min" and len(lines) == 22
+        assert lines[1] == "-360,-0.10596767775,359.647822312"
+        assert lines[-1] == "-359,-0.10596767775,358.647822312"
+        for line in lines[1:]:
+            t, _, d_min = map(float, line.split(","))
+            assert d_min == pytest.approx(-t - 0.352177688, abs=1e-9)
+
 
 class TestHugeTrace:
     def test_axis(self, capsys):

@@ -8,6 +8,7 @@ from teichpong.errors import DegenerateInputError, InvalidInputError
 from teichpong.hyp2 import (BoundaryPoint, Geodesic, Mobius, Point, dist,
                             dist_to_geodesic, geodesic_through, project,
                             transport)
+from teichpong.mcg import MappingClass, axis
 
 
 def vertical_axis(y0=1.0):
@@ -264,6 +265,26 @@ class TestDistToGeodesic:
         before = dist_to_geodesic(c, z)
         after = dist_to_geodesic(transport(m, c), m.apply(z))
         assert after == pytest.approx(before, abs=1e-9)
+
+    @pytest.mark.parametrize("x", [2.0 ** 27, math.nextafter(2.0 ** 27, math.inf), 1e300])
+    def test_far_from_a_vertical_axis(self, x):
+        # past |Re w| / Im w = 2^27 the distance is a difference of logarithms
+        expected = 0.5 * math.asinh(x)
+        assert dist_to_geodesic(vertical_axis(), Point(x, 1.0)) == pytest.approx(expected,
+                                                                                  rel=1e-15)
+
+    def test_ratio_beyond_float_range(self):
+        # |Re w| / Im w = 1e600 overflows
+        expected = 0.5 * (math.log(2.0) + 600.0 * math.log(10.0))
+        assert dist_to_geodesic(vertical_axis(), Point(1e300, 1e-300)) == pytest.approx(
+            expected, rel=1e-15)
+
+    # the standard pair's axes: from about t = -359, |Re w| / Im w overflows
+    @pytest.mark.parametrize("t, expected", [(-360.0, 359.647822312), (-359.0, 358.647822312),
+                                             (-355.0, 354.647822312)])
+    def test_far_along_another_axis(self, t, expected):
+        c1, c2 = axis(MappingClass(2, 1, 1, 1)).axis, axis(MappingClass(1, 1, 1, 2)).axis
+        assert dist_to_geodesic(c2, c1.point_at(t)) == pytest.approx(expected, abs=1e-9)
 
     def test_matches_projection_distance(self):
         c = geodesic_through(Point(0, 1), Point(1, 1))

@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -252,13 +254,49 @@ class TestPowerBeyondFloatRange:
             verify_pingpong(cert, 10)
 
 
+def reference_sample(seed, n, box):
+    """The box sample drawn block by block as x + 1j * y."""
+    x_lo, x_hi, y_lo, y_hi = box
+    sizes = [min(pingpong.SAMPLE_CHUNK, n - k) for k in range(0, n, pingpong.SAMPLE_CHUNK)] or [0]
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    log_lo, log_hi = math.log(y_lo), math.log(y_hi)
+    with np.errstate(over="ignore"):
+        return np.concatenate([
+            rng.uniform(x_lo, x_hi, m) + 1j * np.exp(rng.uniform(log_lo, log_hi, m))
+            for rng, m in zip(map(np.random.default_rng, children), sizes)])
+
+
+def reference_params(c, zs):
+    """Projection parameters as 0.5 log|chart^-1(z)| through the complex map,
+    with the limit +inf for finite points whose parameter is nan."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 0.5 * np.log(np.abs(c.chart.inverse().apply_complex(zs)))
+    bad = np.isnan(out)
+    if bad.any():
+        if not np.isfinite(zs[bad]).all():
+            raise InvalidInputError("non-finite input point in projection batch")
+        out[bad] = np.inf
+    return out
+
+
+def reference_mobius(m, zs):
+    """(a zs + b) / (c zs + d) for the float entries of m."""
+    try:
+        a, b, c, d = (float(v) for v in m.entries())
+    except OverflowError:
+        raise InvalidInputError(
+            "a matrix entry is beyond the float range of the sampled checks") from None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return (a * zs + b) / (c * zs + d)
+
+
 def whole_array_sampled_checks(cert, axes, trs, seed, sample_budget, box, checks):
     """Reference: the sampled inclusion and disjointness checks as one pass over
-    the whole sample, kept as complex points, through Geodesic.params_of_array
-    and complex Mobius maps."""
+    the whole sample, kept as complex points, through the reference draw,
+    projection parameters and Mobius maps above."""
     S = cert.S
-    zs = sample_box_points(seed, sample_budget, box)
-    params = np.stack([c.params_of_array(zs) for c in axes])
+    zs = reference_sample(seed, sample_budget, box)
+    params = np.stack([reference_params(c, zs) for c in axes])
     for i, (m, c, tr) in enumerate(zip(cert.generators, axes, trs)):
         if cert.N * tr > pingpong.FLOAT_POWER_LIMIT:
             raise InvalidInputError(
@@ -269,8 +307,7 @@ def whole_array_sampled_checks(cert, axes, trs, seed, sample_budget, box, checks
             mask = params[i] > -S if sign == 1 else params[i] < S
             if not mask.any():
                 continue
-            images = pingpong._mobius_apply_array(mat, zs[mask])
-            t_img = c.params_of_array(images)
+            t_img = reference_params(c, reference_mobius(mat, zs[mask]))
             good = t_img >= S if sign == 1 else t_img <= -S
             if not bool(np.all(good)):
                 k = int(np.argmin(good))
@@ -294,6 +331,7 @@ def whole_array_sampled_checks(cert, axes, trs, seed, sample_budget, box, checks
 
 
 WIDE_BOX = (-10.0, 10.0, 1e-6, 10.0)
+EDGE_BOX = (-10.0, 10.0, 5e-324, sys.float_info.max)
 PSI_CONJUGATE = MappingClass(5100816, -8253295, 3152479, -5100819)  # psi conjugated by phi^8 L
 
 
@@ -433,13 +471,32 @@ class TestStreamedVerifier:
 
         def make():
             return build_certificate([PHI, PSI_CONJUGATE], box=WIDE_BOX)
+        this = sys.modules[__name__]
         monkeypatch.setattr(pingpong, "_sample_blocks", lambda seed, n, box: iter([witness]))
+        monkeypatch.setattr(this, "reference_sample", lambda seed, n, box: witness)
         assert self.both(monkeypatch, make, 1)[0][:2] == (
             CertificateInvalidError, "power of generator 1 (sign +1) failed the inclusion")
         monkeypatch.setattr(pingpong, "_sample_blocks", lambda seed, n, box: iter(blocks))
+        monkeypatch.setattr(this, "reference_sample",
+                            lambda seed, n, box: np.concatenate(blocks))
         streamed, whole = self.both(monkeypatch, make, 2)
         assert streamed == whole == (InvalidInputError,
                                      "non-finite input point in projection batch", None)
+
+    def test_witness_in_a_partly_selected_block(self, monkeypatch):
+        # the block's first point lies in the psi conjugate's minus table, so
+        # its plus power maps only the second, the inclusion witness
+        def make():
+            return build_certificate([PHI, PSI_CONJUGATE], box=WIDE_BOX)
+        minus = axis(PSI_CONJUGATE).axis.point_at(-make().S - 1.0).z
+        block = np.array([minus, 1.6662428350713014 + 0.002496617881310062j])
+        monkeypatch.setattr(pingpong, "_sample_blocks", lambda seed, n, box: iter([block]))
+        monkeypatch.setattr(sys.modules[__name__], "reference_sample", lambda seed, n, box: block)
+        streamed, whole = self.both(monkeypatch, make, 2)
+        assert streamed[:2] == (CertificateInvalidError,
+                                "power of generator 1 (sign +1) failed the inclusion")
+        assert streamed[2]["point"] == [1.6662428350713014, 0.002496617881310062]
+        assert streamed == whole
 
     def test_entries_converted_only_for_sampled_points(self, monkeypatch):
         # the third power's entries leave the float range; with no sample
@@ -454,6 +511,31 @@ class TestStreamedVerifier:
         assert streamed == whole == (
             InvalidInputError, "a matrix entry is beyond the float range of the sampled checks",
             None)
+
+    def test_box_at_float_range_edge(self, monkeypatch):
+        # heights from the least subnormal to the largest float
+        def make():
+            return build_certificate([PHI, PSI], box=EDGE_BOX)
+        streamed, whole = self.both(monkeypatch, make, 20_000)
+        # the images of the highest samples overflow
+        assert streamed == whole == (InvalidInputError,
+                                     "non-finite input point in projection batch", None)
+
+    def test_overflowing_height_refused_either_way(self, monkeypatch):
+        # where exp overflows, x + 1j * inf is nan + inf j, while the draw
+        # writes x + inf j; both are refused as non-finite input
+        x, y = np.array([0.5, -3.0]), np.array([2.0, np.inf])
+        drawn = np.empty(2, dtype=complex)
+        drawn.real, drawn.imag = x, y
+        with np.errstate(invalid="ignore"):
+            reference = x + 1j * y
+        assert np.isnan(reference[1].real) and drawn[1] == complex(-3.0, np.inf)
+        this = sys.modules[__name__]
+        monkeypatch.setattr(pingpong, "_sample_blocks", lambda seed, n, box: iter([drawn]))
+        monkeypatch.setattr(this, "reference_sample", lambda seed, n, box: reference)
+        streamed, whole = self.both(monkeypatch, lambda: build_certificate([PHI, PSI]), 2)
+        assert streamed == whole == (InvalidInputError,
+                                     "non-finite input point in projection batch", None)
 
     def test_disjointness_witness(self, monkeypatch):
         def lowered():
@@ -488,3 +570,95 @@ class TestStreamedVerifier:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+
+def same_bits(new, ref):
+    """Equal arrays, nan where nan, with equal sign bits in both parts."""
+    return (new.dtype == ref.dtype and np.array_equal(new, ref, equal_nan=True)
+            and all(np.array_equal(np.signbit(part(new)), np.signbit(part(ref)))
+                    for part in (np.real, np.imag)))
+
+
+def outcome_of(f, *args):
+    """The array f returns, or the message of the InvalidInputError it raises."""
+    try:
+        return f(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(new, ref):
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        assert not isinstance(new, str) and same_bits(new, ref)
+
+
+SPECIAL_POINTS = np.array(
+    [complex(x, y) for x in (0.0, -0.0, 1.5, -2.0) for y in (0.0, -0.0, 0.75, -0.75)]
+    + [complex(x, y) for x in (np.inf, -np.inf, np.nan, 1.0) for y in (1.0, np.inf, np.nan)]
+    + [complex(np.nan, np.inf), complex(-np.inf, -np.inf), complex(1e308, 1e308),
+       complex(5e-324, 5e-324), complex(-5e-324, 1e-300)])
+
+
+class TestInPlacePrimitives:
+    """params_of_array and _mobius_apply_array against the complex expressions
+    they evaluate in place, bit for bit."""
+
+    AXES = [axis(PHI).axis, axis(PSI).axis, axis(L_GEN ** 1000 * R_GEN).axis, VERTICAL,
+            Geodesic(BoundaryPoint.infinity(), BoundaryPoint.finite(0.0), Point(0.0, 2.0)),
+            Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(3.0), Point(1.5, 1.5))]
+
+    @staticmethod
+    def points(c):
+        """Finite samples, the special points, and the chart's pole, where
+        the inverse chart divides by zero."""
+        m = c.chart
+        pole = [] if m.c == 0.0 else [complex(m.a / m.c, 0.0), complex(m.a / m.c, -0.0)]
+        return np.concatenate([sample_box_points(3, 2000), sample_box_points(4, 2000, WIDE_BOX),
+                               sample_box_points(5, 500, EDGE_BOX), SPECIAL_POINTS,
+                               np.array(pole, dtype=complex)])
+
+    def check_params(self, c, zs):
+        assert_same_outcome(outcome_of(c.params_of_array, zs), outcome_of(reference_params, c, zs))
+        for z in zs:
+            one = np.array([z])
+            assert_same_outcome(outcome_of(c.params_of_array, one),
+                                outcome_of(reference_params, c, one))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    @pytest.mark.parametrize("k", range(6))
+    def test_params(self, k):
+        c = self.AXES[k]
+        zs = self.points(c)
+        self.check_params(c, zs)
+        finite = zs[np.isfinite(zs)]
+        assert same_bits(c.params_of_array(finite), reference_params(c, finite))
+
+    @pytest.mark.parametrize("m", [PHI, PSI.inverse(), L_GEN ** 1000 * R_GEN, PHI ** 12,
+                                   PHI ** 737, (L_GEN ** 50992965 * R_GEN) ** 40],
+                             ids=["phi", "psi-inv", "L1000R", "phi^12", "phi^737",
+                                  "L^50992965R^40"])
+    def test_mobius_and_params_of_images(self, m):
+        zs = np.concatenate([self.points(c) for c in self.AXES[:2]])
+        try:
+            _, _, c, d = (float(v) for v in m.entries())
+        except OverflowError:
+            pass
+        else:
+            # the map's own pole
+            zs = np.append(zs, [complex(-d / c, 0.0), complex(-d / c, -0.0)])
+        images = outcome_of(pingpong._mobius_apply_array, m, zs)
+        assert_same_outcome(images, outcome_of(reference_mobius, m, zs))
+        if isinstance(images, str):
+            assert images == "a matrix entry is beyond the float range of the sampled checks"
+            return
+        if m == PHI ** 737:
+            assert not np.isfinite(images).all()
+        for geodesic in self.AXES:
+            self.check_params(geodesic, images[::7])
+
+    def test_draw_matches_reference(self):
+        for seed, n, box in [(0, 20_000, pingpong.DEFAULT_BOX), (9, 8193, WIDE_BOX),
+                             (2, 20_000, EDGE_BOX), (1, 1000, (-1e200, 1e200, 1e-300, 1e300))]:
+            assert same_bits(sample_box_points(seed, n, box), reference_sample(seed, n, box))
