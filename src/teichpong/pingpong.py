@@ -414,8 +414,6 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     budget; the verdict and the witness are those of a pass over the whole
     sample.
     """
-    import numpy as np
-
     seed = cert.config["seed"] if seed is None else seed
     box = tuple(cert.config["box"])
     gens = cert.generators
@@ -455,6 +453,8 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
             fail("a generator translates less than the stated floor")
         report["passed"] = True
         return report
+
+    import numpy as np
 
     axes = [axis(m).axis for m in gens]
     S = cert.S

@@ -14,9 +14,10 @@ Two derived constants and the geometry of a pair of axes live here:
   of the first, and the fast-divergence thresholds past it, a closed form
   in the traces.
 
-Only M is searched numerically, and only its helpers load numpy; its grids
-and margins are recorded so results are reproducible bit for bit, and
-Monte Carlo validation of the bounds is part of the test suite.
+M is a bisection on its max height, each step a concave maximisation per
+excursion level; its levels and margin are in its memo key, so results are
+reproducible bit for bit.  Nothing here loads numpy, and Monte Carlo
+validation of the bounds is part of the test suite.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from .errors import (ConstantDerivationError, DegenerateInputError,
 from .hyp2 import Geodesic, Point, Value, dist, dist_to_geodesic, project
 from .mcg import MappingClass, axis, independent
 
-# The stability search's excursion levels, samples of the excursion length T
-# per level, refutation gap and margin on M; all four are in its memo key.
-_LEVELS, _T_SAMPLES, _SAFETY, _MORSE_MARGIN = 96, 4000, 0.05, 0.05
+# The stability search's excursion levels and margin on M; both are in its memo key.
+_LEVELS, _MORSE_MARGIN = 96, 0.05
 #: bound on the fast-divergence offsets, and the margin on the certified ones
 HORIZON, THRESHOLD_MARGIN = 8.0, 0.10
 #: most rows divergence_profile builds
@@ -80,45 +80,67 @@ def derive_contraction_b() -> float:
 # Stability constant for quasi-geodesics
 # ---------------------------------------------------------------------------
 
-def _chord_upper(cosh2h_sq, sig):
-    """Upper bound on half arccosh(cosh^2(2h) cosh(2 sig) - sinh^2(2h)), vectorized."""
-    import numpy as np
-
-    small = sig <= 12.0
-    out = np.empty_like(sig)
-    arg = cosh2h_sq * np.cosh(2.0 * np.where(small, sig, 0.0)) - (cosh2h_sq - 1.0)
-    out[small] = 0.5 * np.arccosh(np.maximum(arg[small], 1.0))
-    out[~small] = sig[~small] + 0.5 * math.log(cosh2h_sq)
-    return out
-
-
 def _level_refutes(K, kappa, h, beta):
     """True if excursion level h is impossible for a max height Delta = h + beta/2.
 
     An excursion above height h of length T with max height Delta must spend
     a vertical budget of at least beta = 2(Delta - h); its endpoints sit at
     height h on the same side with feet separated by at most
-    sech(2h) sqrt(T^2 - beta^2), which caps their distance, while the lower
-    quasi-geodesic inequality demands at least T/K - kappa.  If no T
-    reconciles the two, no such excursion exists.
+    sigma(T) = sqrt(T^2 - beta^2) / C, C = cosh(2h), which caps their distance
+    at the chord asinh(C sinh sigma), while the lower quasi-geodesic inequality
+    demands at least T/K - kappa.  The level is refuted when the slack
+    g(T) = asinh(C sinh sigma(T)) - T/K + kappa is negative for every T >= beta.
 
-    The slack function has a square-root cusp at T = beta, so T is sampled
-    quadratically (linear in the cusp variable); the safety gap dominates
-    the possible rise between samples, keeping refutations conservative.
+    g is concave.  sigma is concave and increasing, a branch of a hyperbola.
+    f(s) = asinh(C sinh s) is increasing, and concave on s >= 0 for C >= 1:
+    with u = sinh^2 s, f'(s)^2 = C^2 (1 + u) / (1 + C^2 u), whose derivative in
+    u is C^2 (1 - C^2) / (1 + C^2 u)^2 <= 0, so f' falls from C to 1.  A concave
+    increasing function of a concave function is concave, and -T/K + kappa
+    is linear.
+
+    If C <= K, then g grows without bound, or tends to log C + kappa >= 0 when
+    C = K, so the level stands.  Otherwise g has one maximum, at the root of
+    g'(T) = T / (r hypot(sech s, C tanh s)) - 1/K with r = sqrt(T^2 - beta^2)
+    and s = r/C.  Doubling and then bisection on the sign of g' bracket it in
+    [lo, hi] with g'(lo) > 0 >= g'(hi).  A concave function lies below each
+    tangent, so g(lo) + g'(lo) (hi - lo) bounds the maximum, and the level is
+    refuted when that bound, plus an allowance for rounding, is negative.
+    When cosh(2h) overflows, C = inf, where C sinh(r/C) and C tanh(r/C) are r.
     """
-    import numpy as np
-
-    sech2h = 1.0 / math.cosh(2.0 * h)
-    if sech2h >= 1.0 / K:
+    try:
+        C = math.cosh(2.0 * h)
+    except OverflowError:
+        C = math.inf
+    if C <= K:
         return False
-    cosh2h_sq = math.cosh(2.0 * h) ** 2
-    tail_const = 0.5 * math.log(2.0 * cosh2h_sq)
-    t_far = (tail_const + kappa + 1.0) / (1.0 / K - sech2h) + beta + 1.0
-    u = np.linspace(0.0, 1.0, _T_SAMPLES)
-    T = beta + (t_far - beta) * u * u
-    sig = sech2h * np.sqrt(np.maximum(T * T - beta * beta, 0.0))
-    g = _chord_upper(cosh2h_sq, sig) - T / K + kappa
-    return float(np.max(g)) < -_SAFETY
+
+    def slope(T):
+        r = math.sqrt(T - beta) * math.sqrt(T + beta)
+        if r == 0.0:
+            return math.inf
+        if C == math.inf:
+            return T / r / math.hypot(1.0, r) - 1.0 / K
+        t = math.tanh(r / C)
+        return T / r / math.hypot(math.sqrt((1.0 - t) * (1.0 + t)), C * t) - 1.0 / K
+
+    lo, hi = beta, 2.0 * beta
+    while slope(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    r = math.sqrt(lo - beta) * math.sqrt(lo + beta)
+    try:
+        chord = math.asinh(r if C == math.inf else C * math.sinh(r / C))
+    except OverflowError:  # no float bound on the chord: the level stands
+        return False
+    # each term of g is rounded within a few ulps of its size
+    allowance = 1e-12 * (1.0 + lo / K + kappa)
+    return chord - lo / K + kappa + slope(lo) * (hi - lo) + allowance < 0.0
 
 
 def _delta_refuted(K, kappa, delta):
@@ -132,18 +154,18 @@ def _delta_refuted(K, kappa, delta):
 def derive_morse(K: float, kappa: float) -> float:
     """Stability constant for continuous unit-speed (K, kappa)-quasi-geodesics.
 
-    Bisects for the least max height that some excursion level refutes; the
-    refutation is conservative (chord upper bounds, dense parameter grids
-    plus a safety gap), so coarse grids can only enlarge the answer.
-    Monotone in K and in kappa.  (1, 0) paths are geodesics, so M(1, 0) = 0.
+    Bisects for the least max height that some excursion level refutes, then
+    adds a 5% margin.  Each level is refuted only when an upper bound on the
+    maximum of its concave slack is negative (see _level_refutes), so fewer
+    levels can only enlarge the answer.  Monotone in K and in kappa.  (1, 0)
+    paths are geodesics, so M(1, 0) = 0.
     """
-    if K < 1.0 or kappa < 0.0:
+    if not (math.isfinite(K) and math.isfinite(kappa) and K >= 1.0 and kappa >= 0.0):
         raise InvalidInputError(f"need K >= 1 and kappa >= 0, got ({K}, {kappa})")
     if K == 1.0 and kappa == 0.0:
         return 0.0
     K, kappa = float(K), float(kappa)
-    key = (f"morse/v1:K={K!r},kappa={kappa!r},levels={_LEVELS},"
-           f"t_samples={_T_SAMPLES},safety={_SAFETY!r},margin={_MORSE_MARGIN!r}")
+    key = f"morse/v2:K={K!r},kappa={kappa!r},levels={_LEVELS},margin={_MORSE_MARGIN!r}"
 
     def compute():
         lo, hi = 0.0, 1.0

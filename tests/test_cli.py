@@ -458,7 +458,7 @@ class TestOneMemo:
         finally:
             cache.disable()
         stored = json.loads((tmp_path / "b.json").read_text())
-        assert any(key.startswith("morse/v1:") for key in stored)
+        assert any(key.startswith("morse/v2:") for key in stored)
 
 
 class TestCommandOptions:

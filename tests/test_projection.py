@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import PHI, PSI, random_independent_pair
-from teichpong.errors import (DegenerateInputError, HorizonExceededError,
-                              InvalidInputError, NotIndependentError)
+from teichpong.errors import (ConstantDerivationError, DegenerateInputError,
+                              HorizonExceededError, InvalidInputError,
+                              NotIndependentError)
 from teichpong.hyp2 import (BoundaryPoint, Geodesic, Point, dist,
                             dist_to_geodesic, geodesic_through, project)
 from teichpong.mcg import MappingClass, axis
 from teichpong.projection import (HORIZON, THRESHOLD_MARGIN, Thresholds,
-                                  common_perpendicular_distance,
+                                  _level_refutes, common_perpendicular_distance,
                                   derive_contraction_b, derive_morse,
                                   divergence_profile,
                                   fast_divergence_thresholds, model_constants,
@@ -99,6 +100,83 @@ def _is_quasi_geodesic(pts, params, K, kappa, n_checks=50):
     return True
 
 
+def _sampled_refutes(K, kappa, h, beta):
+    """Reference: the earlier sampled decision for an excursion level, without
+    its 0.05 safety gap.  It takes the maximum of the slack over 4,000
+    lengths T, spaced quadratically from the cusp at T = beta, with the chord
+    written as half arccosh(C^2 cosh 2 sigma - (C^2 - 1)), C = cosh 2h."""
+    sech2h = 1.0 / math.cosh(2.0 * h)
+    if sech2h >= 1.0 / K:
+        return False
+    c2 = math.cosh(2.0 * h) ** 2
+    t_far = (0.5 * math.log(2.0 * c2) + kappa + 1.0) / (1.0 / K - sech2h) + beta + 1.0
+    u = np.linspace(0.0, 1.0, 4000)
+    T = beta + (t_far - beta) * u * u
+    sig = sech2h * np.sqrt(np.maximum(T * T - beta * beta, 0.0))
+    small = sig <= 12.0
+    chord = sig + 0.5 * math.log(c2)
+    arg = c2 * np.cosh(2.0 * sig[small]) - (c2 - 1.0)
+    chord[small] = 0.5 * np.arccosh(np.maximum(arg, 1.0))
+    return float(np.max(chord - T / K + kappa)) < 0.0
+
+
+#: excursion levels (K, kappa, h, beta) with K <= 5 and h <= 8
+LEVEL_GRID = [(K, kappa, 0.25 * i, beta)
+              for K in (1.25, 2.0, 3.0, 5.0) for kappa in (0.0, 0.7, 3.0)
+              for i in range(1, 33) for beta in (0.05, 0.5, 2.0, 8.0, 32.0)]
+
+
+class TestLevelDecision:
+    def test_refutes_wherever_the_sampler_does(self):
+        refuted = {level for level in LEVEL_GRID if _level_refutes(*level)}
+        assert len(refuted) > len(LEVEL_GRID) // 5
+        assert [level for level in LEVEL_GRID
+                if level not in refuted and _sampled_refutes(*level)] == []
+
+    def test_dense_slack_is_negative_where_refuted(self):
+        for K, kappa, h, beta in LEVEL_GRID:
+            if not _level_refutes(K, kappa, h, beta):
+                continue
+            C = math.cosh(2.0 * h)
+            T = beta + np.geomspace(1e-9, 1e7, 4001)
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = np.arcsinh(C * np.sinh(np.sqrt(T * T - beta * beta) / C)) - T / K + kappa
+            assert np.all(g[np.isfinite(g)] < 0.0), (K, kappa, h, beta)
+
+    def test_chord_identity(self):
+        C = np.cosh(2.0 * np.linspace(0.0, 4.0, 41))[:, None]
+        sig = np.linspace(0.0, 12.0, 1201)[None, :]
+        np.testing.assert_allclose(np.arcsinh(C * np.sinh(sig)),
+                                   0.5 * np.arccosh(C * C * np.cosh(2.0 * sig) - (C * C - 1.0)),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_large_K_level_with_positive_slack_stands(self):
+        # at Delta = 16, level 76 (h ~ 12.67, beta ~ 6.67) has slack +3.60 near
+        # T ~ 50.9, which the cancelling chord formula refuted
+        delta = 16.0
+        h = delta * 76 / 96
+        assert not _level_refutes(50.0, 0.0, h, 2.0 * (delta - h))
+        assert derive_morse(50.0, 0.0) > delta
+
+    def test_levels_past_the_float_range_of_cosh(self):
+        # cosh(2h) overflows from h ~ 355; the chord falls as C grows, so a
+        # level refuted at h = 350 stays refuted at h = 400
+        for K, kappa, beta in {(K, kappa, beta) for K, kappa, _, beta in LEVEL_GRID}:
+            if _level_refutes(K, kappa, 350.0, beta):
+                assert _level_refutes(K, kappa, 400.0, beta), (K, kappa, beta)
+        assert _level_refutes(2.0, 0.0, 400.0, 8.0)
+        # Delta > 200 reaches those levels
+        assert math.isfinite(derive_morse(2.0, 200.0))
+
+    @pytest.mark.parametrize("K, kappa", [(1.0, 5e-324), (1e300, 0.0), (2.0, 1e300)])
+    def test_extreme_inputs_end_in_a_value_or_derivation_error(self, K, kappa):
+        try:
+            M = derive_morse(K, kappa)
+        except ConstantDerivationError:
+            return
+        assert math.isfinite(M) and M > 0.0
+
+
 class TestMorse:
     def test_geodesics_are_stable(self):
         assert derive_morse(1.0, 0.0) == 0.0
@@ -112,6 +190,9 @@ class TestMorse:
             derive_morse(0.5, 0.0)
         with pytest.raises(InvalidInputError):
             derive_morse(2.0, -1.0)
+        for K, kappa in ((math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan), (2.0, math.inf)):
+            with pytest.raises(InvalidInputError):
+                derive_morse(K, kappa)
 
     def test_hypercycle_family_bounds_from_below(self):
         # constant-height paths (Euclidean rays with |Re z| / Im z = sinh(2h))

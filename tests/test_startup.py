@@ -92,6 +92,26 @@ def test_array_commands_load_numpy(argv, tmp_path):
     assert "dataclasses" not in modules
 
 
+def test_paper_mode_verification_and_morse_load_no_numpy(tmp_path):
+    # the paper-shaped certificate of test_paper_mode_analytic_verification
+    code = ("import json, sys\n"
+            "from teichpong.mcg import MappingClass, min_translation\n"
+            "from teichpong.pingpong import (PingPongCertificate, build_certificate,\n"
+            "                                verify_pingpong)\n"
+            "from teichpong.projection import derive_morse\n"
+            "cert = build_certificate([MappingClass(2, 1, 1, 1), MappingClass(1, 1, 1, 2)])\n"
+            "paper_like = PingPongCertificate(\n"
+            "    generators=cert.generators, mode='paper_formula', b=0.5,\n"
+            "    l_min=min_translation(), R=8, S=None, N=23, intervals=cert.intervals,\n"
+            "    pair_data=cert.pair_data, paper=None, config=dict(cert.config))\n"
+            "passed = verify_pingpong(paper_like, 100)['passed']\n"
+            "M = derive_morse(2.0, 0.7)\n"
+            "print(json.dumps({'passed': passed, 'M': M, 'modules': sorted(sys.modules)}))\n")
+    out = _run(code, tmp_path)
+    assert out["passed"] and out["M"] > 0.0
+    assert not _has_numpy(out["modules"])
+
+
 def test_cli_import_loads_no_dataclasses(tmp_path):
     out = _run("import json, sys, teichpong.cli\nprint(json.dumps(sorted(sys.modules)))",
                tmp_path)
