@@ -200,6 +200,9 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
                       samples: int = 100_000, box=DEFAULT_BOX) -> PingPongCertificate:
     if mode not in ("certified_search", "paper_formula"):
         raise InvalidInputError(f"unknown mode {mode!r}")
+    for name, value in (("seed", seed), ("samples", samples)):
+        if not 0 <= value < 2 ** 63:
+            raise InvalidInputError(f"{name} must lie in [0, 2^63), got {value}")
     _check_family(generators)
     consts = model_constants()
     b = consts.b
@@ -318,12 +321,177 @@ def _param_matrix(axes, zs):
     return np.stack([c.params_of_array(zs) for c in axes])
 
 
+_U = 2.0 ** -53          #: unit roundoff of float64
+_LOG_ERR = 2.0 ** -36    #: error of a float log, 2^9 ulps of the largest |log| a float has
+_BOUND_MARGIN = 2.0 ** -20  #: subtracted for the float evaluation of the bound itself
+_OPERAND_RANGE = (2.0 ** -299, 2.0 ** 399)  #: moduli of the exact linear forms the bound admits
+_W_CAP = 2.0 ** 180      #: the chart moduli the bound uses are capped here
+
+
+def _box_bounds(box):
+    """(edge, y_lo): every point the box's draw makes has |x| <= edge and
+    y_lo <= y <= edge, with room for the rounding of uniform, log and exp."""
+    x_lo, x_hi, y_lo, y_hi = box
+    return max(abs(x_lo), abs(x_hi), y_hi) * (1.0 + 2.0 ** -30), y_lo * (1.0 - 2.0 ** -30)
+
+
+def _within_bounds(zs, bounds) -> bool:
+    """Whether every point of the block lies in the bounds (False on nan)."""
+    edge, y_lo = bounds
+    parts = zs.view(float)  # x and y interleaved; y >= y_lo > 0 cannot bring the minimum to -edge
+    return bool(parts.min(initial=0.0) >= -edge and parts.max(initial=0.0) <= edge
+                and zs.imag.min(initial=y_lo) >= y_lo)
+
+
+def _inclusion_bound(chart, mat, sign: int, bounds):
+    """A monotone lower bound T -> B(T) on sign * t_img for every point z in
+    the bounds with sign * param(z) >= T, or None where it cannot be had.
+
+    param(z) is the own-axis parameter params_of_array computes; t_img is
+    params_of_array(_mobius_apply_array(mat, z)), both with the reference
+    IEEE operations.  B(T) >= S therefore certifies the inclusion of every
+    such sample without mapping it.  Write u = 2^-53, (A, B, C, D) for the
+    float chart, (p, q, r, s) for the float entries of mat, and for real
+    a, b let |az + b| range over [lo(a, b), hi(a, b)] on the bounds, with
+    hi = |a| Z + |b|, lo = max(|a| y_lo, |b| - |a| Z), Z = sqrt 2 edge: the
+    lower bound holds because -b/a is real, so |az + b| >= |a| Im z.
+
+    Float model, for operand moduli in [2^-500, 2^400], which the checks
+    below keep (underflow then costs under 2^-170 relative, inside the
+    margins):
+      * fl(fl(a z) + b) errs by at most 3u (|a||z| + |b|), so by
+        3u hi/lo relative: numpy multiplies a + 0j by z componentwise;
+      * numpy's complex division is Smith's algorithm, bit for bit; it errs
+        by at most 32u relative in modulus, its analysis gives about 17u;
+      * np.abs errs by 16u relative (2.3u seen against 50-digit moduli) and
+        np.log by _LOG_ERR absolute (it stays within 1 ulp of libm's log).
+
+    1. Own parameter.  chart^-1(z) = (Dz - B)/(-Cz + A) is computed within
+       rho0 = 2 (3u hi/lo (D, B) + 3u hi/lo (C, A) + 32u) of the exact w0,
+       so sign * param(z) >= T gives |w0|^sign >= W0 = exp(2T - _LOG_ERR)
+       (1 - 16u)(1 - rho0).
+    2. Exact conjugate.  H = adj(chart) fl(P) chart in Fractions (for sign
+       -1 its entries reversed, which acts on 1/w) maps w0 to the exact w of
+       the image, so |w|^sign >= W = (|a| W0 - |b|) / (|c| W0 + |d|) for the
+       entries (a, b, c, d) of H, scaled to the largest 1 and rounded
+       outward, with |a| W0 >= 2|b| required.
+    3. The image z1 = P(z) is computed within eps1 = 2 (3u hi/lo (p, q) +
+       3u hi/lo (r, s) + 32u) relative, and |z1| <= Z1 = hi(p, q) /
+       lo(r, s), or near the chart's endpoint |k/c| + Delta / (c (cW - c'))
+       for the divisor's coefficients (c, k) and the other's c'.
+    4. chart^-1(z1c) divides a "big" linear form (Dz - B for sign +1) by a
+       "small" one (-Cz + A; the roles swap for sign -1), each computed
+       within E = |c| eps1 Z1 + 3u (|c| Z1 (1 + eps1) + |k|).  With
+       Delta = AD - BC exact, the exact small form is Delta / (c w + c'),
+       so 1/|small| <= k = (c W + c') / Delta and |big| >= W / k.  While
+       |small_c| >= 2^-500, Smith's division gives |q|^sign >= f (1 - 32u)
+       with f = (W - E_big k) / (1 + E_small k), monotone in W.  f
+       saturates at about Delta / (E_small c^2), which is
+       1/2 log(1/(u scale)) in the parameter, not -inf.  Below 2^-500, with
+       |big_c| >= 2^-299 required, either the quotient is beyond 2^199 or
+       it is infinite or nan, which params_of_array reads as +inf (sign +1;
+       for sign -1 it is below 2^-199): sign * t_img >= 68 > B.
+    5. B = 1/2 (log f + log(1 - 48u) - _LOG_ERR) - _BOUND_MARGIN.  Every step
+       is monotone in T, W0 and W are capped at _W_CAP, and each difference
+       keeps half its leading term, so the float evaluation of B errs by
+       less than 2^-40, far inside the margin.
+
+    None where the entries do not convert, or a modulus of steps 1 and 3
+    leaves _OPERAND_RANGE, or a relative error reaches 1/8.
+    """
+    edge, y_lo = bounds
+    try:
+        p, q, r, s = (float(v) for v in mat.entries())
+    except OverflowError:
+        return None
+    A, B, C, D = chart.a, chart.b, chart.c, chart.d
+    Z = edge * math.sqrt(2.0) * (1.0 + 2.0 ** -40)
+    low, high = _OPERAND_RANGE
+
+    def spread(a, b):
+        """(lo, 3u hi / lo) of |a z + b| over the bounds, or None."""
+        # the difference is shrunk first, so its rounding cannot raise it
+        lo = max(abs(a) * y_lo, abs(b) * (1.0 - 2.0 ** -50) - abs(a) * Z * (1.0 + 2.0 ** -50))
+        hi = abs(a) * Z + abs(b)
+        rel = 3.0 * _U * hi / lo if lo > 0.0 else math.inf
+        return (lo, rel) if lo >= low and hi <= high and rel <= 0.125 else None
+
+    spreads = [spread(a, b) for a, b in ((D, B), (C, A), (p, q), (r, s))]
+    if None in spreads:
+        return None
+    (_, n0), (_, d0), (_, n1), (lo1, d1) = spreads
+    rho0 = 2.0 * (n0 + d0 + 32.0 * _U)
+    eps1 = 2.0 * (n1 + d1 + 32.0 * _U)
+    z1_box = (abs(p) * Z + abs(q)) / lo1
+
+    fA, fB, fC, fD, fp, fq, fr, fs = (Fraction(v) for v in (A, B, C, D, p, q, r, s))
+    delta = fA * fD - fB * fC
+    if delta <= 0:
+        return None
+    m00, m01, m10, m11 = fp * fA + fq * fC, fp * fB + fq * fD, fr * fA + fs * fC, fr * fB + fs * fD
+    H = [fD * m00 - fB * m10, fD * m01 - fB * m11, fA * m10 - fC * m00, fA * m11 - fC * m01]
+    scale = max(map(abs, H))
+    if sign == -1:
+        H.reverse()
+    h_a = math.nextafter(float(abs(H[0]) / scale), 0.0)
+    h_b, h_c, h_d = (math.nextafter(float(abs(v) / scale), math.inf) for v in H[1:])
+    delta_lo, delta_hi = math.nextafter(float(delta), 0.0), math.nextafter(float(delta), math.inf)
+    big, small = ((D, B), (C, A)) if sign == 1 else ((C, A), (D, B))
+    c_big, c_small, k_small = abs(big[0]), abs(small[0]), abs(small[1])
+    shrink = math.log1p(-16.0 * _U) + math.log1p(-rho0) - _LOG_ERR
+
+    def bound(T: float) -> float:
+        W0 = min(_W_CAP, math.exp(min(2.0 * T + shrink, 300.0)))
+        if not h_a * W0 >= 2.0 * h_b:
+            return -math.inf
+        W = min(_W_CAP, (h_a * W0 - h_b) / (h_c * W0 + h_d))
+        k = (c_small * W + c_big) / delta_lo
+        z1 = z1_box
+        if c_small * W > 2.0 * c_big:
+            z1 = min(z1, k_small / c_small + delta_hi / (c_small * (c_small * W - c_big)))
+        errs = []
+        for c, kk in (big, small):
+            size = abs(c) * z1 * (1.0 + eps1) + abs(kk)
+            errs.append(abs(c) * eps1 * z1 + 3.0 * _U * size)
+            if not size + errs[-1] <= high:
+                return -math.inf
+        e_big, e_small = errs
+        if not (W >= 2.0 * e_big * k and W / k - e_big >= low):
+            return -math.inf
+        f = (W - e_big * k) / (1.0 + e_small * k)
+        return 0.5 * (math.log(f) + math.log1p(-48.0 * _U) - _LOG_ERR) - _BOUND_MARGIN
+
+    return bound
+
+
+def _inclusion_threshold(chart, mat, sign: int, S: float, bounds) -> Optional[float]:
+    """The least T found with _inclusion_bound(...)(T) >= S, not below -S,
+    or None: every sample in the bounds with sign * param >= T passes the
+    inclusion of this power.  -S when the bound already clears S there,
+    which certifies every sample the power's check selects."""
+    bound = _inclusion_bound(chart, mat, sign, bounds)
+    if bound is None or S > 60.0:
+        return None
+    lo, hi = -S, 100.0
+    if bound(lo) >= S:
+        return lo
+    if not bound(hi) >= S:
+        return None
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if bound(mid) >= S else (mid, hi)
+    return hi
+
+
 def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budget: int,
                     box, checks: list) -> None:
     """Inclusion under the exact N-th powers and table disjointness, on the
     box sample streamed one SAMPLE_CHUNK block at a time.
 
-    Each power maps only the samples its check selects, and keeps the
+    Each power maps only the samples its check selects and its threshold
+    (_inclusion_threshold) does not certify, in blocks inside the box's
+    bounds; a certified sample provably passes, so the outcome is that of
+    mapping every selected sample.  A power keeps the
     witness of its first failing sample unless some block refuses its
     entries or one of its images, which wins as it does over the whole
     sample.  The checks are decided after the stream in the
@@ -346,15 +514,22 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
             break
         power = m ** N
         maps += [(i, 1, power), (i, -1, power.inverse())]
+    bounds = _box_bounds(box)
+    thresholds = {(i, sign): _inclusion_threshold(axes[i].chart, mat, sign, S, bounds)
+                  for i, sign, mat in maps}
     outcome = {}  # (i, sign) -> its InvalidInputError, or the witness of its first failure
     per_set = np.zeros(2 * len(axes), dtype=np.int64)
     most, most_at = 0, None  # most tables one sample lies in, and the first such sample
     for zs in blocks:
         params = _param_matrix(axes, zs)
+        inside = _within_bounds(zs, bounds)
         for i, sign, mat in maps:
             if isinstance(outcome.get((i, sign)), InvalidInputError):
                 continue
             mask = params[i] > -S if sign == 1 else params[i] < S
+            T = thresholds[i, sign]
+            if inside and T is not None:
+                mask &= params[i] < T if sign == 1 else params[i] > -T
             if not mask.any():
                 continue
             selected = zs if mask.all() else zs[mask]

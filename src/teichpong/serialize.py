@@ -13,6 +13,7 @@ import json
 import math
 
 from .errors import InvalidInputError
+from .mcg import axis
 
 #: integers at most this long are serialized as full decimal strings
 FULL_DECIMAL_DIGITS = 60
@@ -96,7 +97,6 @@ def _point_pair(p):
 def certificate_to_dict(cert) -> dict:
     gens = []
     for m in cert.generators:
-        from .mcg import axis
         ax = axis(m)
         gens.append({
             "matrix": [exact_int(v) for v in m.entries()],

@@ -314,6 +314,34 @@ class TestInvalidInputContract:
         assert lines[0].startswith("error: invalid-input:")
 
 
+class TestSamplingRange:
+    """--seed and --samples are refused outside [0, 2^63) before any work."""
+
+    PAIR = TestInvalidInputContract.PAIR
+
+    @pytest.mark.parametrize("command", ["pingpong", "certify-free"])
+    @pytest.mark.parametrize("option, value", [
+        ("--seed", "9223372036854775808"),
+        ("--samples", "99999999999999999999"),
+        ("--seed", "-1"),
+    ])
+    def test_refused_at_parse_time(self, command, option, value, monkeypatch, capsys):
+        from teichpong import pingpong
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the certificate was built")
+        monkeypatch.setattr(pingpong, "build_certificate", unreachable)
+        code = main([command, *self.PAIR, option, value])
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert code == 2 and len(lines) == 1
+        assert lines[0].startswith(f"error: invalid-input: argument {option}:")
+
+    @pytest.mark.parametrize("command", ["pingpong", "certify-free"])
+    def test_largest_seed(self, command, tmp_path):
+        argv = [command, *self.PAIR, "--seed", str(2 ** 63 - 1), "--out", str(tmp_path / "x")]
+        assert main(argv) == 0
+
+
 class TestVersionedCacheKeys:
     def test_old_thick_key_is_not_served(self, tmp_path):
         # a value stored under the key of the sampled derivation must not leak

@@ -10,7 +10,7 @@ from teichpong.errors import (CertificateInvalidError, ConstantDerivationError,
                               InvalidInputError, NotIndependentError)
 from teichpong.hyp2 import BoundaryPoint, Geodesic, Point
 from teichpong import pingpong
-from teichpong.mcg import MappingClass, axis, min_translation
+from teichpong.mcg import MappingClass, axis, min_translation, translation_distance
 from teichpong.pingpong import (PiSet, build_certificate, certified_radius,
                                 paper_radius_bound, pi_membership, power_bound,
                                 sample_box_points, verify_pingpong)
@@ -147,6 +147,13 @@ class TestCertificate:
         params = np.stack([c.params_of_array(zs) for c in axes])
         membership = np.concatenate([params >= S, params <= -S])
         assert int(membership.sum(axis=0).max()) <= 1
+
+    @pytest.mark.parametrize("field", ["seed", "samples"])
+    @pytest.mark.parametrize("value", [-1, 2 ** 63, 10 ** 20])
+    def test_seed_and_samples_range(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must lie in"):
+            build_certificate([PHI, PSI], **{field: value})
+        build_certificate([PHI, PSI], **{field: 2 ** 63 - 1})
 
     def test_zero_power_fails(self):
         cert = build_certificate([PHI, PSI])
@@ -333,6 +340,11 @@ def whole_array_sampled_checks(cert, axes, trs, seed, sample_budget, box, checks
 WIDE_BOX = (-10.0, 10.0, 1e-6, 10.0)
 EDGE_BOX = (-10.0, 10.0, 5e-324, sys.float_info.max)
 PSI_CONJUGATE = MappingClass(5100816, -8253295, 3152479, -5100819)  # psi conjugated by phi^8 L
+PHI10_L3 = PSI.conjugated_by(PHI ** 10 * L_GEN ** 3)
+#: psi conjugated by phi^a L^b, a <= 10, b <= 3, where independent of phi
+PSI_CONJUGATES = [c for c in (PSI.conjugated_by(PHI ** a * L_GEN ** b)
+                              for a in range(11) for b in range(4))
+                  if c != PHI]
 
 
 def positive_word_family(rng, n, max_trace=30):
@@ -559,6 +571,23 @@ class TestStreamedVerifier:
                                 "the float range of the sampled checks")
         assert streamed == whole
 
+    def test_rounding_decided_failure_witness(self, monkeypatch):
+        # the rounding of the images decides this failure: the witness's
+        # image parameter is 8.398, short of S = 12.90
+        streamed, whole = self.both(monkeypatch, lambda: build_certificate([PHI, PHI10_L3]))
+        assert streamed[:2] == (CertificateInvalidError,
+                                "power of generator 1 (sign +1) failed the inclusion")
+        assert round(streamed[2]["param"], 3) == 8.398
+        assert streamed == whole
+
+    @pytest.mark.parametrize("box", [pingpong.DEFAULT_BOX, WIDE_BOX], ids=["default", "wide"])
+    def test_conjugate_sweep(self, box, monkeypatch):
+        # psi conjugated by phi^a L^b, the family of the phi^10 L^3 witness
+        for conjugate in PSI_CONJUGATES:
+            streamed, whole = self.both(
+                monkeypatch, lambda: build_certificate([PHI, conjugate], box=box), 20_000)
+            assert streamed == whole, conjugate
+
     def test_memory_stays_within_blocks(self):
         # the whole-sample pass peaked at about 10 MiB on 100k samples
         cert = build_certificate([PHI, PSI])
@@ -570,6 +599,105 @@ class TestStreamedVerifier:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+
+def threshold_corpus():
+    """Families for the inclusion threshold: seeded pairs and triples, L^k R
+    beside R^3 L^2 up to and past the axis-equivariance failure at
+    k = 3 * 10^5, and the psi conjugates."""
+    import random
+    fams = [positive_word_family(random.Random(seed), 2) for seed in range(20)]
+    fams += [positive_word_family(random.Random(100 + seed), 3) for seed in range(3)]
+    fams += [[L_GEN ** k * R_GEN, R_GEN ** 3 * L_GEN ** 2]
+             for k in (10, 1000, 10 ** 5, 3 * 10 ** 5, 10 ** 6, 10 ** 7)]
+    return fams + [[PHI, c] for c in PSI_CONJUGATES]
+
+
+def powers(cert):
+    """(axis, sign, power) for each generator whose power the verifier forms."""
+    for m in cert.generators:
+        if cert.N * translation_distance(m) <= pingpong.FLOAT_POWER_LIMIT:
+            power = m ** cert.N
+            yield axis(m).axis, 1, power
+            yield axis(m).axis, -1, power.inverse()
+
+
+class TestInclusionThreshold:
+    """The per-power threshold that spares the sampled inclusion its images."""
+
+    BOXES = [pingpong.DEFAULT_BOX, WIDE_BOX, EDGE_BOX, (-10.0, 10.0, 1e-300, 1e300)]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_certified_samples_pass(self):
+        certified = 0
+        for gens in threshold_corpus():
+            for box in self.BOXES:
+                cert = build_certificate(gens, box=box)
+                bounds = pingpong._box_bounds(box)
+                zs = sample_box_points(0, 4000, box)
+                for c, sign, mat in powers(cert):
+                    T = pingpong._inclusion_threshold(c.chart, mat, sign, cert.S, bounds)
+                    if T is None:
+                        continue
+                    assert pingpong._within_bounds(zs, bounds)
+                    own = sign * c.params_of_array(zs)
+                    chosen = (own > -cert.S) & (own >= T)
+                    if not chosen.any():
+                        continue
+                    t_img = sign * reference_params(c, reference_mobius(mat, zs[chosen]))
+                    assert np.all(t_img >= cert.S), (gens, box, sign)
+                    bound = pingpong._inclusion_bound(c.chart, mat, sign, bounds)
+                    t_own = own[chosen]
+                    for k in [*range(0, len(t_own), 97), int(np.argmin(t_img))]:
+                        assert bound(float(t_own[k])) <= t_img[k], (gens, box, sign, k)
+                    certified += len(t_own)
+        assert certified > 10 ** 6
+
+    @staticmethod
+    def image_calls(monkeypatch, cert, samples):
+        """Sizes of the arrays _sampled_checks maps, and the thresholds of its powers."""
+        calls = []
+        apply = pingpong._mobius_apply_array
+
+        def counted(m, zs):
+            calls.append(len(zs))
+            return apply(m, zs)
+        axes = [axis(m).axis for m in cert.generators]
+        trs = [translation_distance(m) for m in cert.generators]
+        with monkeypatch.context() as mp:
+            mp.setattr(pingpong, "_mobius_apply_array", counted)
+            try:
+                pingpong._sampled_checks(cert, axes, trs, 0, samples, tuple(cert.config["box"]),
+                                         [])
+            except (CertificateInvalidError, InvalidInputError):
+                pass
+        bounds = pingpong._box_bounds(tuple(cert.config["box"]))
+        return calls, [pingpong._inclusion_threshold(c.chart, mat, sign, cert.S, bounds)
+                       for c, sign, mat in powers(cert)]
+
+    def test_no_images_on_the_default_box(self, monkeypatch):
+        import random
+        families = [[PHI, PSI]] + [positive_word_family(random.Random(seed), 2)
+                                   for seed in range(10)]
+        for gens in families:
+            cert = build_certificate(gens)
+            calls, thresholds = self.image_calls(monkeypatch, cert, 100_000)
+            assert calls == [] and thresholds == [-cert.S] * 4, gens
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("gens, n_power, box", [
+        ([PHI, PSI], 737, pingpong.DEFAULT_BOX),
+        ([PHI, PSI, L_GEN ** 50992965 * R_GEN], 40, WIDE_BOX),
+        ([PHI, PSI], None, EDGE_BOX),
+        ([PHI, PSI], None, (-10.0, 10.0, 1.0, 1e306)),
+    ], ids=["N737", "entries-beyond-float", "edge-box", "1-1e306"])
+    def test_fallback_maps_every_selected_sample(self, gens, n_power, box, monkeypatch):
+        cert = build_certificate(gens, box=box)
+        cert.N = n_power or cert.N
+        calls, thresholds = self.image_calls(monkeypatch, cert, 20_000)
+        assert calls and thresholds[-1] is None
+        if n_power is None or n_power == 737:
+            assert thresholds == [None] * 4
 
 
 def same_bits(new, ref):
