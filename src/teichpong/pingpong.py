@@ -202,7 +202,7 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
         raise InvalidInputError(f"unknown mode {mode!r}")
     for name, value in (("seed", seed), ("samples", samples)):
         if not 0 <= value < 2 ** 63:
-            raise InvalidInputError(f"{name} must lie in [0, 2^63), got {value}")
+            raise InvalidInputError(f"--{name} must lie in [0, 2^63), got {value}")
     _check_family(generators)
     consts = model_constants()
     b = consts.b
@@ -343,13 +343,13 @@ def _within_bounds(zs, bounds) -> bool:
                 and zs.imag.min(initial=y_lo) >= y_lo)
 
 
-def _inclusion_bound(chart, mat, sign: int, bounds):
-    """A monotone lower bound T -> B(T) on sign * t_img for every point z in
-    the bounds with sign * param(z) >= T, or None where it cannot be had.
+def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
+    """A lower bound B on sign * t_img for every point z in the bounds with
+    sign * param(z) >= T, or -inf where it cannot be had.
 
     param(z) is the own-axis parameter params_of_array computes; t_img is
     params_of_array(_mobius_apply_array(mat, z)), both with the reference
-    IEEE operations.  B(T) >= S therefore certifies the inclusion of every
+    IEEE operations.  B >= S therefore certifies the inclusion of every
     such sample without mapping it.  Write u = 2^-53, (A, B, C, D) for the
     float chart, (p, q, r, s) for the float entries of mat, and for real
     a, b let |az + b| range over [lo(a, b), hi(a, b)] on the bounds, with
@@ -391,19 +391,20 @@ def _inclusion_bound(chart, mat, sign: int, bounds):
        |big_c| >= 2^-299 required, either the quotient is beyond 2^199 or
        it is infinite or nan, which params_of_array reads as +inf (sign +1;
        for sign -1 it is below 2^-199): sign * t_img >= 68 > B.
-    5. B = 1/2 (log f + log(1 - 48u) - _LOG_ERR) - _BOUND_MARGIN.  Every step
+    5. B = 1/2 (log f + log(1 - 48u) - _LOG_ERR) - _BOUND_MARGIN, at most
+       67.  Every step
        is monotone in T, W0 and W are capped at _W_CAP, and each difference
        keeps half its leading term, so the float evaluation of B errs by
        less than 2^-40, far inside the margin.
 
-    None where the entries do not convert, or a modulus of steps 1 and 3
+    -inf where the entries do not convert, or a modulus of steps 1 and 3
     leaves _OPERAND_RANGE, or a relative error reaches 1/8.
     """
     edge, y_lo = bounds
     try:
         p, q, r, s = (float(v) for v in mat.entries())
     except OverflowError:
-        return None
+        return -math.inf
     A, B, C, D = chart.a, chart.b, chart.c, chart.d
     Z = edge * math.sqrt(2.0) * (1.0 + 2.0 ** -40)
     low, high = _OPERAND_RANGE
@@ -418,7 +419,7 @@ def _inclusion_bound(chart, mat, sign: int, bounds):
 
     spreads = [spread(a, b) for a, b in ((D, B), (C, A), (p, q), (r, s))]
     if None in spreads:
-        return None
+        return -math.inf
     (_, n0), (_, d0), (_, n1), (lo1, d1) = spreads
     rho0 = 2.0 * (n0 + d0 + 32.0 * _U)
     eps1 = 2.0 * (n1 + d1 + 32.0 * _U)
@@ -427,7 +428,7 @@ def _inclusion_bound(chart, mat, sign: int, bounds):
     fA, fB, fC, fD, fp, fq, fr, fs = (Fraction(v) for v in (A, B, C, D, p, q, r, s))
     delta = fA * fD - fB * fC
     if delta <= 0:
-        return None
+        return -math.inf
     m00, m01, m10, m11 = fp * fA + fq * fC, fp * fB + fq * fD, fr * fA + fs * fC, fr * fB + fs * fD
     H = [fD * m00 - fB * m10, fD * m01 - fB * m11, fA * m10 - fC * m00, fA * m11 - fC * m01]
     scale = max(map(abs, H))
@@ -440,47 +441,25 @@ def _inclusion_bound(chart, mat, sign: int, bounds):
     c_big, c_small, k_small = abs(big[0]), abs(small[0]), abs(small[1])
     shrink = math.log1p(-16.0 * _U) + math.log1p(-rho0) - _LOG_ERR
 
-    def bound(T: float) -> float:
-        W0 = min(_W_CAP, math.exp(min(2.0 * T + shrink, 300.0)))
-        if not h_a * W0 >= 2.0 * h_b:
+    W0 = min(_W_CAP, math.exp(min(2.0 * T + shrink, 300.0)))
+    if not h_a * W0 >= 2.0 * h_b:
+        return -math.inf
+    W = min(_W_CAP, (h_a * W0 - h_b) / (h_c * W0 + h_d))
+    k = (c_small * W + c_big) / delta_lo
+    z1 = z1_box
+    if c_small * W > 2.0 * c_big:
+        z1 = min(z1, k_small / c_small + delta_hi / (c_small * (c_small * W - c_big)))
+    errs = []
+    for c, kk in (big, small):
+        size = abs(c) * z1 * (1.0 + eps1) + abs(kk)
+        errs.append(abs(c) * eps1 * z1 + 3.0 * _U * size)
+        if not size + errs[-1] <= high:
             return -math.inf
-        W = min(_W_CAP, (h_a * W0 - h_b) / (h_c * W0 + h_d))
-        k = (c_small * W + c_big) / delta_lo
-        z1 = z1_box
-        if c_small * W > 2.0 * c_big:
-            z1 = min(z1, k_small / c_small + delta_hi / (c_small * (c_small * W - c_big)))
-        errs = []
-        for c, kk in (big, small):
-            size = abs(c) * z1 * (1.0 + eps1) + abs(kk)
-            errs.append(abs(c) * eps1 * z1 + 3.0 * _U * size)
-            if not size + errs[-1] <= high:
-                return -math.inf
-        e_big, e_small = errs
-        if not (W >= 2.0 * e_big * k and W / k - e_big >= low):
-            return -math.inf
-        f = (W - e_big * k) / (1.0 + e_small * k)
-        return 0.5 * (math.log(f) + math.log1p(-48.0 * _U) - _LOG_ERR) - _BOUND_MARGIN
-
-    return bound
-
-
-def _inclusion_threshold(chart, mat, sign: int, S: float, bounds) -> Optional[float]:
-    """The least T found with _inclusion_bound(...)(T) >= S, not below -S,
-    or None: every sample in the bounds with sign * param >= T passes the
-    inclusion of this power.  -S when the bound already clears S there,
-    which certifies every sample the power's check selects."""
-    bound = _inclusion_bound(chart, mat, sign, bounds)
-    if bound is None or S > 60.0:
-        return None
-    lo, hi = -S, 100.0
-    if bound(lo) >= S:
-        return lo
-    if not bound(hi) >= S:
-        return None
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if bound(mid) >= S else (mid, hi)
-    return hi
+    e_big, e_small = errs
+    if not (W >= 2.0 * e_big * k and W / k - e_big >= low):
+        return -math.inf
+    f = (W - e_big * k) / (1.0 + e_small * k)
+    return min(67.0, 0.5 * (math.log(f) + math.log1p(-48.0 * _U) - _LOG_ERR) - _BOUND_MARGIN)
 
 
 def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budget: int,
@@ -488,16 +467,15 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
     """Inclusion under the exact N-th powers and table disjointness, on the
     box sample streamed one SAMPLE_CHUNK block at a time.
 
-    Each power maps only the samples its check selects and its threshold
-    (_inclusion_threshold) does not certify, in blocks inside the box's
-    bounds; a certified sample provably passes, so the outcome is that of
-    mapping every selected sample.  A power keeps the
-    witness of its first failing sample unless some block refuses its
-    entries or one of its images, which wins as it does over the whole
-    sample.  The checks are decided after the stream in the
-    order of a whole-sample pass: inclusion by generator and sign (a
-    generator whose power leaves the float range is refused at its turn),
-    then disjointness.
+    Each power maps only the samples its check selects, unless
+    _inclusion_bound at -S proves that all of them pass, which it then
+    trusts for the blocks inside the box's bounds; the outcome is that of
+    mapping every selected sample.  A power keeps the witness of its first
+    failing sample unless some block refuses its entries or one of its
+    images, which wins as it does over the whole sample.  The checks are
+    decided after the stream in the order of a whole-sample pass:
+    inclusion by generator and sign (a generator whose power leaves the
+    float range is refused at its turn), then disjointness.
     """
     import numpy as np
 
@@ -515,21 +493,20 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
         power = m ** N
         maps += [(i, 1, power), (i, -1, power.inverse())]
     bounds = _box_bounds(box)
-    thresholds = {(i, sign): _inclusion_threshold(axes[i].chart, mat, sign, S, bounds)
-                  for i, sign, mat in maps}
+    certified = {(i, sign) for i, sign, mat in maps
+                 if _inclusion_bound(axes[i].chart, mat, sign, bounds, -S) >= S}
     outcome = {}  # (i, sign) -> its InvalidInputError, or the witness of its first failure
     per_set = np.zeros(2 * len(axes), dtype=np.int64)
     most, most_at = 0, None  # most tables one sample lies in, and the first such sample
     for zs in blocks:
         params = _param_matrix(axes, zs)
-        inside = _within_bounds(zs, bounds)
+        inside = bool(certified) and _within_bounds(zs, bounds)
         for i, sign, mat in maps:
+            if inside and (i, sign) in certified:
+                continue
             if isinstance(outcome.get((i, sign)), InvalidInputError):
                 continue
             mask = params[i] > -S if sign == 1 else params[i] < S
-            T = thresholds[i, sign]
-            if inside and T is not None:
-                mask &= params[i] < T if sign == 1 else params[i] > -T
             if not mask.any():
                 continue
             selected = zs if mask.all() else zs[mask]

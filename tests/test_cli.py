@@ -315,7 +315,7 @@ class TestInvalidInputContract:
 
 
 class TestSamplingRange:
-    """--seed and --samples are refused outside [0, 2^63) before any work."""
+    """--seed and --samples are refused outside [0, 2^63) before any sampling."""
 
     PAIR = TestInvalidInputContract.PAIR
 
@@ -325,16 +325,16 @@ class TestSamplingRange:
         ("--samples", "99999999999999999999"),
         ("--seed", "-1"),
     ])
-    def test_refused_at_parse_time(self, command, option, value, monkeypatch, capsys):
+    def test_refused_before_sampling(self, command, option, value, monkeypatch, capsys):
         from teichpong import pingpong
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("the certificate was built")
-        monkeypatch.setattr(pingpong, "build_certificate", unreachable)
+            raise AssertionError("the certificate was verified")
+        monkeypatch.setattr(pingpong, "verify_pingpong", unreachable)
         code = main([command, *self.PAIR, option, value])
         lines = capsys.readouterr().err.strip().split("\n")
         assert code == 2 and len(lines) == 1
-        assert lines[0].startswith(f"error: invalid-input: argument {option}:")
+        assert lines[0].startswith(f"error: invalid-input: {option} must lie in [0, 2^63)")
 
     @pytest.mark.parametrize("command", ["pingpong", "certify-free"])
     def test_largest_seed(self, command, tmp_path):
