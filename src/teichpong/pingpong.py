@@ -343,6 +343,32 @@ def _within_bounds(zs, bounds) -> bool:
                 and zs.imag.min(initial=y_lo) >= y_lo)
 
 
+def _quotient_error(num, den, bounds):
+    """(rho, Z1) for the quotient of the forms a z + b and c z + d, with
+    num = (a, b) and den = (c, d) (their signs do not matter), over the
+    bounds, or None.
+
+    Under _inclusion_bound's float model the computed quotient lies within
+    rho = 2 (3u hi/lo (a, b) + 3u hi/lo (c, d) + 32u) relative of the exact
+    one, whose modulus is at most Z1 = hi(a, b) / lo(c, d).  None where a
+    modulus leaves _OPERAND_RANGE or a relative error 3u hi/lo reaches 1/8.
+    """
+    edge, y_lo = bounds
+    Z = edge * math.sqrt(2.0) * (1.0 + 2.0 ** -40)
+    low, high = _OPERAND_RANGE
+    spreads = []
+    for a, b in (num, den):
+        # the difference is shrunk first, so its rounding cannot raise it
+        lo = max(abs(a) * y_lo, abs(b) * (1.0 - 2.0 ** -50) - abs(a) * Z * (1.0 + 2.0 ** -50))
+        hi = abs(a) * Z + abs(b)
+        rel = 3.0 * _U * hi / lo if lo > 0.0 else math.inf
+        if not (lo >= low and hi <= high and rel <= 0.125):
+            return None
+        spreads.append((lo, hi, rel))
+    (_, hi_num, n), (lo_den, _, d) = spreads
+    return 2.0 * (n + d + 32.0 * _U), hi_num / lo_den
+
+
 def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
     """A lower bound B on sign * t_img for every point z in the bounds with
     sign * param(z) >= T, or -inf where it cannot be had.
@@ -367,7 +393,8 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
         np.log by _LOG_ERR absolute (it stays within 1 ulp of libm's log).
 
     1. Own parameter.  chart^-1(z) = (Dz - B)/(-Cz + A) is computed within
-       rho0 = 2 (3u hi/lo (D, B) + 3u hi/lo (C, A) + 32u) of the exact w0,
+       rho0 = 2 (3u hi/lo (D, B) + 3u hi/lo (C, A) + 32u) of the exact w0
+       (_quotient_error),
        so sign * param(z) >= T gives |w0|^sign >= W0 = exp(2T - _LOG_ERR)
        (1 - 16u)(1 - rho0).
     2. Exact conjugate.  H = adj(chart) fl(P) chart in Fractions (for sign
@@ -400,30 +427,17 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
     -inf where the entries do not convert, or a modulus of steps 1 and 3
     leaves _OPERAND_RANGE, or a relative error reaches 1/8.
     """
-    edge, y_lo = bounds
     try:
         p, q, r, s = (float(v) for v in mat.entries())
     except OverflowError:
         return -math.inf
     A, B, C, D = chart.a, chart.b, chart.c, chart.d
-    Z = edge * math.sqrt(2.0) * (1.0 + 2.0 ** -40)
-    low, high = _OPERAND_RANGE
-
-    def spread(a, b):
-        """(lo, 3u hi / lo) of |a z + b| over the bounds, or None."""
-        # the difference is shrunk first, so its rounding cannot raise it
-        lo = max(abs(a) * y_lo, abs(b) * (1.0 - 2.0 ** -50) - abs(a) * Z * (1.0 + 2.0 ** -50))
-        hi = abs(a) * Z + abs(b)
-        rel = 3.0 * _U * hi / lo if lo > 0.0 else math.inf
-        return (lo, rel) if lo >= low and hi <= high and rel <= 0.125 else None
-
-    spreads = [spread(a, b) for a, b in ((D, B), (C, A), (p, q), (r, s))]
-    if None in spreads:
+    own, image = _quotient_error((D, B), (C, A), bounds), _quotient_error((p, q), (r, s), bounds)
+    if own is None or image is None:
         return -math.inf
-    (_, n0), (_, d0), (_, n1), (lo1, d1) = spreads
-    rho0 = 2.0 * (n0 + d0 + 32.0 * _U)
-    eps1 = 2.0 * (n1 + d1 + 32.0 * _U)
-    z1_box = (abs(p) * Z + abs(q)) / lo1
+    rho0, _ = own
+    eps1, z1_box = image
+    low, high = _OPERAND_RANGE
 
     fA, fB, fC, fD, fp, fq, fr, fs = (Fraction(v) for v in (A, B, C, D, p, q, r, s))
     delta = fA * fD - fB * fC
@@ -462,6 +476,43 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
     return min(67.0, 0.5 * (math.log(f) + math.log1p(-48.0 * _U) - _LOG_ERR) - _BOUND_MARGIN)
 
 
+def _table_empty(chart, sign: int, bounds, S: float) -> bool:
+    """True only when no point z in the bounds has param(z) >= S (sign +1)
+    or param(z) <= -S (sign -1), for the float param(z) of params_of_array.
+
+    By step 1 of _inclusion_bound, chart^-1(z) is computed within rho0
+    relative of the exact w0, neither of its forms vanishes or overflows
+    (so param(z) is never nan), np.abs adds 16u and np.log _LOG_ERR, so
+    |param(z) - 1/2 log|w0|| <= delta = -1/2 (log(1 - rho0) + log(1 - 16u)
+    - _LOG_ERR) + _BOUND_MARGIN; log(1 + x) <= -log(1 - x) covers the upper
+    side, and the margin covers the float evaluation of delta and of lam,
+    whose cap at e^700 only lowers it.  With
+    (a, b, c, k) = (D, B, C, A) for sign +1 and (C, A, D, B) for sign -1,
+    a point of the table has |az - b| >= e^{2(S - delta)} |cz - k|, so
+    f = |az - b|^2 - lam |cz - k|^2 >= 0 for a rational lam <= e^{4(S - delta)}.
+    With z = x + iy, f = alpha (x^2 + y^2) - 2 beta x + gamma for alpha =
+    a^2 - lam c^2, beta = ab - lam ck, gamma = b^2 - lam k^2.  For alpha < 0
+    f is concave and falls with y > 0, so its maximum over [-edge, edge] x
+    [y_lo, edge] is at y_lo and x = clamp(beta / alpha); otherwise f is
+    convex and its maximum is at a corner.  The table is empty when that
+    maximum, taken in Fractions, is negative.
+    """
+    D, B, C, A = chart.d, chart.b, chart.c, chart.a
+    own = _quotient_error((D, B), (C, A), bounds)
+    if own is None:
+        return False
+    delta = _BOUND_MARGIN - 0.5 * (math.log1p(-own[0]) + math.log1p(-16.0 * _U) - _LOG_ERR)
+    lam = Fraction(math.exp(min(4.0 * (S - delta), 700.0)))
+    a, b, c, k = map(Fraction, (D, B, C, A) if sign == 1 else (C, A, D, B))
+    alpha, beta, gamma = a * a - lam * c * c, a * b - lam * c * k, b * b - lam * k * k
+    edge, y_lo = map(Fraction, bounds)
+    if alpha < 0:
+        peaks = [(min(edge, max(-edge, beta / alpha)), y_lo)]
+    else:
+        peaks = [(x, y) for x in (-edge, edge) for y in (y_lo, edge)]
+    return all(alpha * (x * x + y * y) - 2 * beta * x + gamma < 0 for x, y in peaks)
+
+
 def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budget: int,
                     box, checks: list) -> None:
     """Inclusion under the exact N-th powers and table disjointness, on the
@@ -470,12 +521,15 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
     Each power maps only the samples its check selects, unless
     _inclusion_bound at -S proves that all of them pass, which it then
     trusts for the blocks inside the box's bounds; the outcome is that of
-    mapping every selected sample.  A power keeps the witness of its first
-    failing sample unless some block refuses its entries or one of its
-    images, which wins as it does over the whole sample.  The checks are
-    decided after the stream in the order of a whole-sample pass:
-    inclusion by generator and sign (a generator whose power leaves the
-    float range is refused at its turn), then disjointness.
+    mapping every selected sample.  Likewise an axis whose two powers are
+    so certified and whose two tables _table_empty proves to miss the
+    bounds computes no parameter for those blocks: its tables add no hit.
+    A power keeps the witness of its first failing sample unless some
+    block refuses its entries or one of its images, which wins as it does
+    over the whole sample.  The checks are decided after the stream in the
+    order of a whole-sample pass: inclusion by generator and sign (a
+    generator whose power leaves the float range is refused at its turn),
+    then disjointness, which fails where a sample lies in two tables.
     """
     import numpy as np
 
@@ -495,12 +549,16 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
     bounds = _box_bounds(box)
     certified = {(i, sign) for i, sign, mat in maps
                  if _inclusion_bound(axes[i].chart, mat, sign, bounds, -S) >= S}
+    spared = {i for i, c in enumerate(axes)
+              if all((i, sign) in certified and _table_empty(c.chart, sign, bounds, S)
+                     for sign in (1, -1))}
     outcome = {}  # (i, sign) -> its InvalidInputError, or the witness of its first failure
-    per_set = np.zeros(2 * len(axes), dtype=np.int64)
+    per_set = np.zeros((2, len(axes)), dtype=np.int64)  # hits of the plus, then the minus tables
     most, most_at = 0, None  # most tables one sample lies in, and the first such sample
     for zs in blocks:
-        params = _param_matrix(axes, zs)
         inside = bool(certified) and _within_bounds(zs, bounds)
+        params = {i: c.params_of_array(zs) for i, c in enumerate(axes)
+                  if not (inside and i in spared)}
         for i, sign, mat in maps:
             if inside and (i, sign) in certified:
                 continue
@@ -521,9 +579,12 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
                 z_bad = selected[k]
                 outcome[(i, sign)] = {"point": [float(z_bad.real), float(z_bad.imag)],
                                       "param": float(t_img[k])}
-        membership = np.concatenate([params >= S, params <= -S])
-        per_set += membership.sum(axis=1)
-        counts = membership.sum(axis=0)
+        if not params:
+            continue
+        rows = np.stack(list(params.values()))
+        membership = np.stack([rows >= S, rows <= -S])
+        per_set[:, list(params)] += membership.sum(axis=2)
+        counts = membership.sum(axis=(0, 1))
         if int(counts.max(initial=0)) > most:
             k = int(np.argmax(counts))
             most, most_at = int(counts[k]), [float(zs[k].real), float(zs[k].imag)]
@@ -541,8 +602,8 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
                    "samples": int(sample_budget), "powers": "exact integer matrices"})
 
     ok = most <= 1
-    checks.append({"name": "table-disjointness", "passed": bool(ok),
-                   "samples": int(sample_budget), "per_set_hits": [int(v) for v in per_set]})
+    checks.append({"name": "table-disjointness", "passed": bool(ok), "samples": int(sample_budget),
+                   "per_set_hits": [int(v) for v in per_set.ravel()]})
     if not ok:
         raise CertificateInvalidError("a sample lies in two tables",
                                       witness={"point": most_at})
@@ -558,8 +619,8 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     Analytic: each generator advances its own axis parameter by its
     translation distance, and N of those steps clear both tables (2S) with
     recorded slack.  Empirical (certified mode): exact N-th matrix powers
-    map sampled points off the minus table into the plus table, and the 2n
-    tables are pairwise disjoint on every sample.
+    map sampled points off the minus table into the plus table, and no
+    sample lies in two of the 2n tables.
 
     The samples are those of sample_box_points, streamed one SAMPLE_CHUNK
     block at a time, so memory stays bounded by a block whatever the

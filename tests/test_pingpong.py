@@ -261,6 +261,18 @@ class TestPowerBeyondFloatRange:
             verify_pingpong(cert, 10)
 
 
+class TestKnownFalseFailures:
+    """Valid families the float verifier rejects (ROADMAP item 1)."""
+
+    @pytest.mark.xfail(strict=True, raises=CertificateInvalidError,
+                       reason="axis-equivariance max_error 4.742e-5 against tolerance 4.718e-5")
+    def test_large_entry_axis_equivariance(self):
+        # a large_entry family of certify_families (seed 11, cycle 133): the
+        # float axis chart of L^283946 R is off by more than its noise estimate
+        cert = build_certificate([L_GEN ** 283946 * R_GEN, R_GEN ** 3 * L_GEN ** 2])
+        assert verify_pingpong(cert, 1000)["passed"]
+
+
 def reference_sample(seed, n, box):
     """The box sample drawn block by block as x + 1j * y."""
     x_lo, x_hi, y_lo, y_hi = box
@@ -339,7 +351,9 @@ def whole_array_sampled_checks(cert, axes, trs, seed, sample_budget, box, checks
 
 WIDE_BOX = (-10.0, 10.0, 1e-6, 10.0)
 EDGE_BOX = (-10.0, 10.0, 5e-324, sys.float_info.max)
-PSI_CONJUGATE = MappingClass(5100816, -8253295, 3152479, -5100819)  # psi conjugated by phi^8 L
+#: a trace -3 class that fails the sampled inclusion at WIDE_BOX; not psi conjugated
+#: by phi^8 L, which is phi (L psi L^-1 = phi), and of unrecorded origin
+PSI_CONJUGATE = MappingClass(5100816, -8253295, 3152479, -5100819)
 #: psi conjugated by phi^a L^b, a <= 10, b <= 3, where independent of phi
 PSI_CONJUGATES = [c for c in (PSI.conjugated_by(PHI ** a * L_GEN ** b)
                               for a in range(11) for b in range(4))
@@ -705,6 +719,105 @@ class TestInclusionThreshold:
         assert calls and not certified[-1]
         if n_power is None or n_power == 737:
             assert not any(certified)
+
+
+def table_peaks(c, sign, bounds, S):
+    """The corners of the bounds' rectangle, and the maximiser (clamp(beta/alpha),
+    y_lo) of _table_empty's quadratic at lam = e^{4S} with its float neighbours
+    in x, as complex points."""
+    edge, y_lo = bounds
+    m = c.chart
+    a, b, cc, k = (m.d, m.b, m.c, m.a) if sign == 1 else (m.c, m.a, m.d, m.b)
+    lam = math.exp(min(4.0 * S, 700.0))
+    alpha, beta = a * a - lam * cc * cc, a * b - lam * cc * k
+    peaks = [complex(x, y) for x in (-edge, edge) for y in (y_lo, edge)]
+    if alpha != 0.0:
+        x = min(edge, max(-edge, beta / alpha))
+        xs = [x, *(x + d * np.spacing(x) for d in range(-8, 9) if d)]
+        peaks += [complex(x, y_lo) for x in xs if abs(x) <= edge]
+    return np.array(peaks)
+
+
+def table_hits(c, sign, points, S):
+    """The points whose reference parameter lies in the table (c, sign) at S."""
+    t = sign * reference_params(c, points)
+    return points[t >= S]
+
+
+class TestTableBound:
+    """The per-table bound that spares the box samples their table parameters."""
+
+    @staticmethod
+    def tables(box):
+        """(gens, S, axis, sign) for each table of threshold_corpus() at the box."""
+        for gens in threshold_corpus():
+            S = build_certificate(gens, box=box).S
+            for m in gens:
+                for sign in (1, -1):
+                    yield gens, S, axis(m).axis, sign
+
+    @pytest.mark.parametrize("box", TestInclusionThreshold.BOXES)
+    def test_bound_is_conservative(self, box):
+        bounds = pingpong._box_bounds(box)
+        zs = sample_box_points(0, 4000, box)
+        empty = 0
+        for gens, S, c, sign in self.tables(box):
+            if pingpong._table_empty(c.chart, sign, bounds, S):
+                empty += 1
+                points = np.concatenate([zs, table_peaks(c, sign, bounds, S)])
+                assert len(table_hits(c, sign, points, S)) == 0, (gens, sign)
+        if box == pingpong.DEFAULT_BOX:
+            assert empty == 2 * sum(len(gens) for gens in threshold_corpus())
+
+    @pytest.mark.parametrize("box", [pingpong.DEFAULT_BOX, WIDE_BOX], ids=["default", "wide"])
+    def test_bound_is_conservative_at_its_threshold(self, box):
+        # S0, bisected to adjacent floats, is the least S the bound certifies.
+        # The box's points of largest parameter must still miss the table at
+        # S0; with delta dropped, or lam above e^{4(S - delta)}, S0 comes
+        # within the parameter's rounding of theirs and some land in it
+        bounds = pingpong._box_bounds(box)
+        empty = 0
+        for gens, _, c, sign in self.tables(box):
+            lo, hi = 0.0, 150.0
+            if pingpong._table_empty(c.chart, sign, bounds, lo) or not pingpong._table_empty(
+                    c.chart, sign, bounds, hi):
+                continue
+            while np.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if pingpong._table_empty(c.chart, sign, bounds, mid) else (mid, hi)
+            empty += 1
+            assert len(table_hits(c, sign, table_peaks(c, sign, bounds, hi), hi)) == 0, (gens, sign)
+        assert empty > 100
+
+    def test_no_table_parameters_on_the_default_box(self, monkeypatch):
+        import random
+        calls = []
+        params_of_array = Geodesic.params_of_array
+
+        def counted(c, zs):
+            calls.append(len(zs))
+            return params_of_array(c, zs)
+        for gens in [[PHI, PSI]] + [positive_word_family(random.Random(seed), 2)
+                                    for seed in range(10)]:
+            cert = build_certificate(gens)
+            axes = [axis(m).axis for m in gens]
+            trs = [translation_distance(m) for m in gens]
+            with monkeypatch.context() as mp:
+                mp.setattr(Geodesic, "params_of_array", counted)
+                pingpong._sampled_checks(cert, axes, trs, 0, 100_000, pingpong.DEFAULT_BOX, [])
+            assert calls == [], gens
+
+    def test_wide_box_samples_reach_the_tables(self):
+        # none of these tables is certified empty at S, so every block
+        # computes its parameters
+        import random
+        hits = []
+        for seed in range(10):
+            cert = build_certificate(positive_word_family(random.Random(seed), 2), box=WIDE_BOX)
+            verify_pingpong(cert, 100_000)
+            check, = (c for c in cert.verification["checks"] if c["name"] == "table-disjointness")
+            hits += check["per_set_hits"]
+        assert sum(hits) > 0
 
 
 def same_bits(new, ref):
