@@ -15,6 +15,7 @@ to shrink the constant.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -208,10 +209,8 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
     b = consts.b
     axes = [axis(m).axis for m in generators]
     intervals = _interval_map(axes)
-    pair_data = {}
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            pair_data[(i, j)] = _geodesic_pair_geometry(axes[i], axes[j])
+    pair_data = {(i, j): _geodesic_pair_geometry(axes[i], axes[j])
+                 for i in range(len(axes)) for j in range(i + 1, len(axes))}
     l_min = min_translation()
     config = {
         "seed": seed,
@@ -249,8 +248,8 @@ def _sample_blocks(seed: int, n: int, box):
     """The sample of sample_box_points as complex arrays, one block of at most
     SAMPLE_CHUNK points per seed spawned from `seed`, in sample order.
 
-    The seed and the box are checked at the call; the blocks are drawn as
-    they are consumed.
+    The seed and the box are checked at the call; block k is drawn when it
+    is consumed, from SeedSequence(seed, spawn_key=(k,)), spawn's k-th child.
     """
     import numpy as np
 
@@ -260,18 +259,18 @@ def _sample_blocks(seed: int, n: int, box):
     if not (x_lo < x_hi and 0.0 < y_lo < y_hi and math.isfinite(x_hi - x_lo)
             and math.isfinite(y_hi)):
         raise InvalidInputError(f"bad sampling box {box}")
-    sizes = [min(SAMPLE_CHUNK, n - k) for k in range(0, n, SAMPLE_CHUNK)] or [0]
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
     log_lo, log_hi = math.log(y_lo), math.log(y_hi)
 
-    def draw(rng, m):
+    def draw(k):
         # for finite heights, the bits of x + 1j * y
+        m = min(SAMPLE_CHUNK, n - k * SAMPLE_CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         zs = np.empty(m, dtype=complex)
         zs.real = rng.uniform(x_lo, x_hi, m)
         zs.imag = np.exp(rng.uniform(log_lo, log_hi, m))
         return zs
 
-    return (draw(rng, m) for rng, m in zip(map(np.random.default_rng, children), sizes))
+    return map(draw, range(max(1, -(-n // SAMPLE_CHUNK))))
 
 
 def sample_box_points(seed: int, n: int, box=DEFAULT_BOX) -> np.ndarray:
@@ -283,12 +282,6 @@ def sample_box_points(seed: int, n: int, box=DEFAULT_BOX) -> np.ndarray:
     import numpy as np
 
     return np.concatenate(list(_sample_blocks(seed, n, box)))
-
-
-def _axis_points_array(c: Geodesic, params: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    return c.chart.apply_complex(1j * np.exp(2.0 * params))
 
 
 def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
@@ -314,13 +307,6 @@ def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
     return num
 
 
-def _param_matrix(axes, zs):
-    """params[i, k] = projection parameter of sample k on axis i."""
-    import numpy as np
-
-    return np.stack([c.params_of_array(zs) for c in axes])
-
-
 _U = 2.0 ** -53          #: unit roundoff of float64
 _LOG_ERR = 2.0 ** -36    #: error of a float log, 2^9 ulps of the largest |log| a float has
 _BOUND_MARGIN = 2.0 ** -20  #: subtracted for the float evaluation of the bound itself
@@ -330,7 +316,11 @@ _W_CAP = 2.0 ** 180      #: the chart moduli the bound uses are capped here
 
 def _box_bounds(box):
     """(edge, y_lo): every point the box's draw makes has |x| <= edge and
-    y_lo <= y <= edge, with room for the rounding of uniform, log and exp."""
+    y_lo <= y <= edge, if the box's y_lo is a normal float.  uniform(lo, hi)
+    is fl(lo + fl(fl(hi - lo) U)), U in [0, 1): within 2^-51 max(|lo|, |hi|)
+    of [lo, hi].  The logs and the uniform between them (|log| < 710) err by
+    under 2^-40, and exp by a few ulps of a result within 2^-40 relative of
+    normal, so y is within 2^-39 relative of [y_lo, y_hi]; 2^-30 covers both."""
     x_lo, x_hi, y_lo, y_hi = box
     return max(abs(x_lo), abs(x_hi), y_hi) * (1.0 + 2.0 ** -30), y_lo * (1.0 - 2.0 ** -30)
 
@@ -343,6 +333,14 @@ def _within_bounds(zs, bounds) -> bool:
                 and zs.imag.min(initial=y_lo) >= y_lo)
 
 
+def _scaled(*xs):
+    """([n, ...], K) with x = n / 2^K exactly for each of the finite floats xs."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    K = max(d.bit_length() for _, d in ratios) - 1
+    return [n << (K + 1 - d.bit_length()) for n, d in ratios], K
+
+
+@functools.lru_cache(maxsize=16)  # the own-axis error: once per axis, not per power and table
 def _quotient_error(num, den, bounds):
     """(rho, Z1) for the quotient of the forms a z + b and c z + d, with
     num = (a, b) and den = (c, d) (their signs do not matter), over the
@@ -394,14 +392,13 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
 
     1. Own parameter.  chart^-1(z) = (Dz - B)/(-Cz + A) is computed within
        rho0 = 2 (3u hi/lo (D, B) + 3u hi/lo (C, A) + 32u) of the exact w0
-       (_quotient_error),
-       so sign * param(z) >= T gives |w0|^sign >= W0 = exp(2T - _LOG_ERR)
-       (1 - 16u)(1 - rho0).
-    2. Exact conjugate.  H = adj(chart) fl(P) chart in Fractions (for sign
-       -1 its entries reversed, which acts on 1/w) maps w0 to the exact w of
-       the image, so |w|^sign >= W = (|a| W0 - |b|) / (|c| W0 + |d|) for the
-       entries (a, b, c, d) of H, scaled to the largest 1 and rounded
-       outward, with |a| W0 >= 2|b| required.
+       (_quotient_error), so sign * param(z) >= T gives |w0|^sign >= W0 =
+       exp(2T - _LOG_ERR) (1 - 16u)(1 - rho0).
+    2. Exact conjugate.  H = adj(chart) fl(P) chart in exact integers (for
+       sign -1 its entries reversed, which acts on 1/w) maps w0 to the exact
+       w of the image, so |w|^sign >= W = (|a| W0 - |b|) / (|c| W0 + |d|)
+       for the entries (a, b, c, d) of H, scaled to the largest 1 and
+       rounded outward, with |a| W0 >= 2|b| required.
     3. The image z1 = P(z) is computed within eps1 = 2 (3u hi/lo (p, q) +
        3u hi/lo (r, s) + 32u) relative, and |z1| <= Z1 = hi(p, q) /
        lo(r, s), or near the chart's endpoint |k/c| + Delta / (c (cW - c'))
@@ -419,10 +416,9 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
        it is infinite or nan, which params_of_array reads as +inf (sign +1;
        for sign -1 it is below 2^-199): sign * t_img >= 68 > B.
     5. B = 1/2 (log f + log(1 - 48u) - _LOG_ERR) - _BOUND_MARGIN, at most
-       67.  Every step
-       is monotone in T, W0 and W are capped at _W_CAP, and each difference
-       keeps half its leading term, so the float evaluation of B errs by
-       less than 2^-40, far inside the margin.
+       67.  Every step is monotone in T, W0 and W are capped at _W_CAP, and
+       each difference keeps half its leading term, so the float evaluation
+       of B errs by less than 2^-40, far inside the margin.
 
     -inf where the entries do not convert, or a modulus of steps 1 and 3
     leaves _OPERAND_RANGE, or a relative error reaches 1/8.
@@ -435,11 +431,11 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
     own, image = _quotient_error((D, B), (C, A), bounds), _quotient_error((p, q), (r, s), bounds)
     if own is None or image is None:
         return -math.inf
-    rho0, _ = own
-    eps1, z1_box = image
+    (rho0, _), (eps1, z1_box) = own, image
     low, high = _OPERAND_RANGE
 
-    fA, fB, fC, fD, fp, fq, fr, fs = (Fraction(v) for v in (A, B, C, D, p, q, r, s))
+    # entries n / 2^K: delta and H come out times 2^2K and 2^3K; int / int rounds correctly
+    (fA, fB, fC, fD, fp, fq, fr, fs), K = _scaled(A, B, C, D, p, q, r, s)
     delta = fA * fD - fB * fC
     if delta <= 0:
         return -math.inf
@@ -448,9 +444,10 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
     scale = max(map(abs, H))
     if sign == -1:
         H.reverse()
-    h_a = math.nextafter(float(abs(H[0]) / scale), 0.0)
-    h_b, h_c, h_d = (math.nextafter(float(abs(v) / scale), math.inf) for v in H[1:])
-    delta_lo, delta_hi = math.nextafter(float(delta), 0.0), math.nextafter(float(delta), math.inf)
+    h_a = math.nextafter(abs(H[0]) / scale, 0.0)
+    h_b, h_c, h_d = (math.nextafter(abs(v) / scale, math.inf) for v in H[1:])
+    delta = delta / (1 << 2 * K)
+    delta_lo, delta_hi = math.nextafter(delta, 0.0), math.nextafter(delta, math.inf)
     big, small = ((D, B), (C, A)) if sign == 1 else ((C, A), (D, B))
     c_big, c_small, k_small = abs(big[0]), abs(small[0]), abs(small[1])
     shrink = math.log1p(-16.0 * _U) + math.log1p(-rho0) - _LOG_ERR
@@ -486,31 +483,38 @@ def _table_empty(chart, sign: int, bounds, S: float) -> bool:
     |param(z) - 1/2 log|w0|| <= delta = -1/2 (log(1 - rho0) + log(1 - 16u)
     - _LOG_ERR) + _BOUND_MARGIN; log(1 + x) <= -log(1 - x) covers the upper
     side, and the margin covers the float evaluation of delta and of lam,
-    whose cap at e^700 only lowers it.  With
-    (a, b, c, k) = (D, B, C, A) for sign +1 and (C, A, D, B) for sign -1,
-    a point of the table has |az - b| >= e^{2(S - delta)} |cz - k|, so
-    f = |az - b|^2 - lam |cz - k|^2 >= 0 for a rational lam <= e^{4(S - delta)}.
-    With z = x + iy, f = alpha (x^2 + y^2) - 2 beta x + gamma for alpha =
-    a^2 - lam c^2, beta = ab - lam ck, gamma = b^2 - lam k^2.  For alpha < 0
-    f is concave and falls with y > 0, so its maximum over [-edge, edge] x
-    [y_lo, edge] is at y_lo and x = clamp(beta / alpha); otherwise f is
-    convex and its maximum is at a corner.  The table is empty when that
-    maximum, taken in Fractions, is negative.
+    whose cap at e^700 only lowers it.  With (a, b, c, k) = (D, B, C, A)
+    for sign +1 and (C, A, D, B) for sign -1, a point of the table has
+    |az - b| >= e^{2(S - delta)} |cz - k|, so f = |az - b|^2 - lam |cz - k|^2
+    >= 0 for a rational lam <= e^{4(S - delta)}.  With z = x + iy, f =
+    alpha (x^2 + y^2) - 2 beta x + gamma for alpha = a^2 - lam c^2, beta =
+    ab - lam ck, gamma = b^2 - lam k^2.  For alpha < 0 f is concave and
+    falls with y > 0, so its maximum over [-edge, edge] x [y_lo, edge] is at
+    y_lo and x = clamp(beta / alpha); otherwise it is at a corner.  The
+    table is empty when that maximum, taken in exact integers, is negative.
     """
-    D, B, C, A = chart.d, chart.b, chart.c, chart.a
-    own = _quotient_error((D, B), (C, A), bounds)
+    forms = (chart.d, chart.b, chart.c, chart.a)
+    own = _quotient_error(forms[:2], forms[2:], bounds)
     if own is None:
         return False
     delta = _BOUND_MARGIN - 0.5 * (math.log1p(-own[0]) + math.log1p(-16.0 * _U) - _LOG_ERR)
-    lam = Fraction(math.exp(min(4.0 * (S - delta), 700.0)))
-    a, b, c, k = map(Fraction, (D, B, C, A) if sign == 1 else (C, A, D, B))
-    alpha, beta, gamma = a * a - lam * c * c, a * b - lam * c * k, b * b - lam * k * k
-    edge, y_lo = map(Fraction, bounds)
-    if alpha < 0:
-        peaks = [(min(edge, max(-edge, beta / alpha)), y_lo)]
+    lam = math.exp(min(4.0 * (S - delta), 700.0))
+    # every input n / 2^K: alpha, beta and gamma come out times 2^3K
+    forms = forms if sign == 1 else forms[2:] + forms[:2]
+    (a, b, c, k, lam, edge, y_lo), K = _scaled(*forms, lam, *bounds)
+    one = 1 << K
+    alpha, beta, gamma = (a * a * one - lam * c * c, a * b * one - lam * c * k,
+                          b * b * one - lam * k * k)
+
+    def f(x, y, d=1):  # f at (x / (d 2^K), y / 2^K), times 2^5K d^2
+        return alpha * (x * x + y * y * d * d) - 2 * beta * x * d * one + gamma * (d * one) ** 2
+    if alpha < 0:  # x = beta / alpha = num / den with den > 0, clamped by cross-multiplying
+        num, den = -beta * one, -alpha
+        peaks = [(edge, y_lo) if num > edge * den else (-edge, y_lo) if num < -edge * den
+                 else (num, y_lo, den)]
     else:
         peaks = [(x, y) for x in (-edge, edge) for y in (y_lo, edge)]
-    return all(alpha * (x * x + y * y) - 2 * beta * x + gamma < 0 for x, y in peaks)
+    return all(f(*peak) < 0 for peak in peaks)
 
 
 def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budget: int,
@@ -524,9 +528,11 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
     mapping every selected sample.  Likewise an axis whose two powers are
     so certified and whose two tables _table_empty proves to miss the
     bounds computes no parameter for those blocks: its tables add no hit.
-    A power keeps the witness of its first failing sample unless some
-    block refuses its entries or one of its images, which wins as it does
-    over the whole sample.  The checks are decided after the stream in the
+    When every axis is so spared and the box's y_lo is normal, no block is
+    drawn: by _box_bounds each would lie inside the bounds and add nothing.
+    A power keeps the witness of its first failing sample unless some block
+    refuses its entries or one of its images, which wins as it does over
+    the whole sample.  The checks are decided after the stream in the
     order of a whole-sample pass: inclusion by generator and sign (a
     generator whose power leaves the float range is refused at its turn),
     then disjointness, which fails where a sample lies in two tables.
@@ -552,6 +558,8 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
     spared = {i for i, c in enumerate(axes)
               if all((i, sign) in certified and _table_empty(c.chart, sign, bounds, S)
                      for sign in (1, -1))}
+    if len(spared) == len(axes) and box[2] >= sys.float_info.min:
+        blocks = ()
     outcome = {}  # (i, sign) -> its InvalidInputError, or the witness of its first failure
     per_set = np.zeros((2, len(axes)), dtype=np.int64)  # hits of the plus, then the minus tables
     most, most_at = 0, None  # most tables one sample lies in, and the first such sample
@@ -560,9 +568,8 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
         params = {i: c.params_of_array(zs) for i, c in enumerate(axes)
                   if not (inside and i in spared)}
         for i, sign, mat in maps:
-            if inside and (i, sign) in certified:
-                continue
-            if isinstance(outcome.get((i, sign)), InvalidInputError):
+            if (inside and (i, sign) in certified
+                    or isinstance(outcome.get((i, sign)), InvalidInputError)):
                 continue
             mask = params[i] > -S if sign == 1 else params[i] < S
             if not mask.any():
@@ -631,14 +638,8 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     box = tuple(cert.config["box"])
     gens = cert.generators
     checks = []
-    report = {
-        "mode": cert.mode,
-        "sample_budget": int(sample_budget),
-        "seed": int(seed),
-        "box": list(box),
-        "checks": checks,
-        "passed": False,
-    }
+    report = {"mode": cert.mode, "sample_budget": int(sample_budget), "seed": int(seed),
+              "box": list(box), "checks": checks, "passed": False}
     cert.verification = report
 
     def fail(message, witness=None):
@@ -684,10 +685,9 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     # generators with tiny axes condition badly, a logic bug would show up
     # at the scale of Tr, orders of magnitude above the noise floor)
     grid = np.linspace(-3.0, 3.0, 13)
-    worst = 0.0
-    noise = 0.0
+    worst = noise = 0.0
     for m, c, tr in zip(gens, axes, trs):
-        pts = _axis_points_array(c, grid)
+        pts = c.chart.apply_complex(1j * np.exp(2.0 * grid))
         moved = _mobius_apply_array(m, pts)
         back = _mobius_apply_array(m.inverse(), moved)
         noise = max(noise, float(np.max(np.abs(c.params_of_array(back) - grid))))
@@ -710,7 +710,7 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
         for sign in (1, -1):
             w = np.exp(2.0 * sign * witness_params)[:, None] * np.exp(1j * angles)[None, :]
             pts = c.chart.apply_complex(w).ravel()
-            wp = _param_matrix(axes, pts)
+            wp = np.stack([a.params_of_array(pts) for a in axes])
             own = wp[i] >= S if sign == 1 else wp[i] <= -S
             if not bool(np.all(own)):
                 fail(f"planted witness missed its own table ({i}, {sign:+d})")
@@ -727,7 +727,7 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     src_grid = np.linspace(-6.0, 6.0, 241)
     bound = cert.R + 4.0 * cert.b + 1e-9
     for (i, j), (lo, hi) in cert.intervals.items():
-        pts = _axis_points_array(axes[j], src_grid)
+        pts = axes[j].chart.apply_complex(1j * np.exp(2.0 * src_grid))
         t = axes[i].params_of_array(pts)
         inside = (t >= lo - 1e-9) & (t <= hi + 1e-9) & (np.abs(t) <= bound)
         if not bool(np.all(inside)):

@@ -1,6 +1,9 @@
+import itertools
 import math
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -450,7 +453,7 @@ class TestStreamedVerifier:
         # first failing sample moves under any other evaluation of the images
         # (its image parameter is 8.398, short of S = 12.90)
         (MappingClass(627359044, -1015088255, 387729211, -627359041), pingpong.DEFAULT_BOX),
-    ], ids=["phi8-L", "phi10-L3"])
+    ], ids=["trace-3-class", "phi10-L3"])
     def test_inclusion_witness(self, conjugate, box, monkeypatch):
         streamed, whole = self.both(monkeypatch, lambda: build_certificate([PHI, conjugate],
                                                                            box=box))
@@ -559,7 +562,8 @@ class TestStreamedVerifier:
         this = sys.modules[__name__]
         monkeypatch.setattr(pingpong, "_sample_blocks", lambda seed, n, box: iter([drawn]))
         monkeypatch.setattr(this, "reference_sample", lambda seed, n, box: reference)
-        streamed, whole = self.both(monkeypatch, lambda: build_certificate([PHI, PSI]), 2)
+        streamed, whole = self.both(
+            monkeypatch, lambda: build_certificate([PHI, PSI], box=WIDE_BOX), 2)
         assert streamed == whole == (InvalidInputError,
                                      "non-finite input point in projection batch", None)
 
@@ -701,7 +705,7 @@ class TestInclusionThreshold:
         monkeypatch.setattr(pingpong, "_sample_blocks", lambda seed, n, box: iter([far]))
         monkeypatch.setattr(sys.modules[__name__], "reference_sample", lambda seed, n, box: far)
         streamed, whole = TestStreamedVerifier.both(
-            monkeypatch, lambda: build_certificate([PHI, PSI]), 1)
+            monkeypatch, lambda: build_certificate([PHI, PSI], box=WIDE_BOX), 1)
         assert streamed == whole == (InvalidInputError,
                                      "non-finite input point in projection batch", None)
 
@@ -818,6 +822,175 @@ class TestTableBound:
             check, = (c for c in cert.verification["checks"] if c["name"] == "table-disjointness")
             hits += check["per_set_hits"]
         assert sum(hits) > 0
+
+
+def reference_inclusion_bound(chart, mat, sign, bounds, T):
+    """_inclusion_bound with its exact steps in Fractions, as first written."""
+    U, LOG_ERR, W_CAP = pingpong._U, pingpong._LOG_ERR, pingpong._W_CAP
+    try:
+        p, q, r, s = (float(v) for v in mat.entries())
+    except OverflowError:
+        return -math.inf
+    A, B, C, D = chart.a, chart.b, chart.c, chart.d
+    own = pingpong._quotient_error((D, B), (C, A), bounds)
+    image = pingpong._quotient_error((p, q), (r, s), bounds)
+    if own is None or image is None:
+        return -math.inf
+    rho0, _ = own
+    eps1, z1_box = image
+    low, high = pingpong._OPERAND_RANGE
+
+    fA, fB, fC, fD, fp, fq, fr, fs = (Fraction(v) for v in (A, B, C, D, p, q, r, s))
+    delta = fA * fD - fB * fC
+    if delta <= 0:
+        return -math.inf
+    m00, m01, m10, m11 = fp * fA + fq * fC, fp * fB + fq * fD, fr * fA + fs * fC, fr * fB + fs * fD
+    H = [fD * m00 - fB * m10, fD * m01 - fB * m11, fA * m10 - fC * m00, fA * m11 - fC * m01]
+    scale = max(map(abs, H))
+    if sign == -1:
+        H.reverse()
+    h_a = math.nextafter(float(abs(H[0]) / scale), 0.0)
+    h_b, h_c, h_d = (math.nextafter(float(abs(v) / scale), math.inf) for v in H[1:])
+    delta_lo, delta_hi = math.nextafter(float(delta), 0.0), math.nextafter(float(delta), math.inf)
+    big, small = ((D, B), (C, A)) if sign == 1 else ((C, A), (D, B))
+    c_big, c_small, k_small = abs(big[0]), abs(small[0]), abs(small[1])
+    shrink = math.log1p(-16.0 * U) + math.log1p(-rho0) - LOG_ERR
+
+    W0 = min(W_CAP, math.exp(min(2.0 * T + shrink, 300.0)))
+    if not h_a * W0 >= 2.0 * h_b:
+        return -math.inf
+    W = min(W_CAP, (h_a * W0 - h_b) / (h_c * W0 + h_d))
+    k = (c_small * W + c_big) / delta_lo
+    z1 = z1_box
+    if c_small * W > 2.0 * c_big:
+        z1 = min(z1, k_small / c_small + delta_hi / (c_small * (c_small * W - c_big)))
+    errs = []
+    for c, kk in (big, small):
+        size = abs(c) * z1 * (1.0 + eps1) + abs(kk)
+        errs.append(abs(c) * eps1 * z1 + 3.0 * U * size)
+        if not size + errs[-1] <= high:
+            return -math.inf
+    e_big, e_small = errs
+    if not (W >= 2.0 * e_big * k and W / k - e_big >= low):
+        return -math.inf
+    f = (W - e_big * k) / (1.0 + e_small * k)
+    return min(67.0, 0.5 * (math.log(f) + math.log1p(-48.0 * U) - LOG_ERR)
+               - pingpong._BOUND_MARGIN)
+
+
+def reference_table_empty(chart, sign, bounds, S):
+    """_table_empty with its quadratic in Fractions, as first written."""
+    D, B, C, A = chart.d, chart.b, chart.c, chart.a
+    own = pingpong._quotient_error((D, B), (C, A), bounds)
+    if own is None:
+        return False
+    delta = pingpong._BOUND_MARGIN - 0.5 * (math.log1p(-own[0]) + math.log1p(-16.0 * pingpong._U)
+                                            - pingpong._LOG_ERR)
+    lam = Fraction(math.exp(min(4.0 * (S - delta), 700.0)))
+    a, b, c, k = map(Fraction, (D, B, C, A) if sign == 1 else (C, A, D, B))
+    alpha, beta, gamma = a * a - lam * c * c, a * b - lam * c * k, b * b - lam * k * k
+    edge, y_lo = map(Fraction, bounds)
+    if alpha < 0:
+        peaks = [(min(edge, max(-edge, beta / alpha)), y_lo)]
+    else:
+        peaks = [(x, y) for x in (-edge, edge) for y in (y_lo, edge)]
+    return all(alpha * (x * x + y * y) - 2 * beta * x + gamma < 0 for x, y in peaks)
+
+
+class TestIntegerBounds:
+    """The two bounds in scaled integers against their Fraction references."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("box", TestInclusionThreshold.BOXES)
+    def test_same_as_fractions(self, box):
+        bounds = pingpong._box_bounds(box)
+        decided = 0
+        for gens in threshold_corpus():
+            cert = build_certificate(gens, box=box)
+            S = cert.S
+            for n in (1, 3, cert.N):
+                cert.N = n
+                for c, sign, mat in powers(cert):
+                    for T in (-S, 0.0, S, 60.0):
+                        new = pingpong._inclusion_bound(c.chart, mat, sign, bounds, T)
+                        assert new == reference_inclusion_bound(c.chart, mat, sign, bounds, T), (
+                            gens, n, sign, T)
+                        decided += new >= S
+            for m in gens:
+                for sign in (1, -1):
+                    for s in (0.5, 3.0, S, 30.0):
+                        new = pingpong._table_empty(axis(m).axis.chart, sign, bounds, s)
+                        assert new == reference_table_empty(axis(m).axis.chart, sign, bounds, s), (
+                            gens, sign, s)
+                        decided += new
+        if box == pingpong.DEFAULT_BOX:
+            assert decided > 1000
+
+
+class TestDecidedBox:
+    """A box whose powers and tables are all decided draws no sample."""
+
+    @staticmethod
+    def drawn_blocks(monkeypatch, limit=None):
+        """Sizes of the blocks _sampled_checks draws, of at most `limit`
+        blocks passed on; the call itself still checks its arguments."""
+        drawn = []
+        sample_blocks = pingpong._sample_blocks
+
+        def counted(seed, n, box):
+            blocks = (drawn.append(len(zs)) or zs for zs in sample_blocks(seed, n, box))
+            return itertools.islice(blocks, limit)
+        monkeypatch.setattr(pingpong, "_sample_blocks", counted)
+        return drawn
+
+    def test_no_block_on_the_default_box(self, monkeypatch):
+        import random
+        drawn = self.drawn_blocks(monkeypatch)
+        for gens in [[PHI, PSI]] + [positive_word_family(random.Random(seed), 2)
+                                    for seed in range(10)]:
+            assert verify_pingpong(build_certificate(gens), 100_000)["passed"]
+        assert drawn == []
+        # a partly decided box streams every block
+        verify_pingpong(build_certificate([PHI, PSI], box=WIDE_BOX), 20_000)
+        assert drawn == [8192, 8192, 3616]
+
+    def test_subnormal_floor_streams(self, monkeypatch):
+        # every power and table is decided on this box, but exp's subnormal
+        # results may leave it by more than 2^-30, so every block is drawn
+        box = (-0.1, 0.1, 1e-320, 0.1)
+        cert = build_certificate([PHI, PSI], box=box)
+        bounds = pingpong._box_bounds(box)
+        assert all(pingpong._inclusion_bound(c.chart, mat, sign, bounds, -cert.S) >= cert.S
+                   and pingpong._table_empty(c.chart, sign, bounds, cert.S)
+                   for c, sign, mat in powers(cert))
+        drawn = self.drawn_blocks(monkeypatch)
+        assert verify_pingpong(cert, 20_000)["passed"]
+        assert drawn == [8192, 8192, 3616]
+
+    @pytest.mark.parametrize("box, seed, samples, message", [
+        ((1.0, -1.0, 0.1, 1.0), 0, 10, "bad sampling box"),
+        (pingpong.DEFAULT_BOX, -1, 10, "need a sample count and seed >= 0"),
+        (pingpong.DEFAULT_BOX, 0, -1, "need a sample count and seed >= 0"),
+    ])
+    def test_refusals_kept(self, box, seed, samples, message):
+        cert = build_certificate([PHI, PSI])
+        cert.config["box"] = list(box)
+        with pytest.raises(InvalidInputError, match=message):
+            verify_pingpong(cert, samples, seed=seed)
+
+    def test_lazy_block_seeds(self):
+        start = time.perf_counter()
+        first = next(pingpong._sample_blocks(0, 2 ** 63 - 1, pingpong.DEFAULT_BOX))
+        assert time.perf_counter() - start < 0.5
+        assert same_bits(first, sample_box_points(0, pingpong.SAMPLE_CHUNK))
+
+    def test_largest_sample_count(self, monkeypatch):
+        # one block at most is passed on, so a draw cannot start 2^50 of them
+        drawn = self.drawn_blocks(monkeypatch, limit=1)
+        cert = build_certificate([PHI, PSI])
+        start = time.perf_counter()
+        assert verify_pingpong(cert, 2 ** 63 - 1)["passed"]
+        assert time.perf_counter() - start < 1.0 and drawn == []
 
 
 def same_bits(new, ref):
