@@ -23,6 +23,9 @@ from .mcg import (Classification, MappingClass, axis, classify, fixed_slope_test
 # only the modules it runs, numpy only where it samples arrays, and
 # serialize only where it writes a document.
 
+#: most samples `pingpong` and `certify-free` verify; config.samples records --samples as given
+SAMPLE_CAP = 100_000
+
 
 def _parse_point(text: str) -> Point:
     try:
@@ -49,7 +52,9 @@ def _add_common(p):
 
 def _add_sampling(p):
     p.add_argument("--seed", type=int, default=0, help="seed for all Monte Carlo draws")
-    p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample budget")
+    p.add_argument("--samples", type=int, default=100_000,
+                   help=f"Monte Carlo sample budget; at most {SAMPLE_CAP} are verified, "
+                   "and the certificate records the value given")
     p.add_argument("--out", default=None, help="certificate/report destination (default stdout)")
     _add_common(p)
 
@@ -211,7 +216,7 @@ def _cmd_pingpong(args) -> int:
     mode = "paper_formula" if args.mode == "paper" else "certified_search"
     cert = pingpong.build_certificate(gens, mode, seed=args.seed, samples=args.samples, box=box)
     try:
-        pingpong.verify_pingpong(cert, sample_budget=min(args.samples, 100_000), seed=args.seed)
+        pingpong.verify_pingpong(cert, sample_budget=min(args.samples, SAMPLE_CAP), seed=args.seed)
     except TeichpongError:
         # the certificate records the failed check, but the verifier's error
         # decides the message and the exit code
@@ -231,7 +236,7 @@ def _cmd_certify_free(args) -> int:
     box = _parse_box(args.box)
     oracle.check_word_length(len(gens), args.max_word_len)
     cert = pingpong.build_certificate(gens, seed=args.seed, samples=args.samples, box=box)
-    pingpong.verify_pingpong(cert, sample_budget=min(args.samples, 100_000), seed=args.seed)
+    pingpong.verify_pingpong(cert, sample_budget=min(args.samples, SAMPLE_CAP), seed=args.seed)
     report = oracle.free_check(gens, cert.N, args.max_word_len)
     _write_out(args.out, serialize.word_report_document(report))
     if report.violations or report.incomplete:

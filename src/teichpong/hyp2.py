@@ -282,9 +282,14 @@ class Geodesic(Value):
     def params_of_array(self, zs: np.ndarray) -> np.ndarray:
         """Vectorized projection parameters for an array of complex points.
 
-        Evaluated in place with the same operations as
-        ``0.5 * log|chart.inverse().apply_complex(zs)|``, so each parameter
-        has the bits of param_of.  Points that collapse onto an ideal
+        Evaluated in place with the same operations as the numpy expression
+        ``0.5 * np.log(np.abs(chart.inverse().apply_complex(zs)))``, so each
+        parameter has the bits of that expression, which the tests pin.  It
+        need not have the bits of param_of: numpy's complex division, abs
+        and log are not CPython's, and about half of the default box's
+        points differ from param_of by one ulp.  So pi_membership, which
+        uses param_of, can disagree with the verifier on a point at a
+        table's edge.  Points that collapse onto an ideal
         endpoint in floating point get the limit parameter -inf / +inf,
         which is the correct membership answer.
         """

@@ -27,7 +27,6 @@ from .hyp2 import Geodesic, Point, Record, Value
 from .mcg import MappingClass, axis, independent, min_translation, translation_distance
 from .projection import (_geodesic_pair_geometry, derive_morse, model_constants,
                           projection_interval)
-from .torus_model import derive_thick_params, short_curve_bound
 
 if TYPE_CHECKING:
     import numpy as np
@@ -176,6 +175,8 @@ def paper_constants(generators) -> PaperConstants:
     families of small translation distance; past FACTORIAL_LIMIT this raises
     instead of attempting a terabyte integer.
     """
+    from .torus_model import derive_thick_params, short_curve_bound
+
     _check_family(generators)
     L = max(translation_distance(m) for m in generators)
     thick = derive_thick_params(L)
@@ -323,14 +324,6 @@ def _box_bounds(box):
     normal, so y is within 2^-39 relative of [y_lo, y_hi]; 2^-30 covers both."""
     x_lo, x_hi, y_lo, y_hi = box
     return max(abs(x_lo), abs(x_hi), y_hi) * (1.0 + 2.0 ** -30), y_lo * (1.0 - 2.0 ** -30)
-
-
-def _within_bounds(zs, bounds) -> bool:
-    """Whether every point of the block lies in the bounds (False on nan)."""
-    edge, y_lo = bounds
-    parts = zs.view(float)  # x and y interleaved; y >= y_lo > 0 cannot bring the minimum to -edge
-    return bool(parts.min(initial=0.0) >= -edge and parts.max(initial=0.0) <= edge
-                and zs.imag.min(initial=y_lo) >= y_lo)
 
 
 def _scaled(*xs):
@@ -522,20 +515,20 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
     """Inclusion under the exact N-th powers and table disjointness, on the
     box sample streamed one SAMPLE_CHUNK block at a time.
 
-    Each power maps only the samples its check selects, unless
-    _inclusion_bound at -S proves that all of them pass, which it then
-    trusts for the blocks inside the box's bounds; the outcome is that of
-    mapping every selected sample.  Likewise an axis whose two powers are
-    so certified and whose two tables _table_empty proves to miss the
-    bounds computes no parameter for those blocks: its tables add no hit.
-    When every axis is so spared and the box's y_lo is normal, no block is
-    drawn: by _box_bounds each would lie inside the bounds and add nothing.
-    A power keeps the witness of its first failing sample unless some block
-    refuses its entries or one of its images, which wins as it does over
-    the whole sample.  The checks are decided after the stream in the
-    order of a whole-sample pass: inclusion by generator and sign (a
-    generator whose power leaves the float range is refused at its turn),
-    then disjointness, which fails where a sample lies in two tables.
+    Each power and each table is decided once per box.  When the box's
+    y_lo is a normal float, _box_bounds puts every drawn point inside the
+    bounds, so a power that _inclusion_bound at -S certifies maps no
+    sample, and an axis whose two powers are so certified and whose two
+    tables _table_empty proves to miss the bounds computes no parameter:
+    its tables add no hit.  On a subnormal y_lo nothing is decided.  Blocks
+    are drawn only while some axis is undecided, and every other power maps
+    the samples its check selects; the outcome is that of mapping every
+    selected sample.  A power keeps the witness of its first failing sample
+    unless some block refuses its entries or one of its images, which wins
+    as it does over the whole sample.  The checks are decided after the
+    stream in the order of a whole-sample pass: inclusion by generator and
+    sign (a generator whose power leaves the float range is refused at its
+    turn), then disjointness, which fails where a sample lies in two tables.
     """
     import numpy as np
 
@@ -553,23 +546,19 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
         power = m ** N
         maps += [(i, 1, power), (i, -1, power.inverse())]
     bounds = _box_bounds(box)
+    trusted = box[2] >= sys.float_info.min
     certified = {(i, sign) for i, sign, mat in maps
-                 if _inclusion_bound(axes[i].chart, mat, sign, bounds, -S) >= S}
-    spared = {i for i, c in enumerate(axes)
-              if all((i, sign) in certified and _table_empty(c.chart, sign, bounds, S)
-                     for sign in (1, -1))}
-    if len(spared) == len(axes) and box[2] >= sys.float_info.min:
-        blocks = ()
+                 if trusted and _inclusion_bound(axes[i].chart, mat, sign, bounds, -S) >= S}
+    live = [i for i, c in enumerate(axes)
+            if not all((i, sign) in certified and _table_empty(c.chart, sign, bounds, S)
+                       for sign in (1, -1))]
     outcome = {}  # (i, sign) -> its InvalidInputError, or the witness of its first failure
     per_set = np.zeros((2, len(axes)), dtype=np.int64)  # hits of the plus, then the minus tables
     most, most_at = 0, None  # most tables one sample lies in, and the first such sample
-    for zs in blocks:
-        inside = bool(certified) and _within_bounds(zs, bounds)
-        params = {i: c.params_of_array(zs) for i, c in enumerate(axes)
-                  if not (inside and i in spared)}
+    for zs in blocks if live else ():
+        params = {i: axes[i].params_of_array(zs) for i in live}
         for i, sign, mat in maps:
-            if (inside and (i, sign) in certified
-                    or isinstance(outcome.get((i, sign)), InvalidInputError)):
+            if (i, sign) in certified or isinstance(outcome.get((i, sign)), InvalidInputError):
                 continue
             mask = params[i] > -S if sign == 1 else params[i] < S
             if not mask.any():
@@ -586,11 +575,9 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
                 z_bad = selected[k]
                 outcome[(i, sign)] = {"point": [float(z_bad.real), float(z_bad.imag)],
                                       "param": float(t_img[k])}
-        if not params:
-            continue
         rows = np.stack(list(params.values()))
         membership = np.stack([rows >= S, rows <= -S])
-        per_set[:, list(params)] += membership.sum(axis=2)
+        per_set[:, live] += membership.sum(axis=2)
         counts = membership.sum(axis=(0, 1))
         if int(counts.max(initial=0)) > most:
             k = int(np.argmax(counts))

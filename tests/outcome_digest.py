@@ -1,0 +1,76 @@
+"""One line that fingerprints the verifier's outcomes over a fixed corpus.
+
+    python tests/outcome_digest.py SRC_DIR
+
+Imports ``teichpong`` from SRC_DIR, builds and verifies every family of
+the corpus on every box at 1 and 20,000 samples, and prints the number of
+outcomes, how many of them are errors, and a SHA-256 over every outcome in
+order: the certificate document, or the error's class, message and
+witness.  Two source trees with the same line give the same certificates,
+witnesses and errors on the corpus.  Not collected by pytest.
+
+The families are perfbench's seeded pairs (seeds 0-49) and triples (seeds
+1000-1009), L^k R beside R^3 L^2 from k = 10 to past the axis-equivariance
+failure, and phi beside two psi conjugates that fail the sampled inclusion
+and beside 20 others.  The boxes run from
+the default box to boxes no bound decides and subnormal floors.
+"""
+
+import hashlib
+import random
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BOXES = [(-10.0, 10.0, 0.05, 10.0), (-10.0, 10.0, 1e-6, 10.0), (-3.0, 3.0, 1e-3, 3.0),
+         (-10.0, 10.0, 0.01, 10.0), (-10.0, 10.0, 1.0, 1e306), (-10.0, 10.0, 1e-320, 10.0),
+         (-0.1, 0.1, 1e-320, 0.1)]
+SAMPLES = (1, 20_000)
+POWERS_OF_L = (10, 100, 10 ** 3, 10 ** 4, 10 ** 5, 283946, 3 * 10 ** 5, 10 ** 6)
+
+
+def corpus(MappingClass):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import random_family
+
+    phi, psi = MappingClass(2, 1, 1, 1), MappingClass(1, 1, 1, 2)
+    L, R = MappingClass(1, 1, 0, 1), MappingClass(1, 0, 1, 1)
+    fams = [random_family(random.Random(seed), 2) for seed in range(50)]
+    fams += [random_family(random.Random(seed), 3) for seed in range(1000, 1010)]
+    fams = [[MappingClass(*m) for m in fam] for fam in fams]
+    fams += [[L ** k * R, R ** 3 * L ** 2] for k in POWERS_OF_L]
+    conjugates = [c for c in (psi.conjugated_by(phi ** a * L ** b)
+                              for a in range(11) for b in range(4)) if c != phi]
+    witnesses = [MappingClass(5100816, -8253295, 3152479, -5100819),
+                 MappingClass(627359044, -1015088255, 387729211, -627359041)]
+    return fams + [[phi, c] for c in witnesses + conjugates[:20]]
+
+
+def main(src):
+    sys.path.insert(0, str(Path(src).resolve()))
+    from teichpong import MappingClass, TeichpongError, build_certificate, verify_pingpong
+    from teichpong.serialize import certificate_document
+
+    digest, count, errors = hashlib.sha256(), 0, 0
+    fams = corpus(MappingClass)
+    for samples in SAMPLES:
+        for gens in fams:
+            for box in BOXES:
+                try:
+                    cert = build_certificate(gens, box=box)
+                    verify_pingpong(cert, samples)
+                    outcome = certificate_document(cert)
+                except TeichpongError as exc:
+                    outcome = repr((type(exc).__name__, str(exc), getattr(exc, "witness", None)))
+                    errors += 1
+                digest.update(outcome.encode() + b"\0")
+                count += 1
+    print(f"outcomes={count} errors={errors} sha256={digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/outcome_digest.py SRC_DIR")
+    warnings.simplefilter("ignore", RuntimeWarning)
+    main(sys.argv[1])

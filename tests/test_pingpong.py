@@ -647,7 +647,9 @@ class TestInclusionThreshold:
                 cert = build_certificate(gens, box=box)
                 bounds = pingpong._box_bounds(box)
                 zs = sample_box_points(0, 4000, box)
-                assert pingpong._within_bounds(zs, bounds)
+                edge, y_lo = bounds
+                assert np.all(np.abs(zs.real) <= edge)
+                assert np.all((zs.imag >= y_lo) & (zs.imag <= edge))
                 for c, sign, mat in powers(cert):
                     if pingpong._inclusion_bound(c.chart, mat, sign, bounds, 60.0) == -np.inf:
                         continue  # not covered, even far along the axis
@@ -699,15 +701,36 @@ class TestInclusionThreshold:
             assert calls == [] and certified == [True] * 4, gens
 
     def test_block_outside_the_box_maps_every_selected_sample(self, monkeypatch):
-        # the bound holds inside the box's bounds only: the image of a point
-        # far above the box overflows and is refused, as in the whole-sample pass
+        # nothing is trusted on a subnormal floor: the image of a point far
+        # above the box overflows and is refused, as in the whole-sample pass
         far = np.array([1.0 + 1e307j])
         monkeypatch.setattr(pingpong, "_sample_blocks", lambda seed, n, box: iter([far]))
         monkeypatch.setattr(sys.modules[__name__], "reference_sample", lambda seed, n, box: far)
         streamed, whole = TestStreamedVerifier.both(
-            monkeypatch, lambda: build_certificate([PHI, PSI], box=WIDE_BOX), 1)
+            monkeypatch, lambda: build_certificate([PHI, PSI], box=(-10.0, 10.0, 1e-320, 10.0)), 1)
         assert streamed == whole == (InvalidInputError,
                                      "non-finite input point in projection batch", None)
+
+    def test_one_trust_rule(self, monkeypatch):
+        # on WIDE_BOX both powers are certified but no table is decided: every
+        # block is drawn and no sample is mapped
+        import random
+        drawn = TestDecidedBox.drawn_blocks(monkeypatch)
+        families = [[PHI, PSI]] + [positive_word_family(random.Random(seed), 2)
+                                   for seed in range(10)]
+        for gens in families:
+            calls, certified = self.image_calls(monkeypatch, build_certificate(gens, box=WIDE_BOX),
+                                                20_000)
+            assert calls == [] and certified == [True] * 4, gens
+        assert drawn == [8192, 8192, 3616] * len(families)
+        # on a subnormal floor nothing is trusted: every selected sample is mapped
+        box = (-0.1, 0.1, 1e-320, 0.1)
+        cert = build_certificate([PHI, PSI], box=box)
+        calls, certified = self.image_calls(monkeypatch, cert, 20_000)
+        zs = sample_box_points(0, 20_000, box)
+        selected = [np.count_nonzero(sign * c.params_of_array(zs) > -cert.S)
+                    for c, sign, _ in powers(cert)]
+        assert all(certified) and sum(calls) == sum(selected) > 0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("gens, n_power, box", [

@@ -90,6 +90,8 @@ def test_array_commands_load_numpy(argv, tmp_path):
     assert _has_numpy(modules)
     # numpy itself loads inspect, but nothing loads dataclasses
     assert "dataclasses" not in modules
+    # only paper mode derives the thick-part constants
+    assert "teichpong.torus_model" not in modules
 
 
 def test_paper_mode_verification_and_morse_load_no_numpy(tmp_path):
