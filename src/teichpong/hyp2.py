@@ -31,10 +31,32 @@ class Record:
 
     A record equals a record of the same class with equal fields, the names
     in its ``_fields``, and reprs as ``Name(field=value, ...)``.  Records
-    are mutable and unhashable; see Value.
+    are mutable and unhashable; see Value.  __init__ stores the fields from
+    positional values, then keywords, then ``_defaults``; a class that
+    validates its values calls it once they pass.
     """
 
     __slots__ = ()
+    _defaults = {}  #: values of trailing fields that may be omitted, by name
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._arguments(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _arguments(self, args, kwargs) -> list:
+        """The field values of a call that is not one positional value per field."""
+        names, title = self._fields, type(self).__qualname__
+        rest, given = names[len(args):], {**self._defaults, **kwargs}
+        if len(args) > len(names) or kwargs.keys() - rest:
+            raise TypeError(f"{title}() got {len(args)} positional values and the keywords "
+                            f"{sorted(kwargs)}; its fields are {', '.join(names)}, once each")
+        for name in rest:
+            if name not in given:
+                raise TypeError(f"{title}() missing required argument {name!r}")
+        return [*args, *(given[name] for name in rest)]
 
     def _values(self) -> tuple:
         return attrgetter(*self._fields)(self)
@@ -79,8 +101,7 @@ class Point(Value):
             raise InvalidInputError(f"non-finite point ({x}, {y})")
         if y <= 0.0:
             raise InvalidInputError(f"point must have positive height, got y={y}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        Record.__init__(self, x, y)
 
     @property
     def z(self) -> complex:
@@ -95,8 +116,7 @@ class BoundaryPoint(Value):
     def __init__(self, value: float = 0.0, infinite: bool = False):
         if not infinite and not math.isfinite(value):
             raise InvalidInputError("finite boundary point must be a finite real")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "infinite", infinite)
+        Record.__init__(self, value, infinite)
 
     @classmethod
     def finite(cls, x: float) -> "BoundaryPoint":
@@ -146,10 +166,7 @@ class Mobius(Value):
             scale = abs(a * d) + abs(b * c)
             if not (math.isfinite(det) and abs(det - 1.0) <= 1e-12 * scale):
                 raise InvalidInputError(f"determinant must be 1, got {det}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        Record.__init__(self, a, b, c, d)
 
     @classmethod
     def identity(cls) -> "Mobius":
@@ -215,9 +232,7 @@ class Geodesic(Value):
     __slots__ = _fields + ("chart",)
 
     def __init__(self, endpoint_neg: BoundaryPoint, endpoint_pos: BoundaryPoint, origin: Point):
-        object.__setattr__(self, "endpoint_neg", endpoint_neg)
-        object.__setattr__(self, "endpoint_pos", endpoint_pos)
-        object.__setattr__(self, "origin", origin)
+        Record.__init__(self, endpoint_neg, endpoint_pos, origin)
         if endpoint_neg == endpoint_pos:
             raise DegenerateInputError("geodesic endpoints must be distinct")
         object.__setattr__(self, "chart", self._build_chart())

@@ -38,6 +38,9 @@ class MappingClass(Value):
 
     __slots__ = _fields = ("a", "b", "c", "d")
 
+    # the word oracle builds a class for each product and keys a dict by it, so
+    # __init__ stores the fields inline and __eq__ and __hash__ are written out:
+    # each is cheaper than the shared one of Record and Value
     def __init__(self, a: int, b: int, c: int, d: int):
         a, b, c, d = (int(a), int(b), int(c), int(d))
         if a * d - b * c != 1:
@@ -48,7 +51,6 @@ class MappingClass(Value):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    # written out, as cheap as generated ones: the word oracle keys a dict by each product
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -121,14 +123,6 @@ class AxisData(Value):
     """Invariant geodesic of a hyperbolic class with its dynamical data."""
 
     __slots__ = _fields = ("axis", "repelling", "attracting", "translation", "dilatation")
-
-    def __init__(self, axis: Geodesic, repelling: BoundaryPoint, attracting: BoundaryPoint,
-                 translation: float, dilatation: float):
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "repelling", repelling)
-        object.__setattr__(self, "attracting", attracting)
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "dilatation", dilatation)
 
 
 def classify(m: MappingClass) -> Classification:

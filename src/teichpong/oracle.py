@@ -31,12 +31,8 @@ class WordReport(Record):
 
     def __init__(self, n_generators: int, N: int, max_word_length: int, words_checked: int,
                  violations: list | None = None, incomplete: bool = False):
-        self.n_generators = n_generators
-        self.N = N
-        self.max_word_length = max_word_length
-        self.words_checked = words_checked
-        self.violations = [] if violations is None else violations
-        self.incomplete = incomplete
+        Record.__init__(self, n_generators, N, max_word_length, words_checked,
+                        [] if violations is None else violations, incomplete)
 
 
 def count_reduced_words(n: int, k: int) -> int:

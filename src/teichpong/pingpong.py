@@ -15,11 +15,10 @@ to shrink the constant.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
@@ -52,9 +51,7 @@ class PiSet(Value):
             raise InvalidInputError("PiSet radius must be positive")
         if sign not in (1, -1):
             raise InvalidInputError("sign must be +1 or -1")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "sign", sign)
+        Record.__init__(self, axis, R, sign)
 
 
 def pi_membership(s: PiSet, x: Point) -> bool:
@@ -68,34 +65,19 @@ class PaperConstants(Value):
 
     __slots__ = _fields = ("L", "F", "M", "B", "R_paper", "N_paper")
 
-    def __init__(self, L: float, F: float, M: float, B: int, R_paper: int, N_paper: int):
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "R_paper", R_paper)
-        object.__setattr__(self, "N_paper", N_paper)
-
 
 class PingPongCertificate(Record):
+    """A ping-pong certificate for the N-th powers of the generators.
+
+    R is a float in certified mode and an exact int in paper mode; S = R + 6b
+    is None in paper mode, where it is not representable as a float.
+    intervals maps (i, j) to (lo, hi), the projection of axis j onto axis i,
+    and pair_data maps each (i, j) with i < j to its PairGeometry.
+    """
+
     __slots__ = _fields = ("generators", "mode", "b", "l_min", "R", "S", "N", "intervals",
                            "pair_data", "paper", "config", "verification")
-
-    def __init__(self, generators: list, mode: str, b: float, l_min: float, R, S: Optional[float],
-                 N: int, intervals: dict, pair_data: dict, paper: Optional[PaperConstants],
-                 config: dict, verification: Optional[dict] = None):
-        self.generators = generators
-        self.mode = mode
-        self.b = b
-        self.l_min = l_min
-        self.R = R                  # float in certified mode, exact int in paper mode
-        self.S = S                  # R + 6b; None in paper mode (not representable as a float)
-        self.N = N
-        self.intervals = intervals  # (i, j) -> (lo, hi), projection of axis_j onto axis_i
-        self.pair_data = pair_data  # (i, j), i < j -> PairGeometry
-        self.paper = paper
-        self.config = config
-        self.verification = verification
+    _defaults = {"verification": None}
 
 
 def _check_family(generators):
@@ -333,7 +315,6 @@ def _scaled(*xs):
     return [n << (K + 1 - d.bit_length()) for n, d in ratios], K
 
 
-@functools.lru_cache(maxsize=16)  # the own-axis error: once per axis, not per power and table
 def _quotient_error(num, den, bounds):
     """(rho, Z1) for the quotient of the forms a z + b and c z + d, with
     num = (a, b) and den = (c, d) (their signs do not matter), over the

@@ -32,8 +32,8 @@ from .mcg import MappingClass, axis, independent
 
 # The stability search's excursion levels and margin on M; both are in its memo key.
 _LEVELS, _MORSE_MARGIN = 96, 0.05
-#: bound on the fast-divergence offsets, and the margin on the certified ones
-HORIZON, THRESHOLD_MARGIN = 8.0, 0.10
+#: bound on the fast-divergence offsets, the margin on the certified ones, and their grid
+HORIZON, THRESHOLD_MARGIN, THRESHOLD_STEP = 8.0, 0.10, 0.01
 #: most rows divergence_profile builds
 MAX_PROFILE_ROWS = 10 ** 6
 
@@ -42,10 +42,6 @@ class ModelConstants(Value):
     """The contraction bound and the slim-triangle constant of the model."""
 
     __slots__ = _fields = ("b", "delta")
-
-    def __init__(self, b: float, delta: float):
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "delta", delta)
 
 
 def model_constants() -> ModelConstants:
@@ -193,15 +189,6 @@ class PairGeometry(Value):
 
     __slots__ = _fields = ("D", "O", "O_prime", "t_O", "s_O", "crossing")
 
-    def __init__(self, D: float, O: Point, O_prime: Point, t_O: float, s_O: float,
-                 crossing: bool):
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "O", O)
-        object.__setattr__(self, "O_prime", O_prime)
-        object.__setattr__(self, "t_O", t_O)
-        object.__setattr__(self, "s_O", s_O)
-        object.__setattr__(self, "crossing", crossing)
-
 
 def _normalized_endpoints(c_target: Geodesic, c_source: Geodesic):
     inv = c_target.chart.inverse()
@@ -313,12 +300,6 @@ class Thresholds(Value):
 
     __slots__ = _fields = ("p_plus", "p_minus", "q_plus", "q_minus")
 
-    def __init__(self, p_plus: float, p_minus: float, q_plus: float, q_minus: float):
-        object.__setattr__(self, "p_plus", p_plus)
-        object.__setattr__(self, "p_minus", p_minus)
-        object.__setattr__(self, "q_plus", q_plus)
-        object.__setattr__(self, "q_minus", q_minus)
-
 
 def _largest_violating_offset(m1: MappingClass, m2: MappingClass) -> float:
     """Supremum of min(a, b) over offsets a, b from the nearest points, on one
@@ -352,20 +333,19 @@ def _largest_violating_offset(m1: MappingClass, m2: MappingClass) -> float:
     return 0.5 * math.log((1.0 + math.sqrt(2.0 - k2)) / (math.sqrt(k2) - 1.0))
 
 
-def fast_divergence_thresholds(m1: MappingClass, m2: MappingClass, *,
-                               grid_step: float = 0.01) -> Thresholds:
+def fast_divergence_thresholds(m1: MappingClass, m2: MappingClass) -> Thresholds:
     """Thresholds past which the pair diverges faster than either point
     recedes from the nearest-point configuration.
 
     The largest violating offset is a closed form in the traces
     (_largest_violating_offset) and the same on both sides.
-    It is rounded up to the next multiple of grid_step past it and enlarged
+    It is rounded up to the next multiple of THRESHOLD_STEP past it and enlarged
     by THRESHOLD_MARGIN; an offset within two steps of HORIZON is refused.
     """
     pg = pair_geometry(m1, m2)
     sup = _largest_violating_offset(m1, m2)
-    delta = math.floor(sup / grid_step) * grid_step + grid_step if sup < HORIZON else math.inf
-    if delta > HORIZON - 2.0 * grid_step:
+    delta = math.floor(sup / THRESHOLD_STEP) * THRESHOLD_STEP + THRESHOLD_STEP if sup < HORIZON else math.inf
+    if delta > HORIZON - 2.0 * THRESHOLD_STEP:
         raise HorizonExceededError(f"violations persist to the sampling horizon {HORIZON}")
     offset = (1.0 + THRESHOLD_MARGIN) * delta
     return Thresholds(p_plus=pg.t_O + offset, p_minus=pg.t_O - offset,

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import hyp2
 from .errors import ConstantDerivationError, FViolationError, InvalidInputError
-from .hyp2 import Point, Value
+from .hyp2 import Point, Record, Value
 from .mcg import MappingClass, min_translation
 
 
@@ -34,8 +34,7 @@ class Slope(Value):
             raise InvalidInputError(f"slope ({p},{q}) is not primitive")
         if not (q > 0 or (q == 0 and p == 1)):
             raise InvalidInputError(f"slope ({p},{q}) is not canonical (need q > 0, or (1,0))")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        Record.__init__(self, p, q)
 
     @classmethod
     def canonical(cls, p: int, q: int) -> "Slope":
@@ -288,11 +287,6 @@ class ThickParams(Value):
     """Derived thick-part constants: systole floor, marking bound, count coefficient."""
 
     __slots__ = _fields = ("epsilon", "F", "short_curve_coeff")
-
-    def __init__(self, epsilon: float, F: float, short_curve_coeff: float):
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "short_curve_coeff", short_curve_coeff)
 
 
 def short_curve_bound(R: float, params: ThickParams | None = None) -> int:

@@ -3,11 +3,13 @@
     python tests/outcome_digest.py SRC_DIR
 
 Imports ``teichpong`` from SRC_DIR, builds and verifies every family of
-the corpus on every box at 1 and 20,000 samples, and prints the number of
-outcomes, how many of them are errors, and a SHA-256 over every outcome in
-order: the certificate document, or the error's class, message and
-witness.  Two source trees with the same line give the same certificates,
-witnesses and errors on the corpus.  Not collected by pytest.
+the corpus on every box at 1 and 20,000 samples, then runs the word oracle
+to length 4 on each family's N-th powers for its certificate on the default
+box.  It prints the number of outcomes, how many of them are errors, and a
+SHA-256 over every outcome in order: the certificate or word report
+document, or the error's class, message and witness.  Two source trees with
+the same line give the same certificates, reports, witnesses and errors on
+the corpus.  Not collected by pytest.
 
 The families are perfbench's seeded pairs (seeds 0-49) and triples (seeds
 1000-1009), L^k R beside R^3 L^2 from k = 10 to past the axis-equivariance
@@ -50,23 +52,30 @@ def corpus(MappingClass):
 def main(src):
     sys.path.insert(0, str(Path(src).resolve()))
     from teichpong import MappingClass, TeichpongError, build_certificate, verify_pingpong
-    from teichpong.serialize import certificate_document
+    from teichpong.oracle import free_check
+    from teichpong.serialize import certificate_document, word_report_document
 
-    digest, count, errors = hashlib.sha256(), 0, 0
+    def verified(gens, box, samples):
+        cert = build_certificate(gens, box=box)
+        verify_pingpong(cert, samples)
+        return certificate_document(cert)
+
+    def report(gens):
+        return word_report_document(free_check(gens, build_certificate(gens).N, 4))
+
     fams = corpus(MappingClass)
-    for samples in SAMPLES:
-        for gens in fams:
-            for box in BOXES:
-                try:
-                    cert = build_certificate(gens, box=box)
-                    verify_pingpong(cert, samples)
-                    outcome = certificate_document(cert)
-                except TeichpongError as exc:
-                    outcome = repr((type(exc).__name__, str(exc), getattr(exc, "witness", None)))
-                    errors += 1
-                digest.update(outcome.encode() + b"\0")
-                count += 1
-    print(f"outcomes={count} errors={errors} sha256={digest.hexdigest()}")
+    runs = [(verified, (gens, box, samples))
+            for samples in SAMPLES for gens in fams for box in BOXES]
+    runs += [(report, (gens,)) for gens in fams]
+    digest, errors = hashlib.sha256(), 0
+    for run, args in runs:
+        try:
+            outcome = run(*args)
+        except TeichpongError as exc:
+            outcome = repr((type(exc).__name__, str(exc), getattr(exc, "witness", None)))
+            errors += 1
+        digest.update(outcome.encode() + b"\0")
+    print(f"outcomes={len(runs)} errors={errors} sha256={digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from teichpong.mcg import MappingClass, axis, min_translation, translation_dista
 from teichpong.oracle import count_reduced_words, free_check
 from teichpong.pingpong import (build_certificate, paper_constants,
                                 paper_radius_bound, power_bound, verify_pingpong)
-from teichpong.projection import (derive_contraction_b, divergence_profile,
+from teichpong.projection import (THRESHOLD_STEP, derive_contraction_b, divergence_profile,
                                   fast_divergence_thresholds, pair_geometry,
                                   profile_csv)
 from teichpong.serialize import (certificate_document, digit_count,
@@ -125,6 +125,7 @@ def test_criterion_5_wolpert_bound():
 
 
 def test_criterion_6_properness_and_fast_divergence():
+    assert THRESHOLD_STEP == 0.01
     rng = np.random.default_rng(6)
     families = [(PHI, PSI)] + [random_independent_pair(rng) for _ in range(5)]
     for m1, m2 in families:
@@ -138,7 +139,7 @@ def test_criterion_6_properness_and_fast_divergence():
             for delta in (1.0, 2.0, 5.0):
                 hits = np.nonzero(suffix >= delta)[0]
                 assert hits.size, f"no properness horizon for delta={delta}"
-        th = fast_divergence_thresholds(m1, m2, grid_step=0.01)
+        th = fast_divergence_thresholds(m1, m2)
         pg = pair_geometry(m1, m2)
         # zero violations beyond the certified thresholds on a fresh grid
         for sign, p_thr, q_thr in ((1, th.p_plus, th.q_plus), (-1, th.p_minus, th.q_minus)):

@@ -211,3 +211,31 @@ def test_validation(make, kind, message):
     with pytest.raises(kind) as exc:
         make()
     assert type(exc.value) is kind and str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", NAMES)
+class TestConstructor:
+    """One call shape per class: the fields in order, by position or keyword."""
+
+    @staticmethod
+    def _class_and_fields(name):
+        x = VALUES[name][0]()
+        return type(x), {field: getattr(x, field) for field in x._fields}
+
+    def test_positional_equals_keyword(self, name):
+        cls, fields = self._class_and_fields(name)
+        first, *rest = fields
+        assert cls(*fields.values()) == cls(**fields) == VALUES[name][0]()
+        assert cls(fields[first], **{k: fields[k] for k in rest}) == cls(**fields)
+
+    def test_bad_calls(self, name):
+        cls, fields = self._class_and_fields(name)
+        values, first = list(fields.values()), next(iter(fields))
+        calls = [lambda: cls(*values, no_such_field=1),
+                 lambda: cls(*values, **{first: values[0]}),
+                 lambda: cls(*values, values[0])]
+        if name != "BoundaryPoint":  # the only class whose every field has a default
+            calls.append(lambda: cls(**{k: v for k, v in fields.items() if k != first}))
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
