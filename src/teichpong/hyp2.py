@@ -212,6 +212,19 @@ class Mobius(Value):
         return BoundaryPoint.finite((self.a * xi.value + self.b) / den)
 
 
+def _mobius_array(a: float, b: float, c: float, d: float, zs: np.ndarray) -> np.ndarray:
+    """(a zs + b) / (c zs + d), the package's one Mobius map on arrays: in place,
+    with the bits of Mobius.apply_complex and without numpy's warnings."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        num, den = a * zs, c * zs
+        num += b
+        den += d
+        num /= den
+    return num
+
+
 class ProjectionResult(NamedTuple):
     """Foot of the nearest-point projection together with its parameter."""
 
@@ -313,16 +326,10 @@ class Geodesic(Value):
         # chart.inverse() is (d, -b, -c, a); the negated entries are added,
         # as apply_complex adds them, which keeps the sign of a zero part
         m = self.chart
-        a, b, c, d = m.a, m.b, m.c, m.d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = d * zs
-            w += -b
-            den = -c * zs
-            den += a
-            w /= den
-            out = np.abs(w)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = np.abs(_mobius_array(m.d, -m.b, -m.c, m.a, zs))
             np.log(out, out=out)
-            out *= 0.5
+        out *= 0.5
         bad = np.isnan(out)
         if bad.any():
             if not np.isfinite(zs[bad]).all():

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
-from .hyp2 import Geodesic, Point, Record, Value
+from .hyp2 import Geodesic, Point, Record, Value, _mobius_array
 from .mcg import MappingClass, axis, independent, min_translation, translation_distance
 from .projection import (_geodesic_pair_geometry, derive_morse, model_constants,
                           projection_interval)
@@ -268,26 +268,13 @@ def sample_box_points(seed: int, n: int, box=DEFAULT_BOX) -> np.ndarray:
 
 
 def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
-    """(a zs + b) / (c zs + d) for the float entries of m, evaluated in place
-    with the same operations as Mobius.apply_complex.
-
-    Not via Mobius: the float entries of a large power fail its
-    determinant check.
-    """
-    import numpy as np
-
+    """hyp2's Mobius map on arrays for the float entries of m, not via Mobius,
+    whose determinant check the float entries of a large power fail."""
     try:
-        a, b, c, d = (float(v) for v in m.entries())
+        return _mobius_array(*map(float, m.entries()), zs)
     except OverflowError:
         raise InvalidInputError(
             "a matrix entry is beyond the float range of the sampled checks") from None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num = a * zs
-        num += b
-        den = c * zs
-        den += d
-        num /= den
-    return num
 
 
 _U = 2.0 ** -53          #: unit roundoff of float64
@@ -652,14 +639,15 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     # tracks the measured float noise of applying the matrix (large-entry
     # generators with tiny axes condition badly, a logic bug would show up
     # at the scale of Tr, orders of magnitude above the noise floor)
+    charts = [(c.chart.a, c.chart.b, c.chart.c, c.chart.d) for c in axes]
     grid = np.linspace(-3.0, 3.0, 13)
     worst = noise = 0.0
-    for m, c, tr in zip(gens, axes, trs):
-        pts = c.chart.apply_complex(1j * np.exp(2.0 * grid))
-        moved = _mobius_apply_array(m, pts)
+    for m, c, chart, tr in zip(gens, axes, charts, trs):
+        moved = _mobius_apply_array(m, _mobius_array(*chart, 1j * np.exp(2.0 * grid)))
         back = _mobius_apply_array(m.inverse(), moved)
-        noise = max(noise, float(np.max(np.abs(c.params_of_array(back) - grid))))
-        worst = max(worst, float(np.max(np.abs(c.params_of_array(moved) - (grid + tr)))))
+        err = np.abs(c.params_of_array(np.concatenate([back, moved])) - np.r_[grid, grid + tr])
+        noise = max(noise, float(np.max(err[:grid.size])))
+        worst = max(worst, float(np.max(err[grid.size:])))
     tol = max(1e-8, 16.0 * noise)
     ok = worst <= tol
     checks.append({"name": "axis-equivariance", "passed": bool(ok),
@@ -671,32 +659,36 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
 
     # uniform-box samples rarely reach the tables, so also plant witnesses on
     # and near each table (points over the axis feet at parameter beyond S)
-    # and require each to belong to its own table only
-    witness_params = S + np.array([0.1, 0.5, 1.0, 1.5])
-    angles = np.array([np.pi / 3.0, np.pi / 2.0, 2.0 * np.pi / 3.0])
-    for i, c in enumerate(axes):
-        for sign in (1, -1):
-            w = np.exp(2.0 * sign * witness_params)[:, None] * np.exp(1j * angles)[None, :]
-            pts = c.chart.apply_complex(w).ravel()
-            wp = np.stack([a.params_of_array(pts) for a in axes])
-            own = wp[i] >= S if sign == 1 else wp[i] <= -S
-            if not bool(np.all(own)):
-                fail(f"planted witness missed its own table ({i}, {sign:+d})")
-            others = np.concatenate([wp >= S, wp <= -S]).sum(axis=0)
-            if int(others.max()) > 1:
-                k = int(np.argmax(others))
-                fail("a planted table witness lies in a second table",
-                     witness={"point": [float(pts[k].real), float(pts[k].imag)],
-                              "table": [i, sign]})
+    # and require each to belong to its own table only.  Row t = 2i + k of
+    # pts holds table (i, (1, -1)[k]).  Each axis takes every row's parameters
+    # at once, so a non-finite witness is refused before an earlier table can
+    # fail.  That needs S above about 353 (e^{2(S + 1.5)} overflows), where no
+    # table fails: failing needs overlapping tables or a chart error of 0.1
+    heights = np.exp(np.multiply.outer([2.0, -2.0], S + np.array([0.1, 0.5, 1.0, 1.5])))
+    w = heights[:, :, None] * np.exp(1j * np.array([np.pi / 3.0, np.pi / 2.0, 2.0 * np.pi / 3.0]))
+    pts = np.stack([_mobius_array(*chart, w) for chart in charts]).reshape(-1, w[0].size)
+    wp = np.stack([c.params_of_array(pts.ravel()) for c in axes]).reshape(len(axes), *pts.shape)
+    tables = np.concatenate([wp >= S, wp <= -S]).sum(axis=0)  # tables each witness lies in
+    for t, (i, sign) in enumerate((i, sign) for i in range(len(axes)) for sign in (1, -1)):
+        if not bool(np.all(sign * wp[i, t] >= S)):
+            fail(f"planted witness missed its own table ({i}, {sign:+d})")
+        if int(tables[t].max()) > 1:
+            z = pts[t, int(np.argmax(tables[t]))]
+            fail("a planted table witness lies in a second table",
+                 witness={"point": [float(z.real), float(z.imag)], "table": [i, sign]})
     checks.append({"name": "table-witness-disjointness", "passed": True,
-                   "witnesses_per_table": int(witness_params.size * angles.size)})
+                   "witnesses_per_table": w[0].size})
 
-    # re-validate the stored intervals by sampling each source axis
-    src_grid = np.linspace(-6.0, 6.0, 241)
+    # re-validate the stored intervals by sampling each source axis.  One call
+    # per target refuses a non-finite sample before an earlier pair can fail;
+    # that needs a chart that maps a point at |t| <= 6 out of the float range
+    feet = 1j * np.exp(2.0 * np.linspace(-6.0, 6.0, 241))
+    sources = [_mobius_array(*chart, feet) for chart in charts]
+    projected = [c.params_of_array(np.concatenate(sources[:i] + sources[i + 1:]))
+                 .reshape(len(axes) - 1, -1) for i, c in enumerate(axes)]
     bound = cert.R + 4.0 * cert.b + 1e-9
     for (i, j), (lo, hi) in cert.intervals.items():
-        pts = axes[j].chart.apply_complex(1j * np.exp(2.0 * src_grid))
-        t = axes[i].params_of_array(pts)
+        t = projected[i][j - (j > i)]  # row j - (j > i): the sources other than i, in order
         inside = (t >= lo - 1e-9) & (t <= hi + 1e-9) & (np.abs(t) <= bound)
         if not bool(np.all(inside)):
             k = int(np.argmin(inside))

@@ -9,7 +9,9 @@ box.  It prints the number of outcomes, how many of them are errors, and a
 SHA-256 over every outcome in order: the certificate or word report
 document, or the error's class, message and witness.  Two source trees with
 the same line give the same certificates, reports, witnesses and errors on
-the corpus.  Not collected by pytest.
+the corpus.  Not collected by pytest: tests/test_golden.py runs it in a
+fresh interpreter and compares its line with tests/golden/outcome_digest.txt,
+which the golden rewrite command rewrites with the other documents.
 
 The families are perfbench's seeded pairs (seeds 0-49) and triples (seeds
 1000-1009), L^k R beside R^3 L^2 from k = 10 to past the axis-equivariance

@@ -10,6 +10,7 @@ CHANGES.md says what changed and why.  Rewrite them with
 import contextlib
 import io
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -28,6 +29,15 @@ def _stdout(argv):
         code = main([*argv, "--no-cache"])
     assert code == 0
     return out.getvalue()
+
+
+def _outcome_digest(tmp_dir):
+    """The line of tests/outcome_digest.py for this tree, from a fresh interpreter."""
+    here = pathlib.Path(__file__).parent
+    argv = [sys.executable, str(here / "outcome_digest.py"), str(here.parent / "src")]
+    proc = subprocess.run(argv, cwd=tmp_dir, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _constants_file(tmp_dir):
@@ -54,6 +64,8 @@ DOCUMENTS = {
     "pair_thresholds_disjoint.txt": lambda tmp: _stdout(
         ["pair", "--m1", "2,1,1,1", "--m2", "3,1,2,1", "--thresholds"]),
     "axis.txt": lambda tmp: _stdout(["axis", "--matrix", "2,1,1,1"]),
+    # the verifier's outcomes over the script's corpus of families and boxes
+    "outcome_digest.txt": _outcome_digest,
 }
 
 

@@ -1106,3 +1106,94 @@ class TestInPlacePrimitives:
         for seed, n, box in [(0, 20_000, pingpong.DEFAULT_BOX), (9, 8193, WIDE_BOX),
                              (2, 20_000, EDGE_BOX), (1, 1000, (-1e200, 1e200, 1e-300, 1e300))]:
             assert same_bits(sample_box_points(seed, n, box), reference_sample(seed, n, box))
+
+
+class TestArrayKernel:
+    """hyp2's one Mobius map on arrays: quiet near the float range, and each
+    fixed check of the verifier takes each axis's parameters once."""
+
+    @pytest.mark.parametrize("m", [MappingClass(1, 0, 1000, 1) * PHI, R_GEN ** 1000 * L_GEN],
+                             ids=["R^1000-phi", "R^1000L"])
+    @pytest.mark.parametrize("z", [1e308 + 1e308j, 1.7e308 + 1j])
+    def test_no_overflow_warning(self, m, z):
+        import warnings
+        c, zs = axis(m).axis, np.array([z])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = reference_params(c, zs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(c.params_of_array(zs), ref)
+
+    @staticmethod
+    def counts(monkeypatch, gens):
+        """(params_of_array calls, their points, chart maps) of one verification
+        on the default box, which no array passes through Mobius.apply_complex."""
+        from teichpong.hyp2 import Mobius
+        calls, charts = [], {axis(m).axis.chart._values() for m in gens}
+        params_of_array, kernel, apply_complex = (Geodesic.params_of_array,
+                                                  pingpong._mobius_array, Mobius.apply_complex)
+
+        def counted_params(self, zs):
+            assert zs.ndim == 1
+            calls.append(("params", len(zs)))
+            return params_of_array(self, zs)
+
+        def counted_kernel(a, b, c, d, zs):
+            if (a, b, c, d) in charts:
+                calls.append(("chart", zs.size))
+            return kernel(a, b, c, d, zs)
+
+        def scalar_only(self, z):
+            assert not isinstance(z, np.ndarray)
+            return apply_complex(self, z)
+        with monkeypatch.context() as mp:
+            mp.setattr(Geodesic, "params_of_array", counted_params)
+            mp.setattr(pingpong, "_mobius_array", counted_kernel)
+            mp.setattr(Mobius, "apply_complex", scalar_only)
+            assert verify_pingpong(build_certificate(gens), 100_000)["passed"]
+        params = [n for kind, n in calls if kind == "params"]
+        return len(params), sum(params), sum(kind == "chart" for kind, _ in calls)
+
+    def test_evaluation_counts(self, monkeypatch):
+        # 3n parameter calls and 3n chart maps: equivariance 13 + 13 points per
+        # generator, 12 witnesses per table for each of the 2n tables on every
+        # axis, and 241 samples of each other axis per target
+        assert self.counts(monkeypatch, [PHI, PSI]) == (6, 630, 6)
+        assert self.counts(monkeypatch, [PHI, PSI, L_GEN ** 2 * R_GEN ** 3]) == (9, 1740, 9)
+
+
+class TestFixedCheckFailures:
+    """Each fixed check of the verifier fails with its own message and witness."""
+
+    @staticmethod
+    def outcome(cert):
+        with pytest.raises((CertificateInvalidError, InvalidInputError)) as info:
+            verify_pingpong(cert, 0)
+        return type(info.value), str(info.value), getattr(info.value, "witness", None)
+
+    def test_planted_witness_in_second_table(self):
+        cert = build_certificate([PHI, PSI])
+        cert.S = 0.3
+        assert self.outcome(cert) == (
+            CertificateInvalidError, "a planted table witness lies in a second table",
+            {"point": [1.040390654751995, 0.5269551656775849], "table": [0, 1]})
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    def test_non_finite_planted_witness(self):
+        # e^{2(S + 1.5)} leaves the float range, so the witnesses of the
+        # first plus table are not finite
+        cert = build_certificate([PHI, PSI])
+        cert.N, cert.S = 737, 354.5
+        assert self.outcome(cert) == (
+            InvalidInputError, "non-finite input point in projection batch", None)
+
+    def test_interval_left(self):
+        cert = build_certificate([PHI, PSI])
+        for key in [(0, 1), (1, 0)]:
+            lo, hi = cert.intervals[key]
+            cert.intervals[key] = (lo + 0.5, hi + 0.5)
+        # (0, 1) is the first failing pair in the order of cert.intervals
+        assert self.outcome(cert) == (
+            CertificateInvalidError, "projection of axis 1 on axis 0 left its interval",
+            {"param": -0.587179502796256})
