@@ -275,6 +275,16 @@ class TestKnownFalseFailures:
         cert = build_certificate([L_GEN ** 283946 * R_GEN, R_GEN ** 3 * L_GEN ** 2])
         assert verify_pingpong(cert, 1000)["passed"]
 
+    @pytest.mark.xfail(strict=True, raises=CertificateInvalidError,
+                       reason="planted witness missed its own table (0, +1)")
+    def test_planted_witness_at_large_radius(self):
+        # N Tr = 48.1 clears 2S = 40, but the witnesses beyond parameter 20
+        # lie within float rounding of their axis's endpoint, so their
+        # parameters are noise and some fall short of S
+        cert = build_certificate([PHI, PSI])
+        cert.S, cert.R, cert.N = 20.0, 20.0 - 6.0 * cert.b, 50
+        assert verify_pingpong(cert, 0)["passed"]
+
 
 def reference_sample(seed, n, box):
     """The box sample drawn block by block as x + 1j * y."""
@@ -1156,11 +1166,11 @@ class TestArrayKernel:
         return len(params), sum(params), sum(kind == "chart" for kind, _ in calls)
 
     def test_evaluation_counts(self, monkeypatch):
-        # 3n parameter calls and 3n chart maps: equivariance 13 + 13 points per
-        # generator, 12 witnesses per table for each of the 2n tables on every
-        # axis, and 241 samples of each other axis per target
-        assert self.counts(monkeypatch, [PHI, PSI]) == (6, 630, 6)
-        assert self.counts(monkeypatch, [PHI, PSI, L_GEN ** 2 * R_GEN ** 3]) == (9, 1740, 9)
+        # 2n parameter calls and 2n chart maps: equivariance 13 + 13 points per
+        # generator, and 12 witnesses per table for each of the 2n tables on
+        # every axis
+        assert self.counts(monkeypatch, [PHI, PSI]) == (4, 148, 4)
+        assert self.counts(monkeypatch, [PHI, PSI, L_GEN ** 2 * R_GEN ** 3]) == (6, 294, 6)
 
 
 class TestFixedCheckFailures:
@@ -1196,4 +1206,15 @@ class TestFixedCheckFailures:
         # (0, 1) is the first failing pair in the order of cert.intervals
         assert self.outcome(cert) == (
             CertificateInvalidError, "projection of axis 1 on axis 0 left its interval",
-            {"param": -0.587179502796256})
+            {"param": -0.5871795028097744})
+
+    def test_interval_beyond_the_radius(self):
+        # the stored intervals are the recomputed ones, but with R = 0 the
+        # lower end 4.71 lies beyond R + 4b = 3.70
+        m2 = PHI.conjugated_by((PHI ** 5) * MappingClass(1, 1, 0, 1))
+        cert = build_certificate([PHI, m2], box=(-10, 10, 1e-6, 10))
+        cert.R = 0.0
+        assert self.outcome(cert) == (
+            CertificateInvalidError, "projection of axis 1 on axis 0 left its interval",
+            {"param": 4.706150572845396})
+        assert cert.intervals[(0, 1)][0] == 4.706150572845396
