@@ -9,7 +9,9 @@ and a certified practical one, and independently cross-checks free
 generation by exact enumeration of reduced words.
 
 The exports below and the submodules load on first use, so importing the
-package loads none of them, and numpy only with the array code.
+package loads none of them.  numpy loads only with the array code: the
+verifier's first drawn sample block, sample_box_points and
+Geodesic.params_of_array.
 """
 
 import importlib

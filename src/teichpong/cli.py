@@ -20,8 +20,9 @@ from .mcg import (Classification, MappingClass, axis, classify, fixed_slope_test
                   independent, translation_distance)
 
 # The handlers import the rest of the package themselves, so a command loads
-# only the modules it runs, numpy only where it samples arrays, and
-# serialize only where it writes a document.
+# only the modules it runs, numpy only where the verifier draws a sample
+# block (never on the decided default box), and serialize only where it
+# writes a document.
 
 #: most samples `pingpong` and `certify-free` verify; config.samples records --samples as given
 SAMPLE_CAP = 100_000

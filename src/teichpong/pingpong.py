@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
-from .hyp2 import Geodesic, Point, Record, Value, _mobius_array
+from .hyp2 import Geodesic, Point, Record, Value, _mobius_array, _mobius_points
 from .mcg import MappingClass, axis, independent, min_translation, translation_distance
 from .projection import (_geodesic_pair_geometry, derive_morse, model_constants,
                           projection_interval)
@@ -232,10 +232,9 @@ def _sample_blocks(seed: int, n: int, box):
     SAMPLE_CHUNK points per seed spawned from `seed`, in sample order.
 
     The seed and the box are checked at the call; block k is drawn when it
-    is consumed, from SeedSequence(seed, spawn_key=(k,)), spawn's k-th child.
+    is consumed, from SeedSequence(seed, spawn_key=(k,)), spawn's k-th child,
+    and numpy is first imported for the first block drawn.
     """
-    import numpy as np
-
     if n < 0 or seed < 0:
         raise InvalidInputError(f"need a sample count and seed >= 0, got n={n}, seed={seed}")
     x_lo, x_hi, y_lo, y_hi = box
@@ -246,6 +245,8 @@ def _sample_blocks(seed: int, n: int, box):
 
     def draw(k):
         # for finite heights, the bits of x + 1j * y
+        import numpy as np
+
         m = min(SAMPLE_CHUNK, n - k * SAMPLE_CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         zs = np.empty(m, dtype=complex)
@@ -267,14 +268,19 @@ def sample_box_points(seed: int, n: int, box=DEFAULT_BOX) -> np.ndarray:
     return np.concatenate(list(_sample_blocks(seed, n, box)))
 
 
-def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
-    """hyp2's Mobius map on arrays for the float entries of m, not via Mobius,
+def _float_entries(m: MappingClass) -> tuple:
+    """The entries of m as floats, for hyp2's Mobius maps rather than a Mobius,
     whose determinant check the float entries of a large power fail."""
     try:
-        return _mobius_array(*map(float, m.entries()), zs)
+        return tuple(map(float, m.entries()))
     except OverflowError:
         raise InvalidInputError(
             "a matrix entry is beyond the float range of the sampled checks") from None
+
+
+def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
+    """hyp2's Mobius map on arrays for the float entries of m."""
+    return _mobius_array(*_float_entries(m), zs)
 
 
 _U = 2.0 ** -53          #: unit roundoff of float64
@@ -478,6 +484,67 @@ def _table_empty(chart, sign: int, bounds, S: float) -> bool:
     return all(f(*peak) < 0 for peak in peaks)
 
 
+#: e^{i a} for the planted witnesses' angles a = pi/3, pi/2, 2 pi/3, with numpy's bits
+_TURNS = tuple(complex(math.cos(a), math.sin(a))
+               for a in (math.pi / 3.0, math.pi / 2.0, 2.0 * math.pi / 3.0))
+_GUARD = 2.0 ** -20  #: relative guard band of _table_params
+
+
+def _height(x: float) -> float:
+    """e^x, inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _table_params(c: Geodesic, zs, S: float) -> list:
+    """For each complex point z of zs, c.params_of_points([z])[0] or, where
+    its side of the tables at +-S is decided without it, a stand-in on that
+    side: inf at or beyond S, -inf at or beyond -S, 0.0 between.
+
+    The parameter is 1/2 log|q| for q the float quotient of the float forms
+    num = Dz - B and den = -Cz + A of the chart (A, B, C, D).  Let 0 < S <=
+    175, so that e^{+-2S} and the band are normal floats, and let the moduli
+    of the forms lie in _OPERAND_RANGE, inside _inclusion_bound's float
+    model.  That model puts |q| within 32u relative of Q = |num| / |den|,
+    the modulus adds 16u and either log _LOG_ERR.  Here abs, the quotient
+    of the moduli, e^{2S} and its factor 1 + _GUARD round by 8u in all, so
+    a quotient of at least e^{2S} (1 + _GUARD) gives Q >= e^{2S} (1 +
+    2^-20 - 9u) and a computed log of at least 2S + 2^-21 - 49u - _LOG_ERR
+    > 2S: the parameter is at least S.  The other three comparisons place
+    it below -S, above -S and below S alike.  Inside the band, and out of
+    range, the parameter is computed.
+    """
+    if not 0.0 < S <= 175.0:
+        return c.params_of_points(zs)
+    m = c.chart
+    a, b, cc, d = m.d, -m.b, -m.c, m.a
+    top, bottom = math.exp(2.0 * S), math.exp(-2.0 * S)
+    top_in, top_out = top * (1.0 - _GUARD), top * (1.0 + _GUARD)
+    bottom_in, bottom_out = bottom * (1.0 + _GUARD), bottom * (1.0 - _GUARD)
+    low, high = _OPERAND_RANGE
+    out = []
+    for z in zs:
+        try:
+            num, den = abs(a * z + b), abs(cc * z + d)
+        except OverflowError:  # a modulus beyond the float range
+            num = den = math.nan
+        if low <= num <= high and low <= den <= high:
+            q = num / den
+            if q >= top_out:
+                out.append(math.inf)
+                continue
+            if q <= bottom_out:
+                out.append(-math.inf)
+                continue
+            if bottom_in <= q <= top_in:
+                out.append(0.0)
+                continue
+        out.append(c.params_of_points((z,))[0])
+    return out
+
+
 def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budget: int,
                     box, checks: list) -> None:
     """Inclusion under the exact N-th powers and table disjointness, on the
@@ -498,8 +565,6 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
     sign (a generator whose power leaves the float range is refused at its
     turn), then disjointness, which fails where a sample lies in two tables.
     """
-    import numpy as np
-
     S, N = cert.S, cert.N
     blocks = _sample_blocks(seed, sample_budget, box)
     maps = []  # (i, sign, g_i^(sign N)), in order up to the first refused generator
@@ -521,9 +586,12 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
             if not all((i, sign) in certified and _table_empty(c.chart, sign, bounds, S)
                        for sign in (1, -1))]
     outcome = {}  # (i, sign) -> its InvalidInputError, or the witness of its first failure
-    per_set = np.zeros((2, len(axes)), dtype=np.int64)  # hits of the plus, then the minus tables
+    n = len(axes)
+    per_set = [0] * (2 * n)  # hits of the plus, then the minus tables
     most, most_at = 0, None  # most tables one sample lies in, and the first such sample
     for zs in blocks if live else ():
+        import numpy as np  # loaded by the block's draw
+
         params = {i: axes[i].params_of_array(zs) for i in live}
         for i, sign, mat in maps:
             if (i, sign) in certified or isinstance(outcome.get((i, sign)), InvalidInputError):
@@ -545,7 +613,9 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
                                       "param": float(t_img[k])}
         rows = np.stack(list(params.values()))
         membership = np.stack([rows >= S, rows <= -S])
-        per_set[:, live] += membership.sum(axis=2)
+        for k, hits in enumerate(membership.sum(axis=2).tolist()):
+            for i, h in zip(live, hits):
+                per_set[k * n + i] += h
         counts = membership.sum(axis=(0, 1))
         if int(counts.max(initial=0)) > most:
             k = int(np.argmax(counts))
@@ -565,7 +635,7 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
 
     ok = most <= 1
     checks.append({"name": "table-disjointness", "passed": bool(ok), "samples": int(sample_budget),
-                   "per_set_hits": [int(v) for v in per_set.ravel()]})
+                   "per_set_hits": per_set})
     if not ok:
         raise CertificateInvalidError("a sample lies in two tables",
                                       witness={"point": most_at})
@@ -587,7 +657,8 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     The samples are those of sample_box_points, streamed one SAMPLE_CHUNK
     block at a time, so memory stays bounded by a block whatever the
     budget; the verdict and the witness are those of a pass over the whole
-    sample.
+    sample.  The fixed checks run on hyp2's scalar kernel, and numpy is
+    imported only when a block is drawn.
     """
     seed = cert.config["seed"] if seed is None else seed
     box = tuple(cert.config["box"])
@@ -623,8 +694,6 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
         report["passed"] = True
         return report
 
-    import numpy as np
-
     axes = [axis(m).axis for m in gens]
     S = cert.S
 
@@ -640,14 +709,15 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     # generators with tiny axes condition badly, a logic bug would show up
     # at the scale of Tr, orders of magnitude above the noise floor)
     charts = [(c.chart.a, c.chart.b, c.chart.c, c.chart.d) for c in axes]
-    grid = np.linspace(-3.0, 3.0, 13)
+    grid = [0.5 * k - 3.0 for k in range(13)]  # -3, -2.5, ..., 3
+    starts = [complex(0.0, math.exp(2.0 * t)) for t in grid]
     worst = noise = 0.0
     for m, c, chart, tr in zip(gens, axes, charts, trs):
-        moved = _mobius_apply_array(m, _mobius_array(*chart, 1j * np.exp(2.0 * grid)))
-        back = _mobius_apply_array(m.inverse(), moved)
-        err = np.abs(c.params_of_array(np.concatenate([back, moved])) - np.r_[grid, grid + tr])
-        noise = max(noise, float(np.max(err[:grid.size])))
-        worst = max(worst, float(np.max(err[grid.size:])))
+        moved = _mobius_points(*_float_entries(m), _mobius_points(*chart, starts))
+        back = _mobius_points(*_float_entries(m.inverse()), moved)
+        params = c.params_of_points(back + moved)
+        noise = max(noise, *(abs(t - g) for t, g in zip(params, grid)))
+        worst = max(worst, *(abs(t - (g + tr)) for t, g in zip(params[len(grid):], grid)))
     tol = max(1e-8, 16.0 * noise)
     ok = worst <= tol
     checks.append({"name": "axis-equivariance", "passed": bool(ok),
@@ -659,26 +729,31 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
 
     # uniform-box samples rarely reach the tables, so also plant witnesses on
     # and near each table (points over the axis feet at parameter beyond S)
-    # and require each to belong to its own table only.  Row t = 2i + k of
-    # pts holds table (i, (1, -1)[k]).  Each axis takes every row's parameters
-    # at once, so a non-finite witness (S above about 353, where e^{2(S + 1.5)}
-    # overflows) is refused before any table is checked.  From S near 18 a
-    # witness lies within float rounding of its axis's endpoint, so its
-    # parameter is noise and can miss its own table: (phi, psi) fails so at S = 20
-    heights = np.exp(np.multiply.outer([2.0, -2.0], S + np.array([0.1, 0.5, 1.0, 1.5])))
-    w = heights[:, :, None] * np.exp(1j * np.array([np.pi / 3.0, np.pi / 2.0, 2.0 * np.pi / 3.0]))
-    pts = np.stack([_mobius_array(*chart, w) for chart in charts]).reshape(-1, w[0].size)
-    wp = np.stack([c.params_of_array(pts.ravel()) for c in axes]).reshape(len(axes), *pts.shape)
-    tables = np.concatenate([wp >= S, wp <= -S]).sum(axis=0)  # tables each witness lies in
+    # and require each to belong to its own table only.  Table t = 2i + k,
+    # (i, (1, -1)[k]), holds witnesses t * size to (t + 1) * size of pts.
+    # Every axis places every witness before any table is checked, so a
+    # non-finite witness (S above about 353, where e^{2(S + 1.5)} overflows)
+    # is refused first.  From S near 18 a witness lies within float rounding
+    # of its axis's endpoint, so its parameter is noise and can miss its own
+    # table: (phi, psi) fails so at S = 20
+    w = [_height(k * (S + lift)) * turn for k in (2.0, -2.0)
+         for lift in (0.1, 0.5, 1.0, 1.5) for turn in _TURNS]
+    size = len(w) // 2
+    pts = [z for chart in charts for z in _mobius_points(*chart, w)]
+    wp = [_table_params(c, pts, S) for c in axes]
+    # the tables each witness lies in
+    tables = list(map(sum, zip(*([(t >= S) + (t <= -S) for t in row] for row in wp))))
     for t, (i, sign) in enumerate((i, sign) for i in range(len(axes)) for sign in (1, -1)):
-        if not bool(np.all(sign * wp[i, t] >= S)):
+        own = slice(t * size, (t + 1) * size)
+        if not all(sign * p >= S for p in wp[i][own]):
             fail(f"planted witness missed its own table ({i}, {sign:+d})")
-        if int(tables[t].max()) > 1:
-            z = pts[t, int(np.argmax(tables[t]))]
+        most = max(tables[own])
+        if most > 1:
+            z = pts[own][tables[own].index(most)]
             fail("a planted table witness lies in a second table",
-                 witness={"point": [float(z.real), float(z.imag)], "table": [i, sign]})
+                 witness={"point": [z.real, z.imag], "table": [i, sign]})
     checks.append({"name": "table-witness-disjointness", "passed": True,
-                   "witnesses_per_table": w[0].size})
+                   "witnesses_per_table": size})
 
     # re-validate the stored intervals: the projection is monotone along the
     # source axis, so its closure spans the feet of the source's endpoints

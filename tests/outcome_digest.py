@@ -5,7 +5,9 @@
 Imports ``teichpong`` from SRC_DIR, builds and verifies every family of
 the corpus on every box at 1 and 20,000 samples, then runs the word oracle
 to length 4 on each family's N-th powers for its certificate on the default
-box.  It prints the number of outcomes, how many of them are errors, and a
+box, then verifies two families at 0 samples with the radius raised into
+the planted witnesses' noise regime.  It prints the number of outcomes,
+how many of them are errors, and a
 SHA-256 over every outcome in order: the certificate or word report
 document, or the error's class, message and witness.  Two source trees with
 the same line give the same certificates, reports, witnesses and errors on
@@ -17,7 +19,11 @@ The families are perfbench's seeded pairs (seeds 0-49) and triples (seeds
 1000-1009), L^k R beside R^3 L^2 from k = 10 to past the axis-equivariance
 failure, and phi beside two psi conjugates that fail the sampled inclusion
 and beside 20 others.  The boxes run from
-the default box to boxes no bound decides and subnormal floors.
+the default box to boxes no bound decides and subnormal floors.  The noise
+regime takes (phi, psi) and L^10 R beside R^3 L^2 at S = 6, 6.25, ..., 56,
+with R = S - 6b and the least N the power threshold admits: there a
+witness's parameter is float noise, and math.exp and numpy's exp differ on
+some of the witness heights.
 """
 
 import hashlib
@@ -32,6 +38,7 @@ BOXES = [(-10.0, 10.0, 0.05, 10.0), (-10.0, 10.0, 1e-6, 10.0), (-3.0, 3.0, 1e-3,
          (-0.1, 0.1, 1e-320, 0.1)]
 SAMPLES = (1, 20_000)
 POWERS_OF_L = (10, 100, 10 ** 3, 10 ** 4, 10 ** 5, 283946, 3 * 10 ** 5, 10 ** 6)
+NOISE_S = [6.0 + 0.25 * k for k in range(201)]
 
 
 def corpus(MappingClass):
@@ -51,9 +58,16 @@ def corpus(MappingClass):
     return fams + [[phi, c] for c in witnesses + conjugates[:20]]
 
 
+def noise_families(MappingClass):
+    phi, psi = MappingClass(2, 1, 1, 1), MappingClass(1, 1, 1, 2)
+    L, R = MappingClass(1, 1, 0, 1), MappingClass(1, 0, 1, 1)
+    return [[phi, psi], [L ** 10 * R, R ** 3 * L ** 2]]
+
+
 def main(src):
     sys.path.insert(0, str(Path(src).resolve()))
-    from teichpong import MappingClass, TeichpongError, build_certificate, verify_pingpong
+    from teichpong import (MappingClass, TeichpongError, build_certificate, power_bound,
+                           verify_pingpong)
     from teichpong.oracle import free_check
     from teichpong.serialize import certificate_document, word_report_document
 
@@ -65,10 +79,18 @@ def main(src):
     def report(gens):
         return word_report_document(free_check(gens, build_certificate(gens).N, 4))
 
+    def noisy(gens, S):
+        cert = build_certificate(gens)
+        cert.S, cert.R = S, S - 6.0 * cert.b
+        cert.N = power_bound(cert.R, cert.b, cert.l_min)
+        verify_pingpong(cert, 0)
+        return certificate_document(cert)
+
     fams = corpus(MappingClass)
     runs = [(verified, (gens, box, samples))
             for samples in SAMPLES for gens in fams for box in BOXES]
     runs += [(report, (gens,)) for gens in fams]
+    runs += [(noisy, (gens, S)) for gens in noise_families(MappingClass) for S in NOISE_S]
     digest, errors = hashlib.sha256(), 0
     for run, args in runs:
         try:

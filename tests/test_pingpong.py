@@ -1119,8 +1119,8 @@ class TestInPlacePrimitives:
 
 
 class TestArrayKernel:
-    """hyp2's one Mobius map on arrays: quiet near the float range, and each
-    fixed check of the verifier takes each axis's parameters once."""
+    """hyp2's one Mobius map on arrays: quiet near the float range, and on the
+    default box the verifier's fixed checks evaluate no array."""
 
     @pytest.mark.parametrize("m", [MappingClass(1, 0, 1000, 1) * PHI, R_GEN ** 1000 * L_GEN],
                              ids=["R^1000-phi", "R^1000L"])
@@ -1137,40 +1137,174 @@ class TestArrayKernel:
 
     @staticmethod
     def counts(monkeypatch, gens):
-        """(params_of_array calls, their points, chart maps) of one verification
-        on the default box, which no array passes through Mobius.apply_complex."""
-        from teichpong.hyp2 import Mobius
+        """(parameter calls, their points, chart maps) of one verification on
+        the default box, all through hyp2's scalar kernel."""
         calls, charts = [], {axis(m).axis.chart._values() for m in gens}
-        params_of_array, kernel, apply_complex = (Geodesic.params_of_array,
-                                                  pingpong._mobius_array, Mobius.apply_complex)
+        params_of_points, table_params, points = (Geodesic.params_of_points,
+                                                  pingpong._table_params, pingpong._mobius_points)
 
         def counted_params(self, zs):
-            assert zs.ndim == 1
             calls.append(("params", len(zs)))
-            return params_of_array(self, zs)
+            return params_of_points(self, zs)
 
-        def counted_kernel(a, b, c, d, zs):
+        def counted_table(c, zs, S):
+            calls.append(("params", len(zs)))
+            return table_params(c, zs, S)
+
+        def counted_points(a, b, c, d, zs):
             if (a, b, c, d) in charts:
-                calls.append(("chart", zs.size))
-            return kernel(a, b, c, d, zs)
+                calls.append(("chart", len(zs)))
+            return points(a, b, c, d, zs)
 
-        def scalar_only(self, z):
-            assert not isinstance(z, np.ndarray)
-            return apply_complex(self, z)
+        def no_array(*args):
+            raise AssertionError("an array was evaluated on the default box")
         with monkeypatch.context() as mp:
-            mp.setattr(Geodesic, "params_of_array", counted_params)
-            mp.setattr(pingpong, "_mobius_array", counted_kernel)
-            mp.setattr(Mobius, "apply_complex", scalar_only)
+            mp.setattr(Geodesic, "params_of_points", counted_params)
+            mp.setattr(pingpong, "_table_params", counted_table)
+            mp.setattr(pingpong, "_mobius_points", counted_points)
+            mp.setattr(Geodesic, "params_of_array", no_array)
+            mp.setattr(pingpong, "_mobius_array", no_array)
             assert verify_pingpong(build_certificate(gens), 100_000)["passed"]
         params = [n for kind, n in calls if kind == "params"]
         return len(params), sum(params), sum(kind == "chart" for kind, _ in calls)
 
     def test_evaluation_counts(self, monkeypatch):
-        # 2n parameter calls and 2n chart maps: equivariance 13 + 13 points per
-        # generator, and 12 witnesses per table for each of the 2n tables on
-        # every axis
+        # 2n parameter calls and 2n chart maps, all scalar: equivariance 13 + 13
+        # points per generator, and 12 witnesses per table for each of the 2n
+        # tables on every axis
         assert self.counts(monkeypatch, [PHI, PSI]) == (4, 148, 4)
         assert self.counts(monkeypatch, [PHI, PSI, L_GEN ** 2 * R_GEN ** 3]) == (6, 294, 6)
+
+
+#: a generator whose entry 10^155 sends its equivariance points beyond the float range
+HUGE_ENTRY = MappingClass(10 ** 155, -1, 1, 0)
+
+
+def bits(x):
+    """The bits of a float, one value for every nan."""
+    return "nan" if x != x else x.hex() + ("-" if math.copysign(1.0, x) < 0 else "+")
+
+
+class TestScalarKernel:
+    """hyp2's scalar twins of _mobius_array and params_of_array: numpy's bits
+    for the division, the modulus and the Mobius map, and math.log within an
+    ulp of numpy's log."""
+
+    SPECIAL = [0.0, -0.0, 1.0, -1.5, 5e-324, -5e-324, 2.2e-308, 1e308, -1.7e308,
+               math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def operands(n, seed):
+        """n signed floats of every magnitude, seeded, then the special ones."""
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        return xs.tolist() + TestScalarKernel.SPECIAL
+
+    def test_quotient(self):
+        from teichpong.hyp2 import _quotient
+        # seeded parts, and every special denominator beside every special numerator
+        rows = list(zip(*(self.operands(40_000, seed) for seed in range(4))))
+        rows += list(itertools.product(self.SPECIAL, repeat=4))
+        num, den = (np.empty(len(rows), dtype=complex) for _ in range(2))
+        num.real, num.imag, den.real, den.imag = (list(part) for part in zip(*rows))
+        with np.errstate(all="ignore"):
+            ref = (num / den).tolist()
+        got = [complex(*_quotient(*row)) for row in rows]
+        assert [(bits(q.real), bits(q.imag)) for q in got] == \
+            [(bits(q.real), bits(q.imag)) for q in ref]
+
+    def test_modulus(self):
+        from teichpong.hyp2 import _modulus
+        xs, ys = self.operands(50_000, 5), self.operands(50_000, 6)
+        # near-equal parts, where r is near 1, and every pair of special parts
+        near = np.random.default_rng(7).uniform(1.0, 1.0 + 1e-3, 20_000)
+        pairs = list(zip(xs, ys)) + [(x, x * f) for x, f in zip(xs, near.tolist())]
+        pairs += list(itertools.product(self.SPECIAL, repeat=2))
+        zs = np.empty(len(pairs), dtype=complex)
+        zs.real, zs.imag = [x for x, _ in pairs], [y for _, y in pairs]
+        ref = np.abs(zs).tolist()
+        one = [float(np.abs(zs[k:k + 1])[0]) for k in range(0, len(zs), 101)]
+        got = [_modulus(x, y) for x, y in pairs]
+        assert list(map(bits, got)) == list(map(bits, ref))
+        assert list(map(bits, got[::101])) == list(map(bits, one))
+
+    @staticmethod
+    def points(c):
+        """TestInPlacePrimitives' points for the axis c, as a list, and the
+        equivariance points of the 10^155 generator."""
+        m = HUGE_ENTRY
+        starts = np.array([complex(0.0, math.exp(2.0 * t)) for t in np.linspace(-3.0, 3.0, 13)])
+        moved = pingpong._mobius_apply_array(m, pingpong._mobius_array(
+            *axis(m).axis.chart._values(), starts))
+        back = pingpong._mobius_apply_array(m.inverse(), moved)
+        return TestInPlacePrimitives.points(c).tolist() + moved.tolist() + back.tolist()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("k", range(len(TestInPlacePrimitives.AXES) + 1))
+    def test_mobius_points(self, k):
+        from teichpong.hyp2 import _mobius_points
+        c = (TestInPlacePrimitives.AXES + [axis(HUGE_ENTRY).axis])[k]
+        zs = self.points(c)
+        m = c.chart
+        for entries in [(m.a, m.b, m.c, m.d), (m.d, -m.b, -m.c, m.a),
+                        tuple(map(float, (PHI ** 12).entries())), tuple(map(float, HUGE_ENTRY.entries()))]:
+            ref = pingpong._mobius_array(*entries, np.array(zs)).tolist()
+            got = _mobius_points(*entries, zs)
+            assert [(bits(w.real), bits(w.imag)) for w in got] == \
+                [(bits(w.real), bits(w.imag)) for w in ref]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("k", range(len(TestInPlacePrimitives.AXES) + 1))
+    def test_params_of_points(self, k):
+        c = (TestInPlacePrimitives.AXES + [axis(HUGE_ENTRY).axis])[k]
+        zs, kept = self.points(c), []
+        for z in zs:  # one at a time: the same refusal, or a parameter
+            ref = outcome_of(c.params_of_array, np.array([z]))
+            if isinstance(ref, str):
+                assert outcome_of(c.params_of_points, [z]) == ref
+            else:
+                kept.append(z)
+        assert isinstance(outcome_of(c.params_of_points, zs), str) == (len(kept) < len(zs))
+        ref, got = c.params_of_array(np.array(kept)).tolist(), c.params_of_points(kept)
+        # a parameter differs only where math.log and numpy's log differ on its
+        # modulus, which the two kernels compute bit for bit, and by an ulp:
+        # 35 of the 31,680 points of the seven axes, with numpy 2.4 on AVX-512
+        m = c.chart
+        moduli = np.abs(pingpong._mobius_array(m.d, -m.b, -m.c, m.a, np.array(kept))).tolist()
+        logs_differ = [j for j, w in enumerate(moduli)
+                       if 0.0 < w < math.inf and math.log(w) != float(np.log(w))]
+        differ = [j for j, (t, r) in enumerate(zip(got, ref)) if bits(t) != bits(r)]
+        assert differ == logs_differ
+        assert all(abs(got[j] - ref[j]) == math.ulp(ref[j]) for j in differ)
+        assert len(differ) == (7, 10, 2, 6, 4, 6, 0)[k]
+
+
+class TestTableParams:
+    """_table_params places each point on the side of +-S its parameter has."""
+
+    @pytest.mark.parametrize("S", [0.3, 5.5, 18.0, 20.0, 56.0, 174.0, 176.0, -1.0])
+    def test_sides_of_the_parameters(self, S):
+        axes = [axis(m).axis for m in (PHI, PSI, L_GEN ** 10 * R_GEN)]
+        # the verifier's witnesses, and points whose parameters lie at +-S
+        # to within rounding, inside the band
+        w = [pingpong._height(k * (S + lift)) * complex(math.cos(a), math.sin(a))
+             for k in (2.0, -2.0) for lift in (0.0, 0.1, 0.5, 1.0, 1.5)
+             for a in np.linspace(0.05, 3.1, 30).tolist()]
+        zs = [z for c in axes for z in pingpong._mobius_points(*c.chart._values(), w)]
+        zs += sample_box_points(3, 2000).tolist() + sample_box_points(4, 500, EDGE_BOX).tolist()
+        zs += [z for z in SPECIAL_POINTS.tolist() if math.isfinite(z.real) and math.isfinite(z.imag)]
+        stand_ins = 0
+        for c in axes:
+            got, ref = pingpong._table_params(c, zs, S), c.params_of_points(zs)
+            assert [(t >= S, t <= -S) for t in got] == [(t >= S, t <= -S) for t in ref]
+            stand_ins += sum(t != r for t, r in zip(got, ref))
+        # the band decides most points where it applies, and none elsewhere
+        assert (stand_ins > len(zs)) == (0.0 < S <= 175.0)
+
+    def test_non_finite_point_refused(self):
+        c = axis(PHI).axis
+        with pytest.raises(InvalidInputError, match="non-finite input point"):
+            pingpong._table_params(c, [1j, complex(math.inf, 1.0)], 5.5)
 
 
 class TestFixedCheckFailures:
@@ -1189,14 +1323,16 @@ class TestFixedCheckFailures:
             CertificateInvalidError, "a planted table witness lies in a second table",
             {"point": [1.040390654751995, 0.5269551656775849], "table": [0, 1]})
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_non_finite_planted_witness(self):
         # e^{2(S + 1.5)} leaves the float range, so the witnesses of the
-        # first plus table are not finite
+        # first plus table are not finite; they are refused without a warning
+        import warnings
         cert = build_certificate([PHI, PSI])
         cert.N, cert.S = 737, 354.5
-        assert self.outcome(cert) == (
-            InvalidInputError, "non-finite input point in projection batch", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.outcome(cert) == (
+                InvalidInputError, "non-finite input point in projection batch", None)
 
     def test_interval_left(self):
         cert = build_certificate([PHI, PSI])

@@ -85,13 +85,16 @@ def test_command_loads_no_numpy(argv, code, tmp_path):
     ["certify-free", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "100"],
 ], ids=["pingpong", "certify-free"])
 def test_array_commands_load_numpy(argv, tmp_path):
-    got, modules = _cli_modules([*argv, "--no-cache"], tmp_path)
-    assert got == 0
-    assert _has_numpy(modules)
-    # numpy itself loads inspect, but nothing loads dataclasses
-    assert "dataclasses" not in modules
-    # only paper mode derives the thick-part constants
-    assert "teichpong.torus_model" not in modules
+    # the default box is decided, so its verification draws no sample and
+    # loads no numpy; a box that draws loads it at the first block
+    for box, drawn in [("-10,10,0.05,10", False), ("-10,10,1e-6,10", True)]:
+        got, modules = _cli_modules([*argv, f"--box={box}", "--no-cache"], tmp_path)
+        assert got == 0
+        assert _has_numpy(modules) == drawn
+        # numpy itself loads inspect, but nothing loads dataclasses
+        assert "dataclasses" not in modules
+        # only paper mode derives the thick-part constants
+        assert "teichpong.torus_model" not in modules
 
 
 def test_paper_mode_verification_and_morse_load_no_numpy(tmp_path):
