@@ -271,11 +271,18 @@ def _modulus(x: float, y: float) -> float:
 
 def _mobius_points(a: float, b: float, c: float, d: float, zs) -> list:
     """(a z + b) / (c z + d) for each complex z of zs, the scalar twin of
-    _mobius_array: the bits it gives the same points, without numpy."""
+    _mobius_array: the bits it gives the same points, without numpy.
+
+    numpy forms a z + b with a and b taken as complex numbers with zero
+    imaginary parts: its real part subtracts 0 Im z and its imaginary part
+    adds 0 Re z, then 0.  Those zero terms set the sign of a zero part and
+    turn an infinite part into a nan.  CPython's own a * z + b keeps them up
+    to 3.13 and drops them from 3.14 on, so the twins write them out."""
     out = []
     for z in zs:
-        num, den = a * z + b, c * z + d
-        out.append(complex(*_quotient(num.real, num.imag, den.real, den.imag)))
+        x, y = z.real, z.imag
+        out.append(complex(*_quotient(a * x - 0.0 * y + b, a * y + 0.0 * x + 0.0,
+                                      c * x - 0.0 * y + d, c * y + 0.0 * x + 0.0)))
     return out
 
 
@@ -405,9 +412,10 @@ class Geodesic(Value):
         m = self.chart
         a, b, c, d = m.d, -m.b, -m.c, m.a
         out = []
-        for z in zs:
-            num, den = a * z + b, c * z + d
-            w = _modulus(*_quotient(num.real, num.imag, den.real, den.imag))
+        for z in zs:  # the forms as _mobius_points writes them out
+            x, y = z.real, z.imag
+            w = _modulus(*_quotient(a * x - 0.0 * y + b, a * y + 0.0 * x + 0.0,
+                                    c * x - 0.0 * y + d, c * y + 0.0 * x + 0.0))
             t = 0.5 * math.log(w) if w else -math.inf
             if t != t:
                 if not (math.isfinite(z.real) and math.isfinite(z.imag)):

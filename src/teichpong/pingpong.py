@@ -487,7 +487,6 @@ def _table_empty(chart, sign: int, bounds, S: float) -> bool:
 #: e^{i a} for the planted witnesses' angles a = pi/3, pi/2, 2 pi/3, with numpy's bits
 _TURNS = tuple(complex(math.cos(a), math.sin(a))
                for a in (math.pi / 3.0, math.pi / 2.0, 2.0 * math.pi / 3.0))
-_GUARD = 2.0 ** -20  #: relative guard band of _table_params
 
 
 def _height(x: float) -> float:
@@ -496,53 +495,6 @@ def _height(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-def _table_params(c: Geodesic, zs, S: float) -> list:
-    """For each complex point z of zs, c.params_of_points([z])[0] or, where
-    its side of the tables at +-S is decided without it, a stand-in on that
-    side: inf at or beyond S, -inf at or beyond -S, 0.0 between.
-
-    The parameter is 1/2 log|q| for q the float quotient of the float forms
-    num = Dz - B and den = -Cz + A of the chart (A, B, C, D).  Let 0 < S <=
-    175, so that e^{+-2S} and the band are normal floats, and let the moduli
-    of the forms lie in _OPERAND_RANGE, inside _inclusion_bound's float
-    model.  That model puts |q| within 32u relative of Q = |num| / |den|,
-    the modulus adds 16u and either log _LOG_ERR.  Here abs, the quotient
-    of the moduli, e^{2S} and its factor 1 + _GUARD round by 8u in all, so
-    a quotient of at least e^{2S} (1 + _GUARD) gives Q >= e^{2S} (1 +
-    2^-20 - 9u) and a computed log of at least 2S + 2^-21 - 49u - _LOG_ERR
-    > 2S: the parameter is at least S.  The other three comparisons place
-    it below -S, above -S and below S alike.  Inside the band, and out of
-    range, the parameter is computed.
-    """
-    if not 0.0 < S <= 175.0:
-        return c.params_of_points(zs)
-    m = c.chart
-    a, b, cc, d = m.d, -m.b, -m.c, m.a
-    top, bottom = math.exp(2.0 * S), math.exp(-2.0 * S)
-    top_in, top_out = top * (1.0 - _GUARD), top * (1.0 + _GUARD)
-    bottom_in, bottom_out = bottom * (1.0 + _GUARD), bottom * (1.0 - _GUARD)
-    low, high = _OPERAND_RANGE
-    out = []
-    for z in zs:
-        try:
-            num, den = abs(a * z + b), abs(cc * z + d)
-        except OverflowError:  # a modulus beyond the float range
-            num = den = math.nan
-        if low <= num <= high and low <= den <= high:
-            q = num / den
-            if q >= top_out:
-                out.append(math.inf)
-                continue
-            if q <= bottom_out:
-                out.append(-math.inf)
-                continue
-            if bottom_in <= q <= top_in:
-                out.append(0.0)
-                continue
-        out.append(c.params_of_points((z,))[0])
-    return out
 
 
 def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budget: int,
@@ -740,7 +692,7 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
          for lift in (0.1, 0.5, 1.0, 1.5) for turn in _TURNS]
     size = len(w) // 2
     pts = [z for chart in charts for z in _mobius_points(*chart, w)]
-    wp = [_table_params(c, pts, S) for c in axes]
+    wp = [c.params_of_points(pts) for c in axes]
     # the tables each witness lies in
     tables = list(map(sum, zip(*([(t >= S) + (t <= -S) for t in row] for row in wp))))
     for t, (i, sign) in enumerate((i, sign) for i in range(len(axes)) for sign in (1, -1)):

@@ -1140,16 +1140,11 @@ class TestArrayKernel:
         """(parameter calls, their points, chart maps) of one verification on
         the default box, all through hyp2's scalar kernel."""
         calls, charts = [], {axis(m).axis.chart._values() for m in gens}
-        params_of_points, table_params, points = (Geodesic.params_of_points,
-                                                  pingpong._table_params, pingpong._mobius_points)
+        params_of_points, points = Geodesic.params_of_points, pingpong._mobius_points
 
         def counted_params(self, zs):
             calls.append(("params", len(zs)))
             return params_of_points(self, zs)
-
-        def counted_table(c, zs, S):
-            calls.append(("params", len(zs)))
-            return table_params(c, zs, S)
 
         def counted_points(a, b, c, d, zs):
             if (a, b, c, d) in charts:
@@ -1160,7 +1155,6 @@ class TestArrayKernel:
             raise AssertionError("an array was evaluated on the default box")
         with monkeypatch.context() as mp:
             mp.setattr(Geodesic, "params_of_points", counted_params)
-            mp.setattr(pingpong, "_table_params", counted_table)
             mp.setattr(pingpong, "_mobius_points", counted_points)
             mp.setattr(Geodesic, "params_of_array", no_array)
             mp.setattr(pingpong, "_mobius_array", no_array)
@@ -1267,8 +1261,11 @@ class TestScalarKernel:
         assert isinstance(outcome_of(c.params_of_points, zs), str) == (len(kept) < len(zs))
         ref, got = c.params_of_array(np.array(kept)).tolist(), c.params_of_points(kept)
         # a parameter differs only where math.log and numpy's log differ on its
-        # modulus, which the two kernels compute bit for bit, and by an ulp:
-        # 35 of the 31,680 points of the seven axes, with numpy 2.4 on AVX-512
+        # modulus, which the two kernels compute bit for bit, and by an ulp.
+        # The per-axis counts below, 35 of the 31,680 points of the seven
+        # axes, hold for numpy 2.4 (its AVX-512 log loop) on an x86-64 CPU
+        # with AVX-512 and FMA and glibc 2.36's libm; another numpy, CPU or
+        # libm may move them, and then only the count needs re-pinning
         m = c.chart
         moduli = np.abs(pingpong._mobius_array(m.d, -m.b, -m.c, m.a, np.array(kept))).tolist()
         logs_differ = [j for j, w in enumerate(moduli)
@@ -1277,34 +1274,6 @@ class TestScalarKernel:
         assert differ == logs_differ
         assert all(abs(got[j] - ref[j]) == math.ulp(ref[j]) for j in differ)
         assert len(differ) == (7, 10, 2, 6, 4, 6, 0)[k]
-
-
-class TestTableParams:
-    """_table_params places each point on the side of +-S its parameter has."""
-
-    @pytest.mark.parametrize("S", [0.3, 5.5, 18.0, 20.0, 56.0, 174.0, 176.0, -1.0])
-    def test_sides_of_the_parameters(self, S):
-        axes = [axis(m).axis for m in (PHI, PSI, L_GEN ** 10 * R_GEN)]
-        # the verifier's witnesses, and points whose parameters lie at +-S
-        # to within rounding, inside the band
-        w = [pingpong._height(k * (S + lift)) * complex(math.cos(a), math.sin(a))
-             for k in (2.0, -2.0) for lift in (0.0, 0.1, 0.5, 1.0, 1.5)
-             for a in np.linspace(0.05, 3.1, 30).tolist()]
-        zs = [z for c in axes for z in pingpong._mobius_points(*c.chart._values(), w)]
-        zs += sample_box_points(3, 2000).tolist() + sample_box_points(4, 500, EDGE_BOX).tolist()
-        zs += [z for z in SPECIAL_POINTS.tolist() if math.isfinite(z.real) and math.isfinite(z.imag)]
-        stand_ins = 0
-        for c in axes:
-            got, ref = pingpong._table_params(c, zs, S), c.params_of_points(zs)
-            assert [(t >= S, t <= -S) for t in got] == [(t >= S, t <= -S) for t in ref]
-            stand_ins += sum(t != r for t, r in zip(got, ref))
-        # the band decides most points where it applies, and none elsewhere
-        assert (stand_ins > len(zs)) == (0.0 < S <= 175.0)
-
-    def test_non_finite_point_refused(self):
-        c = axis(PHI).axis
-        with pytest.raises(InvalidInputError, match="non-finite input point"):
-            pingpong._table_params(c, [1j, complex(math.inf, 1.0)], 5.5)
 
 
 class TestFixedCheckFailures:
