@@ -277,7 +277,7 @@ def _mobius_points(a: float, b: float, c: float, d: float, zs) -> list:
     imaginary parts: its real part subtracts 0 Im z and its imaginary part
     adds 0 Re z, then 0.  Those zero terms set the sign of a zero part and
     turn an infinite part into a nan.  CPython's own a * z + b keeps them up
-    to 3.13 and drops them from 3.14 on, so the twins write them out."""
+    to 3.13 and drops them from 3.14 on, so both twins take them from here."""
     out = []
     for z in zs:
         x, y = z.real, z.imag
@@ -410,12 +410,9 @@ class Geodesic(Value):
         0.03-0.1% of moduli.
         """
         m = self.chart
-        a, b, c, d = m.d, -m.b, -m.c, m.a
         out = []
-        for z in zs:  # the forms as _mobius_points writes them out
-            x, y = z.real, z.imag
-            w = _modulus(*_quotient(a * x - 0.0 * y + b, a * y + 0.0 * x + 0.0,
-                                    c * x - 0.0 * y + d, c * y + 0.0 * x + 0.0))
+        for z, q in zip(zs, _mobius_points(m.d, -m.b, -m.c, m.a, zs)):
+            w = _modulus(q.real, q.imag)
             t = 0.5 * math.log(w) if w else -math.inf
             if t != t:
                 if not (math.isfinite(z.real) and math.isfinite(z.imag)):

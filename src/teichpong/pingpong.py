@@ -133,9 +133,7 @@ def power_bound(R, b: float, l_min: float) -> int:
     """
     if l_min <= 0:
         raise InvalidInputError("translation floor must be positive")
-    r_frac = Fraction(R) if isinstance(R, int) else Fraction(float(R))
-    threshold = (2 * r_frac + 12 * Fraction(float(b))) / Fraction(float(l_min))
-    return math.floor(threshold) + 1
+    return math.floor((2 * Fraction(R) + 12 * Fraction(b)) / Fraction(l_min)) + 1
 
 
 def paper_radius_bound(B: int, L) -> int:
@@ -143,11 +141,7 @@ def paper_radius_bound(B: int, L) -> int:
     if B < 1:
         raise InvalidInputError("need B >= 1")
     base = math.factorial(B) + 2
-    if isinstance(L, int):
-        scaled = base * L
-    else:
-        scaled = math.ceil(base * Fraction(float(L)))
-    return max(base, scaled)
+    return max(base, math.ceil(base * Fraction(L)))
 
 
 def paper_constants(generators) -> PaperConstants:
@@ -334,7 +328,22 @@ def _quotient_error(num, den, bounds):
     return 2.0 * (n + d + 32.0 * _U), hi_num / lo_den
 
 
-def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
+def _param_error(chart, bounds):
+    """err >= |param(z) - 1/2 log|w0|| on the bounds, for params_of_array's
+    param(z) and the exact w0 = chart^-1(z), or None where _quotient_error is.
+
+    chart^-1(z) = (Dz - B)/(-Cz + A) is computed within rho0 relative of w0
+    (_quotient_error) and is never nan, np.abs adds 16u and np.log _LOG_ERR;
+    log(1 + x) <= -log(1 - x) covers the upper side.  The bounds add
+    _BOUND_MARGIN for the float evaluation.
+    """
+    own = _quotient_error((chart.d, chart.b), (chart.c, chart.a), bounds)
+    if own is None:
+        return None
+    return -0.5 * (math.log1p(-own[0]) + math.log1p(-16.0 * _U) - _LOG_ERR)
+
+
+def _inclusion_bound(chart, err, mat, sign: int, bounds, T: float) -> float:
     """A lower bound B on sign * t_img for every point z in the bounds with
     sign * param(z) >= T, or -inf where it cannot be had.
 
@@ -357,10 +366,9 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
       * np.abs errs by 16u relative (2.3u seen against 50-digit moduli) and
         np.log by _LOG_ERR absolute (it stays within 1 ulp of libm's log).
 
-    1. Own parameter.  chart^-1(z) = (Dz - B)/(-Cz + A) is computed within
-       rho0 = 2 (3u hi/lo (D, B) + 3u hi/lo (C, A) + 32u) of the exact w0
-       (_quotient_error), so sign * param(z) >= T gives |w0|^sign >= W0 =
-       exp(2T - _LOG_ERR) (1 - 16u)(1 - rho0).
+    1. Own parameter.  err = _param_error(chart, bounds) bounds
+       |param(z) - 1/2 log|w0|| for the exact w0 = chart^-1(z), so
+       sign * param(z) >= T gives |w0|^sign >= W0 = exp(2T - 2 err).
     2. Exact conjugate.  H = adj(chart) fl(P) chart in exact integers (for
        sign -1 its entries reversed, which acts on 1/w) maps w0 to the exact
        w of the image, so |w|^sign >= W = (|a| W0 - |b|) / (|c| W0 + |d|)
@@ -387,18 +395,18 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
        each difference keeps half its leading term, so the float evaluation
        of B errs by less than 2^-40, far inside the margin.
 
-    -inf where the entries do not convert, or a modulus of steps 1 and 3
-    leaves _OPERAND_RANGE, or a relative error reaches 1/8.
+    -inf where err is None, the entries do not convert, or a modulus of
+    step 3 leaves _OPERAND_RANGE, or a relative error reaches 1/8.
     """
     try:
         p, q, r, s = (float(v) for v in mat.entries())
     except OverflowError:
         return -math.inf
-    A, B, C, D = chart.a, chart.b, chart.c, chart.d
-    own, image = _quotient_error((D, B), (C, A), bounds), _quotient_error((p, q), (r, s), bounds)
-    if own is None or image is None:
+    image = _quotient_error((p, q), (r, s), bounds)
+    if err is None or image is None:
         return -math.inf
-    (rho0, _), (eps1, z1_box) = own, image
+    A, B, C, D = chart.a, chart.b, chart.c, chart.d
+    eps1, z1_box = image
     low, high = _OPERAND_RANGE
 
     # entries n / 2^K: delta and H come out times 2^2K and 2^3K; int / int rounds correctly
@@ -417,9 +425,8 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
     delta_lo, delta_hi = math.nextafter(delta, 0.0), math.nextafter(delta, math.inf)
     big, small = ((D, B), (C, A)) if sign == 1 else ((C, A), (D, B))
     c_big, c_small, k_small = abs(big[0]), abs(small[0]), abs(small[1])
-    shrink = math.log1p(-16.0 * _U) + math.log1p(-rho0) - _LOG_ERR
 
-    W0 = min(_W_CAP, math.exp(min(2.0 * T + shrink, 300.0)))
+    W0 = min(_W_CAP, math.exp(min(2.0 * T - 2.0 * err, 300.0)))
     if not h_a * W0 >= 2.0 * h_b:
         return -math.inf
     W = min(_W_CAP, (h_a * W0 - h_b) / (h_c * W0 + h_d))
@@ -440,17 +447,14 @@ def _inclusion_bound(chart, mat, sign: int, bounds, T: float) -> float:
     return min(67.0, 0.5 * (math.log(f) + math.log1p(-48.0 * _U) - _LOG_ERR) - _BOUND_MARGIN)
 
 
-def _table_empty(chart, sign: int, bounds, S: float) -> bool:
+def _table_empty(chart, err, sign: int, bounds, S: float) -> bool:
     """True only when no point z in the bounds has param(z) >= S (sign +1)
     or param(z) <= -S (sign -1), for the float param(z) of params_of_array.
 
-    By step 1 of _inclusion_bound, chart^-1(z) is computed within rho0
-    relative of the exact w0, neither of its forms vanishes or overflows
-    (so param(z) is never nan), np.abs adds 16u and np.log _LOG_ERR, so
-    |param(z) - 1/2 log|w0|| <= delta = -1/2 (log(1 - rho0) + log(1 - 16u)
-    - _LOG_ERR) + _BOUND_MARGIN; log(1 + x) <= -log(1 - x) covers the upper
-    side, and the margin covers the float evaluation of delta and of lam,
-    whose cap at e^700 only lowers it.  With (a, b, c, k) = (D, B, C, A)
+    err = _param_error(chart, bounds) bounds |param(z) - 1/2 log|w0|| for
+    the exact w0 = chart^-1(z); delta = err + _BOUND_MARGIN, whose margin
+    covers the float evaluation of err and of lam, whose cap at e^700 only
+    lowers it.  False where err is None.  With (a, b, c, k) = (D, B, C, A)
     for sign +1 and (C, A, D, B) for sign -1, a point of the table has
     |az - b| >= e^{2(S - delta)} |cz - k|, so f = |az - b|^2 - lam |cz - k|^2
     >= 0 for a rational lam <= e^{4(S - delta)}.  With z = x + iy, f =
@@ -460,12 +464,10 @@ def _table_empty(chart, sign: int, bounds, S: float) -> bool:
     y_lo and x = clamp(beta / alpha); otherwise it is at a corner.  The
     table is empty when that maximum, taken in exact integers, is negative.
     """
-    forms = (chart.d, chart.b, chart.c, chart.a)
-    own = _quotient_error(forms[:2], forms[2:], bounds)
-    if own is None:
+    if err is None:
         return False
-    delta = _BOUND_MARGIN - 0.5 * (math.log1p(-own[0]) + math.log1p(-16.0 * _U) - _LOG_ERR)
-    lam = math.exp(min(4.0 * (S - delta), 700.0))
+    lam = math.exp(min(4.0 * (S - (_BOUND_MARGIN + err)), 700.0))
+    forms = (chart.d, chart.b, chart.c, chart.a)
     # every input n / 2^K: alpha, beta and gamma come out times 2^3K
     forms = forms if sign == 1 else forms[2:] + forms[:2]
     (a, b, c, k, lam, edge, y_lo), K = _scaled(*forms, lam, *bounds)
@@ -531,11 +533,11 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
         power = m ** N
         maps += [(i, 1, power), (i, -1, power.inverse())]
     bounds = _box_bounds(box)
-    trusted = box[2] >= sys.float_info.min
+    errs = [_param_error(c.chart, bounds) if box[2] >= sys.float_info.min else None for c in axes]
     certified = {(i, sign) for i, sign, mat in maps
-                 if trusted and _inclusion_bound(axes[i].chart, mat, sign, bounds, -S) >= S}
+                 if _inclusion_bound(axes[i].chart, errs[i], mat, sign, bounds, -S) >= S}
     live = [i for i, c in enumerate(axes)
-            if not all((i, sign) in certified and _table_empty(c.chart, sign, bounds, S)
+            if not all((i, sign) in certified and _table_empty(c.chart, errs[i], sign, bounds, S)
                        for sign in (1, -1))]
     outcome = {}  # (i, sign) -> its InvalidInputError, or the witness of its first failure
     n = len(axes)

@@ -661,7 +661,8 @@ class TestInclusionThreshold:
                 assert np.all(np.abs(zs.real) <= edge)
                 assert np.all((zs.imag >= y_lo) & (zs.imag <= edge))
                 for c, sign, mat in powers(cert):
-                    if pingpong._inclusion_bound(c.chart, mat, sign, bounds, 60.0) == -np.inf:
+                    err = pingpong._param_error(c.chart, bounds)
+                    if pingpong._inclusion_bound(c.chart, err, mat, sign, bounds, 60.0) == -np.inf:
                         continue  # not covered, even far along the axis
                     own = sign * c.params_of_array(zs)
                     chosen = own > -cert.S
@@ -670,10 +671,11 @@ class TestInclusionThreshold:
                     t_img = sign * reference_params(c, reference_mobius(mat, zs[chosen]))
                     t_own = own[chosen]
                     for k in [*range(0, len(t_own), 97), int(np.argmin(t_img))]:
-                        bound = pingpong._inclusion_bound(c.chart, mat, sign, bounds,
+                        bound = pingpong._inclusion_bound(c.chart, err, mat, sign, bounds,
                                                           float(t_own[k]))
                         assert bound <= t_img[k], (gens, box, sign, k)
-                    if pingpong._inclusion_bound(c.chart, mat, sign, bounds, -cert.S) >= cert.S:
+                    if pingpong._inclusion_bound(c.chart, err, mat, sign, bounds,
+                                                 -cert.S) >= cert.S:
                         assert np.all(t_img >= cert.S), (gens, box, sign)
                         certified += len(t_own)
         assert certified > 10 ** 6
@@ -698,7 +700,8 @@ class TestInclusionThreshold:
             except (CertificateInvalidError, InvalidInputError):
                 pass
         bounds = pingpong._box_bounds(tuple(cert.config["box"]))
-        return calls, [pingpong._inclusion_bound(c.chart, mat, sign, bounds, -cert.S) >= cert.S
+        return calls, [pingpong._inclusion_bound(c.chart, pingpong._param_error(c.chart, bounds),
+                                                 mat, sign, bounds, -cert.S) >= cert.S
                        for c, sign, mat in powers(cert)]
 
     def test_no_images_on_the_default_box(self, monkeypatch):
@@ -799,7 +802,7 @@ class TestTableBound:
         zs = sample_box_points(0, 4000, box)
         empty = 0
         for gens, S, c, sign in self.tables(box):
-            if pingpong._table_empty(c.chart, sign, bounds, S):
+            if pingpong._table_empty(c.chart, pingpong._param_error(c.chart, bounds), sign, bounds, S):
                 empty += 1
                 points = np.concatenate([zs, table_peaks(c, sign, bounds, S)])
                 assert len(table_hits(c, sign, points, S)) == 0, (gens, sign)
@@ -816,12 +819,14 @@ class TestTableBound:
         empty = 0
         for gens, _, c, sign in self.tables(box):
             lo, hi = 0.0, 150.0
-            if pingpong._table_empty(c.chart, sign, bounds, lo) or not pingpong._table_empty(
-                    c.chart, sign, bounds, hi):
+            err = pingpong._param_error(c.chart, bounds)
+            if pingpong._table_empty(c.chart, err, sign, bounds, lo) or not pingpong._table_empty(
+                    c.chart, err, sign, bounds, hi):
                 continue
             while np.nextafter(lo, hi) < hi:
                 mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if pingpong._table_empty(c.chart, sign, bounds, mid) else (mid, hi)
+                lo, hi = ((lo, mid) if pingpong._table_empty(c.chart, err, sign, bounds, mid)
+                          else (mid, hi))
             empty += 1
             assert len(table_hits(c, sign, table_peaks(c, sign, bounds, hi), hi)) == 0, (gens, sign)
         assert empty > 100
@@ -944,16 +949,19 @@ class TestIntegerBounds:
             for n in (1, 3, cert.N):
                 cert.N = n
                 for c, sign, mat in powers(cert):
+                    err = pingpong._param_error(c.chart, bounds)
                     for T in (-S, 0.0, S, 60.0):
-                        new = pingpong._inclusion_bound(c.chart, mat, sign, bounds, T)
+                        new = pingpong._inclusion_bound(c.chart, err, mat, sign, bounds, T)
                         assert new == reference_inclusion_bound(c.chart, mat, sign, bounds, T), (
                             gens, n, sign, T)
                         decided += new >= S
             for m in gens:
+                c = axis(m).axis
+                err = pingpong._param_error(c.chart, bounds)
                 for sign in (1, -1):
                     for s in (0.5, 3.0, S, 30.0):
-                        new = pingpong._table_empty(axis(m).axis.chart, sign, bounds, s)
-                        assert new == reference_table_empty(axis(m).axis.chart, sign, bounds, s), (
+                        new = pingpong._table_empty(c.chart, err, sign, bounds, s)
+                        assert new == reference_table_empty(c.chart, sign, bounds, s), (
                             gens, sign, s)
                         decided += new
         if box == pingpong.DEFAULT_BOX:
@@ -993,8 +1001,9 @@ class TestDecidedBox:
         box = (-0.1, 0.1, 1e-320, 0.1)
         cert = build_certificate([PHI, PSI], box=box)
         bounds = pingpong._box_bounds(box)
-        assert all(pingpong._inclusion_bound(c.chart, mat, sign, bounds, -cert.S) >= cert.S
-                   and pingpong._table_empty(c.chart, sign, bounds, cert.S)
+        err = {c: pingpong._param_error(c.chart, bounds) for c, _, _ in powers(cert)}
+        assert all(pingpong._inclusion_bound(c.chart, err[c], mat, sign, bounds, -cert.S) >= cert.S
+                   and pingpong._table_empty(c.chart, err[c], sign, bounds, cert.S)
                    for c, sign, mat in powers(cert))
         drawn = self.drawn_blocks(monkeypatch)
         assert verify_pingpong(cert, 20_000)["passed"]
@@ -1169,6 +1178,21 @@ class TestArrayKernel:
         assert self.counts(monkeypatch, [PHI, PSI]) == (4, 148, 4)
         assert self.counts(monkeypatch, [PHI, PSI, L_GEN ** 2 * R_GEN ** 3]) == (6, 294, 6)
 
+    def test_own_chart_error_once_per_axis(self, monkeypatch):
+        # _quotient_error runs once on each axis's own chart, for both
+        # bounds, and once on each of the 2n powers: 3n calls
+        calls = []
+        quotient_error = pingpong._quotient_error
+
+        def counted(num, den, bounds):
+            calls.append(num)
+            return quotient_error(num, den, bounds)
+        monkeypatch.setattr(pingpong, "_quotient_error", counted)
+        for gens, n_calls in [([PHI, PSI], 6), ([PHI, PSI, L_GEN ** 2 * R_GEN ** 3], 9)]:
+            calls.clear()
+            assert verify_pingpong(build_certificate(gens), 100_000)["passed"]
+            assert len(calls) == n_calls, gens
+
 
 #: a generator whose entry 10^155 sends its equivariance points beyond the float range
 HUGE_ENTRY = MappingClass(10 ** 155, -1, 1, 0)
@@ -1262,10 +1286,9 @@ class TestScalarKernel:
         ref, got = c.params_of_array(np.array(kept)).tolist(), c.params_of_points(kept)
         # a parameter differs only where math.log and numpy's log differ on its
         # modulus, which the two kernels compute bit for bit, and by an ulp.
-        # The per-axis counts below, 35 of the 31,680 points of the seven
-        # axes, hold for numpy 2.4 (its AVX-512 log loop) on an x86-64 CPU
-        # with AVX-512 and FMA and glibc 2.36's libm; another numpy, CPU or
-        # libm may move them, and then only the count needs re-pinning
+        # How many differ depends on numpy's log loop, the CPU and the libm
+        # (at most 10 of an axis's 4,524-4,526 points with numpy 2.4, AVX-512 and
+        # glibc 2.36), so only a bound of 1% is pinned
         m = c.chart
         moduli = np.abs(pingpong._mobius_array(m.d, -m.b, -m.c, m.a, np.array(kept))).tolist()
         logs_differ = [j for j, w in enumerate(moduli)
@@ -1273,7 +1296,7 @@ class TestScalarKernel:
         differ = [j for j, (t, r) in enumerate(zip(got, ref)) if bits(t) != bits(r)]
         assert differ == logs_differ
         assert all(abs(got[j] - ref[j]) == math.ulp(ref[j]) for j in differ)
-        assert len(differ) == (7, 10, 2, 6, 4, 6, 0)[k]
+        assert len(differ) <= len(kept) // 100
 
 
 class TestFixedCheckFailures:
