@@ -445,9 +445,10 @@ def transport(m: Mobius, c: Geodesic) -> Geodesic:
 
 def geodesic_through(z: Point, w: Point) -> Geodesic:
     """The oriented geodesic from z toward w, with origin z."""
-    if z == w or abs(z.z - w.z) <= 1e-13 * max(1.0, abs(z.z)):
+    tol = 1e-13 * max(abs(z.z), abs(w.z))  # relative, since dilations are isometries
+    if abs(z.z - w.z) <= tol:
         raise DegenerateInputError("need two distinct points")
-    if abs(z.x - w.x) <= 1e-13 * max(1.0, abs(z.x), abs(w.x)):
+    if abs(z.x - w.x) <= tol:
         # vertical line
         if w.y > z.y:
             return Geodesic(BoundaryPoint.finite(z.x), BoundaryPoint.infinity(), z)

@@ -161,12 +161,14 @@ def axis(m: MappingClass) -> AxisData:
         if huge:  # one root cancels; take it from the product of the roots, -b/c
             x_att, x_rep = (x_att, -b / (c * x_att)) if a >= d else (-b / (c * x_rep), x_rep)
         lam = disc if huge else (float(a + d) + disc) / 2.0
+        summit = (0.5 * (x_att + x_rep), 0.5 * abs(x_att - x_rep))
+        if not all(map(math.isfinite, (x_att, x_rep, *summit))):  # e.g. 2c overflows
+            raise OverflowError
     except OverflowError as exc:
         raise InvalidInputError("matrix entries are beyond float range") from exc
-    summit = Point(0.5 * (x_att + x_rep), 0.5 * abs(x_att - x_rep))
     attracting = BoundaryPoint.finite(x_att)
     repelling = BoundaryPoint.finite(x_rep)
-    geo = Geodesic(repelling, attracting, summit)
+    geo = Geodesic(repelling, attracting, Point(*summit))
     return AxisData(geo, repelling, attracting, math.log(lam), lam)
 
 

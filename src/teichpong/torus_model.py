@@ -258,23 +258,18 @@ def is_thick(tau: Point, epsilon: float) -> bool:
     return systole(tau) >= epsilon
 
 
-def _marking_unbounded(tau: Point):
-    """Shortest slope, then the shortest slope crossing it."""
-    R = max(2.5, 2.0 / systole(tau))
-    for _ in range(8):
-        cands = sorted(short_curves(tau, R), key=lambda s: (curve_length(s, tau), s.q, s.p))
-        if cands:
-            alpha = cands[0]
-            for beta in cands[1:]:
-                if intersection_number(alpha, beta) >= 1:
-                    return alpha, beta
-        R *= 2.0
-    raise ConstantDerivationError(f"no transversal pair found near tau={tau}")
-
-
 def marking(tau: Point, F: float):
-    """A shortest curve and a shortest transversal, both of length <= F."""
-    alpha, beta = _marking_unbounded(tau)
+    """A shortest curve and a shortest transversal, both of length <= F.
+
+    With t = _reduce(tau), the basis (1, t) realises the two successive
+    minima 1/sqrt(Im t) <= |t|/sqrt(Im t), and every other slope crosses the
+    shortest; so the two shortest slopes are the marking, ties broken by
+    (q, p), and the slopes up to the second minimum hold them (the 2^-30
+    margin covers the rounding of the lengths).
+    """
+    t = _reduce(tau.z)
+    R = abs(t) / math.sqrt(t.imag) * (1.0 + 2.0 ** -30)
+    alpha, beta = sorted(short_curves(tau, R), key=lambda s: (curve_length(s, tau), s.q, s.p))[:2]
     if curve_length(alpha, tau) > F or curve_length(beta, tau) > F:
         raise FViolationError(
             f"marking at {tau} has lengths "

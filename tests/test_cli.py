@@ -558,6 +558,12 @@ class TestHugeTrace:
         assert len(lines) == 1
         assert lines[0].startswith("error: invalid-input:")
 
+    def test_axis_root_beyond_float_range(self, capsys):
+        code = main(["axis", "--matrix", f"{10 ** 308 + 1},1,{10 ** 308},1", "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: invalid-input: matrix entries are beyond float range\n"
+
     @pytest.mark.parametrize("t", [10 ** 155, 10 ** 400], ids=["10^155", "10^400"])
     def test_classify(self, t, capsys):
         code = main(["classify", "--matrix", f"{t},-1,1,0", "--no-cache"])

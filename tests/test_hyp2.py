@@ -135,6 +135,19 @@ class TestGeodesicThrough:
     def test_degenerate(self):
         with pytest.raises(DegenerateInputError):
             geodesic_through(Point(0, 1), Point(0, 1))
+        with pytest.raises(DegenerateInputError):
+            geodesic_through(Point(0, 1), Point(1e-14, 1))
+
+    def test_tolerances_scale_with_the_points(self):
+        # the points are 0.347 apart in the model metric however small they are
+        z, w = Point(0, 1e-20), Point(0, 2e-20)
+        c = geodesic_through(z, w)
+        assert c.endpoint_neg == BoundaryPoint.finite(0.0) and c.endpoint_pos.infinite
+        assert dist(z, w) == pytest.approx(0.5 * math.log(2))
+        # 5e-14 across is no vertical line at heights of 1e-12
+        w = Point(5e-14, 2e-12)
+        c = geodesic_through(Point(0, 1e-12), w)
+        assert not c.endpoint_pos.infinite and dist_to_geodesic(c, w) < 1e-12
 
     def test_origin_must_lie_on_geodesic(self):
         with pytest.raises(InvalidInputError):

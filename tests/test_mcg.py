@@ -153,6 +153,13 @@ class TestAxis:
         with pytest.raises(InvalidInputError):
             axis(MappingClass(10 ** 400, -1, 1, 0))
 
+    def test_root_beyond_float_range(self):
+        # every entry converts, but 2c and then both roots overflow at 10^308
+        with pytest.raises(InvalidInputError, match="^matrix entries are beyond float range$"):
+            axis(MappingClass(10 ** 308 + 1, 1, 10 ** 308, 1))
+        ax = axis(MappingClass(10 ** 307 + 1, 1, 10 ** 307, 1))
+        assert (ax.repelling.value, ax.attracting.value) == pytest.approx((-1e-307, 1.0))
+
 
 class TestTranslationDistance:
     def test_trace_three_value(self):

@@ -59,10 +59,6 @@ class TestFreeCheck:
         b = free_check([PHI ** 2, PHI ** 3], 1, 4)
         assert word_report_document(a) == word_report_document(b)
 
-    def test_budget_marks_incomplete(self):
-        report = free_check([SANOV_A, SANOV_B], 1, 10, time_budget=0.0)
-        assert report.incomplete
-
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             free_check([SANOV_A], 0, 3)

@@ -334,6 +334,26 @@ class TestMarking:
         with pytest.raises(FViolationError):
             marking(I_PT, 0.9)
 
+    def test_matches_doubling_search(self):
+        # the reference searches short_curves from R = max(2.5, 2 / systole),
+        # doubling R until a slope crosses the shortest one
+        def doubling_search(tau):
+            R = max(2.5, 2.0 / systole(tau))
+            for _ in range(8):
+                cands = sorted(short_curves(tau, R), key=lambda s: (curve_length(s, tau), s.q, s.p))
+                for beta in cands[1:]:
+                    if intersection_number(cands[0], beta) >= 1:
+                        return cands[0], beta
+                R *= 2.0
+            raise AssertionError(f"no transversal pair near {tau}")
+
+        rng = np.random.default_rng(29)
+        taus = [I_PT, Point(-0.5, math.sqrt(3) / 2), HEX_PT, Point(0.5, 0.5), Point(0.0, 2.0)]
+        taus += [Point(x, y) for x, y in zip(rng.uniform(-5, 5, 400),
+                                             10.0 ** rng.uniform(-3, 3, 400))]
+        for tau in taus:
+            assert marking(tau, math.inf) == doubling_search(tau), tau
+
     def test_intersection_examples(self):
         assert intersection_number(Slope(1, 0), Slope(0, 1)) == 1
         assert intersection_number(Slope(2, 3), Slope(2, 3)) == 0
