@@ -130,13 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", action="append", required=True,
                    help="a generator 'a,b,c,d'; repeat at least twice")
     p.add_argument("--mode", choices=["paper", "certified"], default="certified")
-    p.add_argument("--box", default="-10,10,0.05,10", help="sampling box 'x_lo,x_hi,y_lo,y_hi'")
+    p.add_argument("--box", default=None, help="sampling box 'x_lo,x_hi,y_lo,y_hi'")
     _add_sampling(p)
 
     p = sub.add_parser("certify-free", help="certificate plus exact word-oracle cross-check")
     p.add_argument("--matrix", action="append", required=True)
     p.add_argument("--max-word-len", type=int, default=6)
-    p.add_argument("--box", default="-10,10,0.05,10")
+    p.add_argument("--box", default=None)
     _add_sampling(p)
 
     p = sub.add_parser("teich", help="distance between two points, two ways")
@@ -213,7 +213,7 @@ def _cmd_pingpong(args) -> int:
     from . import pingpong, serialize
 
     gens = [MappingClass.from_string(s) for s in args.matrix]
-    box = _parse_box(args.box)
+    box = pingpong.DEFAULT_BOX if args.box is None else _parse_box(args.box)
     mode = "paper_formula" if args.mode == "paper" else "certified_search"
     cert = pingpong.build_certificate(gens, mode, seed=args.seed, samples=args.samples, box=box)
     try:
@@ -234,7 +234,7 @@ def _cmd_certify_free(args) -> int:
     from . import oracle, pingpong, serialize
 
     gens = [MappingClass.from_string(s) for s in args.matrix]
-    box = _parse_box(args.box)
+    box = pingpong.DEFAULT_BOX if args.box is None else _parse_box(args.box)
     oracle.check_word_length(len(gens), args.max_word_len)
     cert = pingpong.build_certificate(gens, seed=args.seed, samples=args.samples, box=box)
     pingpong.verify_pingpong(cert, sample_budget=min(args.samples, SAMPLE_CAP))

@@ -43,7 +43,7 @@ class ConstantDerivationError(TeichpongError):
 
 
 class HorizonExceededError(TeichpongError):
-    """A certified search ran out of its configured horizon before certifying."""
+    """The closed-form fast-divergence offset reaches the bound HORIZON."""
 
     code = "horizon-exceeded"
 

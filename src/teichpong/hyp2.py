@@ -160,12 +160,11 @@ class Mobius(Value):
 
     def __init__(self, a: float, b: float, c: float, d: float):
         det = a * d - b * c
-        if not abs(det - 1.0) <= 1e-12:
-            # relative to |ad| + |bc|: the chart of a narrow axis has entries
-            # whose products round by more than 1e-12
-            scale = abs(a * d) + abs(b * c)
-            if not (math.isfinite(det) and abs(det - 1.0) <= 1e-12 * scale):
-                raise InvalidInputError(f"determinant must be 1, got {det}")
+        # relative to |ad| + |bc|: the chart of a narrow axis has entries
+        # whose products round by more than 1e-12
+        scale = max(1.0, abs(a * d) + abs(b * c))
+        if not (math.isfinite(det) and abs(det - 1.0) <= 1e-12 * scale):
+            raise InvalidInputError(f"determinant must be 1, got {det}")
         Record.__init__(self, a, b, c, d)
 
     @classmethod
@@ -286,6 +285,14 @@ def _mobius_points(a: float, b: float, c: float, d: float, zs) -> list:
     return out
 
 
+def _height(x: float) -> float:
+    """e^x, inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 class ProjectionResult(NamedTuple):
     """Foot of the nearest-point projection together with its parameter."""
 
@@ -316,18 +323,13 @@ class Geodesic(Value):
         neg, pos = self.endpoint_neg, self.endpoint_pos
         if neg.infinite and pos.infinite:
             raise DegenerateInputError("geodesic endpoints must be distinct")
-        if pos.infinite:
-            # upward vertical line over neg.value
-            p = neg.value
+        if neg.infinite or pos.infinite:
+            # a vertical line over its finite endpoint p, upward or downward
+            p = neg.value if pos.infinite else pos.value
             if abs(x0 - p) > TOL * max(1.0, abs(p)):
                 raise InvalidInputError("origin is not on the geodesic")
-            return Mobius.from_det_positive(y0, p, 0.0, 1.0)
-        if neg.infinite:
-            # downward vertical line over pos.value
-            q = pos.value
-            if abs(x0 - q) > TOL * max(1.0, abs(q)):
-                raise InvalidInputError("origin is not on the geodesic")
-            return Mobius.from_det_positive(q, -y0, 1.0, 0.0)
+            return Mobius.from_det_positive(*((y0, p, 0.0, 1.0) if pos.infinite
+                                              else (p, -y0, 1.0, 0.0)))
         p, q = neg.value, pos.value
         if p == q:
             raise DegenerateInputError("geodesic endpoints must be distinct")
@@ -343,7 +345,7 @@ class Geodesic(Value):
                           or abs((x0 - center) ** 2 + y0 * y0 - radius * radius) > TOL)
         if off_circle:
             raise InvalidInputError("origin is not on the geodesic")
-        ratio = (q - x0) / (x0 - p)
+        ratio = (q - x0) / (x0 - p) if x0 != p else 0.0
         if not ratio > 0.0:
             raise InvalidInputError("origin is not between the endpoints")
         s = math.sqrt(ratio)
@@ -351,10 +353,7 @@ class Geodesic(Value):
         return Mobius.from_det_positive(q, sg * p * s, 1.0, sg * s)
 
     def point_at(self, t: float) -> Point:
-        try:
-            height = math.exp(2.0 * t)
-        except OverflowError:
-            height = math.inf
+        height = _height(2.0 * t)
         if not 0.0 < height < math.inf:
             raise InvalidInputError(f"parameter t={t} is out of range: e^(2t) is not a "
                                     "positive finite float")
@@ -420,18 +419,6 @@ class Geodesic(Value):
                 t = math.inf
             out.append(t)
         return out
-
-    def boundary_param(self, xi: BoundaryPoint) -> float:
-        """Parameter of the foot of the perpendicular dropped from an ideal point.
-
-        Returns -inf / +inf when xi is an endpoint of the geodesic itself.
-        """
-        w = self.chart.inverse().apply_boundary(xi)
-        if w.infinite:
-            return math.inf
-        if w.value == 0.0:
-            return -math.inf
-        return 0.5 * math.log(abs(w.value))
 
 
 def transport(m: Mobius, c: Geodesic) -> Geodesic:

@@ -109,11 +109,8 @@ class MappingClass(Value):
     def is_projective_identity(self) -> bool:
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
-    def to_mobius(self) -> Mobius:
-        return Mobius(float(self.a), float(self.b), float(self.c), float(self.d))
-
     def apply(self, z: Point) -> Point:
-        return self.to_mobius().apply(z)
+        return Mobius(float(self.a), float(self.b), float(self.c), float(self.d)).apply(z)
 
     def __str__(self):
         return f"{self.a},{self.b},{self.c},{self.d}"

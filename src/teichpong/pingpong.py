@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
-from .hyp2 import Geodesic, Point, Record, Value, _mobius_array, _mobius_points
+from .hyp2 import Geodesic, Point, Record, Value, _height, _mobius_array, _mobius_points
 from .mcg import MappingClass, axis, independent, min_translation, translation_distance
 from .projection import (_geodesic_pair_geometry, derive_morse, model_constants,
                           projection_interval)
@@ -89,6 +89,16 @@ def _check_family(generators):
                 raise NotIndependentError(
                     f"generators {i} and {j} share an axis (common power)"
                 )
+
+
+def _check_box(box) -> None:
+    """Refuse a box other than (x_lo, x_hi, y_lo, y_hi) with x_lo < x_hi,
+    0 < y_lo < y_hi, a finite width and a finite top."""
+    # a box of another length fails every comparison
+    x_lo, x_hi, y_lo, y_hi = box if len(box) == 4 else (math.nan,) * 4
+    if not (x_lo < x_hi and 0.0 < y_lo < y_hi and math.isfinite(x_hi - x_lo)
+            and math.isfinite(y_hi)):
+        raise InvalidInputError(f"bad sampling box {box}")
 
 
 def _interval_map(axes):
@@ -181,6 +191,7 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
     for name, value in (("seed", seed), ("samples", samples)):
         if not 0 <= value < 2 ** 63:
             raise InvalidInputError(f"--{name} must lie in [0, 2^63), got {value}")
+    _check_box(box)
     _check_family(generators)
     consts = model_constants()
     b = consts.b
@@ -231,10 +242,8 @@ def _sample_blocks(seed: int, n: int, box):
     """
     if n < 0 or seed < 0:
         raise InvalidInputError(f"need a sample count and seed >= 0, got n={n}, seed={seed}")
+    _check_box(box)
     x_lo, x_hi, y_lo, y_hi = box
-    if not (x_lo < x_hi and 0.0 < y_lo < y_hi and math.isfinite(x_hi - x_lo)
-            and math.isfinite(y_hi)):
-        raise InvalidInputError(f"bad sampling box {box}")
     log_lo, log_hi = math.log(y_lo), math.log(y_hi)
 
     def draw(k):
@@ -270,11 +279,6 @@ def _float_entries(m: MappingClass) -> tuple:
     except OverflowError:
         raise InvalidInputError(
             "a matrix entry is beyond the float range of the sampled checks") from None
-
-
-def _mobius_apply_array(m: MappingClass, zs: np.ndarray) -> np.ndarray:
-    """hyp2's Mobius map on arrays for the float entries of m."""
-    return _mobius_array(*_float_entries(m), zs)
 
 
 _U = 2.0 ** -53          #: unit roundoff of float64
@@ -348,7 +352,7 @@ def _inclusion_bound(chart, err, mat, sign: int, bounds, T: float) -> float:
     sign * param(z) >= T, or -inf where it cannot be had.
 
     param(z) is the own-axis parameter params_of_array computes; t_img is
-    params_of_array(_mobius_apply_array(mat, z)), both with the reference
+    that of _mobius_array(*_float_entries(mat), z), both with the reference
     IEEE operations.  B >= S therefore certifies the inclusion of every
     such sample without mapping it.  Write u = 2^-53, (A, B, C, D) for the
     float chart, (p, q, r, s) for the float entries of mat, and for real
@@ -491,14 +495,6 @@ _TURNS = tuple(complex(math.cos(a), math.sin(a))
                for a in (math.pi / 3.0, math.pi / 2.0, 2.0 * math.pi / 3.0))
 
 
-def _height(x: float) -> float:
-    """e^x, inf past the float range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budget: int,
                     box, checks: list) -> None:
     """Inclusion under the exact N-th powers and table disjointness, on the
@@ -555,7 +551,7 @@ def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budg
                 continue
             selected = zs if mask.all() else zs[mask]
             try:
-                t_img = axes[i].params_of_array(_mobius_apply_array(mat, selected))
+                t_img = axes[i].params_of_array(_mobius_array(*_float_entries(mat), selected))
             except InvalidInputError as exc:
                 outcome[(i, sign)] = exc
                 continue

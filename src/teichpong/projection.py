@@ -242,15 +242,15 @@ def projection_interval(c_target: Geodesic, c_source: Geodesic):
     """Parameter interval of c_target containing the projection of c_source.
 
     The projection parameter is monotone along the source, so the interval
-    is spanned by the feet of the perpendiculars from the two ideal
-    endpoints; infinite values signal a shared endpoint.
+    is spanned by the feet 1/2 log|w| of its two ideal endpoints w in the
+    chart; w = oo and w = 0 give +inf and -inf, which signal a shared endpoint.
     """
     if (c_target.endpoint_neg == c_source.endpoint_neg and c_target.endpoint_pos == c_source.endpoint_pos) or (
         c_target.endpoint_neg == c_source.endpoint_pos and c_target.endpoint_pos == c_source.endpoint_neg
     ):
         raise DegenerateInputError("projection of a geodesic onto itself is everything")
-    ta = c_target.boundary_param(c_source.endpoint_neg)
-    tb = c_target.boundary_param(c_source.endpoint_pos)
+    ta, tb = (0.5 * math.log(abs(w)) if w else -math.inf
+              for w in _normalized_endpoints(c_target, c_source))
     return (min(ta, tb), max(ta, tb))
 
 
@@ -346,7 +346,7 @@ def fast_divergence_thresholds(m1: MappingClass, m2: MappingClass) -> Thresholds
     sup = _largest_violating_offset(m1, m2)
     delta = math.floor(sup / THRESHOLD_STEP) * THRESHOLD_STEP + THRESHOLD_STEP if sup < HORIZON else math.inf
     if delta > HORIZON - 2.0 * THRESHOLD_STEP:
-        raise HorizonExceededError(f"violations persist to the sampling horizon {HORIZON}")
+        raise HorizonExceededError(f"the closed-form violating offset reaches HORIZON = {HORIZON}")
     offset = (1.0 + THRESHOLD_MARGIN) * delta
     return Thresholds(p_plus=pg.t_O + offset, p_minus=pg.t_O - offset,
                       q_plus=pg.s_O + offset, q_minus=pg.s_O - offset)

@@ -153,7 +153,6 @@ def certificate_document(cert) -> str:
 
 
 def word_report_to_dict(report) -> dict:
-    # wall time is volatile and intentionally left out of the canonical form
     return {
         "format": "teichpong.word-report.v1",
         "n_generators": report.n_generators,

@@ -315,7 +315,8 @@ class TestInvalidInputContract:
 
 
 class TestSamplingRange:
-    """--seed and --samples are refused outside [0, 2^63) before any sampling."""
+    """--seed and --samples outside [0, 2^63), and a bad --box, are refused before
+    any sampling."""
 
     PAIR = TestInvalidInputContract.PAIR
 
@@ -324,17 +325,23 @@ class TestSamplingRange:
         ("--seed", "9223372036854775808"),
         ("--samples", "99999999999999999999"),
         ("--seed", "-1"),
+        ("--box", "1,0,0.05,10"),
+        ("--box", "-10,10,0,10"),
     ])
-    def test_refused_before_sampling(self, command, option, value, monkeypatch, capsys):
+    def test_refused_before_sampling(self, command, option, value, monkeypatch, capsys,
+                                     tmp_path):
         from teichpong import pingpong
 
         def unreachable(*args, **kwargs):
             raise AssertionError("the certificate was verified")
         monkeypatch.setattr(pingpong, "verify_pingpong", unreachable)
-        code = main([command, *self.PAIR, option, value])
+        out = tmp_path / "c.json"
+        code = main([command, *self.PAIR, option, value, "--out", str(out)])
         lines = capsys.readouterr().err.strip().split("\n")
+        message = "bad sampling box" if option == "--box" else f"{option} must lie in [0, 2^63)"
         assert code == 2 and len(lines) == 1
-        assert lines[0].startswith(f"error: invalid-input: {option} must lie in [0, 2^63)")
+        assert lines[0].startswith(f"error: invalid-input: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pingpong", "certify-free"])
     def test_largest_seed(self, command, tmp_path):

@@ -187,6 +187,15 @@ class TestChartCheck:
         with pytest.raises(InvalidInputError, match="origin is not on the geodesic"):
             Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(1.0), Point(x0, 1.0))
 
+    @pytest.mark.parametrize("y0", [1e-12, 1e-5])
+    @pytest.mark.parametrize("p, q", [(0.0, 1.0), (1.0, 0.0)])
+    def test_origin_over_an_endpoint(self, p, q, y0):
+        # within TOL of the circle, but right above an endpoint (x0 - p once divided by zero)
+        for x0 in (p, q):
+            with pytest.raises(InvalidInputError, match="origin is not between the endpoints"):
+                Geodesic(BoundaryPoint.finite(p), BoundaryPoint.finite(q), Point(x0, y0))
+
+
 class TestPointAt:
     def test_origin(self):
         assert vertical_axis().point_at(0.0).z == pytest.approx(1j, abs=1e-15)

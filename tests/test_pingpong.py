@@ -158,6 +158,13 @@ class TestCertificate:
             build_certificate([PHI, PSI], **{field: value})
         build_certificate([PHI, PSI], **{field: 2 ** 63 - 1})
 
+    @pytest.mark.parametrize("mode", ["certified_search", "paper_formula"])
+    @pytest.mark.parametrize("box", [(1.0, 0.0, 0.05, 10.0), (-10.0, 10.0, 0.0, 10.0),
+                                     (-10.0, 10.0, 0.05)], ids=["x-reversed", "y-zero", "three"])
+    def test_bad_box_refused(self, box, mode):
+        with pytest.raises(InvalidInputError, match="bad sampling box"):
+            build_certificate([PHI, PSI], mode, box=box)
+
     def test_zero_power_fails(self):
         cert = build_certificate([PHI, PSI])
         cert.N = 0
@@ -309,6 +316,11 @@ def reference_params(c, zs):
             raise InvalidInputError("non-finite input point in projection batch")
         out[bad] = np.inf
     return out
+
+
+def float_image(m, zs):
+    """The sampled inclusion's image of zs: _mobius_array on m's float entries."""
+    return pingpong._mobius_array(*pingpong._float_entries(m), zs)
 
 
 def reference_mobius(m, zs):
@@ -685,15 +697,15 @@ class TestInclusionThreshold:
         """Sizes of the arrays _sampled_checks maps, and which of its powers
         the bound at -S certifies."""
         calls = []
-        apply = pingpong._mobius_apply_array
+        apply = pingpong._mobius_array
 
-        def counted(m, zs):
+        def counted(a, b, c, d, zs):
             calls.append(len(zs))
-            return apply(m, zs)
+            return apply(a, b, c, d, zs)
         axes = [axis(m).axis for m in cert.generators]
         trs = [translation_distance(m) for m in cert.generators]
         with monkeypatch.context() as mp:
-            mp.setattr(pingpong, "_mobius_apply_array", counted)
+            mp.setattr(pingpong, "_mobius_array", counted)
             try:
                 pingpong._sampled_checks(cert, axes, trs, 0, samples, tuple(cert.config["box"]),
                                          [])
@@ -1013,6 +1025,7 @@ class TestDecidedBox:
         ((1.0, -1.0, 0.1, 1.0), 0, 10, "bad sampling box"),
         (pingpong.DEFAULT_BOX, -1, 10, "need a sample count and seed >= 0"),
         (pingpong.DEFAULT_BOX, 0, -1, "need a sample count and seed >= 0"),
+        ((-10.0, 10.0, 0.05), 0, 10, "bad sampling box"),
     ])
     def test_refusals_kept(self, box, seed, samples, message):
         cert = build_certificate([PHI, PSI])
@@ -1065,7 +1078,7 @@ SPECIAL_POINTS = np.array(
 
 
 class TestInPlacePrimitives:
-    """params_of_array and _mobius_apply_array against the complex expressions
+    """params_of_array and float_image against the complex expressions
     they evaluate in place, bit for bit."""
 
     AXES = [axis(PHI).axis, axis(PSI).axis, axis(L_GEN ** 1000 * R_GEN).axis, VERTICAL,
@@ -1111,7 +1124,7 @@ class TestInPlacePrimitives:
         else:
             # the map's own pole
             zs = np.append(zs, [complex(-d / c, 0.0), complex(-d / c, -0.0)])
-        images = outcome_of(pingpong._mobius_apply_array, m, zs)
+        images = outcome_of(float_image, m, zs)
         assert_same_outcome(images, outcome_of(reference_mobius, m, zs))
         if isinstance(images, str):
             assert images == "a matrix entry is beyond the float range of the sampled checks"
@@ -1252,9 +1265,8 @@ class TestScalarKernel:
         equivariance points of the 10^155 generator."""
         m = HUGE_ENTRY
         starts = np.array([complex(0.0, math.exp(2.0 * t)) for t in np.linspace(-3.0, 3.0, 13)])
-        moved = pingpong._mobius_apply_array(m, pingpong._mobius_array(
-            *axis(m).axis.chart._values(), starts))
-        back = pingpong._mobius_apply_array(m.inverse(), moved)
+        moved = float_image(m, pingpong._mobius_array(*axis(m).axis.chart._values(), starts))
+        back = float_image(m.inverse(), moved)
         return TestInPlacePrimitives.points(c).tolist() + moved.tolist() + back.tolist()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
