@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import InvalidInputError, OracleRefusedError
 from .hyp2 import Record
-from .mcg import MappingClass
+from .mcg import _canonical_sign
 
 #: most reduced words whose products are held at once (lengths 1..ceil(L/2))
 MAX_INDEXED_WORDS = 2 ** 18
@@ -84,18 +84,22 @@ def free_check(generators, N: int, max_word_length: int = 6) -> WordReport:
     letters = []
     for g in gens:
         p = g ** N
-        letters += [p, p.inverse()]
+        letters += [p.entries(), p.inverse().entries()]
 
     report = WordReport(n_generators=n, N=N, max_word_length=max_word_length,
                         words_checked=0)
-    identity = MappingClass.identity()
+    # products are sign-canonical entry tuples; a product of determinant-one
+    # integer matrices has determinant one, so only the sign needs fixing
+    identity = (1, 0, 0, 1)
     layer = [((), identity)]          # reduced words of length ceil(l/2), with products
     by_product = {identity: [()]}     # reduced words of length floor(l/2), by product
     relations = []
     for length in range(1, max_word_length + 1):
         if length % 2:
-            layer = [(u + (j,), p * letters[j]) for u, p in layer
-                     for j in range(2 * n) if not u or j != u[-1] ^ 1]
+            layer = [(u + (j,), _canonical_sign(a * e + b * g, a * f + b * h,
+                                                c * e + d * g, c * f + d * h))
+                     for u, (a, b, c, d) in layer
+                     for j, (e, f, g, h) in enumerate(letters) if not u or j != u[-1] ^ 1]
         else:
             by_product = {}
             for x, p in layer:

@@ -41,9 +41,12 @@ def digit_count(n: int) -> int:
 
 
 def exact_int(n: int):
-    """Decimal string for small exact integers, digit-count record otherwise."""
+    """Decimal string for small exact integers, digit-count record otherwise
+    (with ``"negative": true`` for a negative one)."""
     if abs(n) < 10 ** FULL_DECIMAL_DIGITS:
         return str(n)
+    if n < 0:
+        return {"digit_count": digit_count(-n), "negative": True}
     return {"digit_count": digit_count(n)}
 
 
@@ -53,8 +56,12 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# the C escapers json.dumps(s, ensure_ascii=False) and json.dumps(s) end in
+_encode_value = json.encoder.encode_basestring
+_encode_key = json.encoder.encode_basestring_ascii
+
+
 def canonical_json(obj, indent: int = 0) -> str:
-    pad = " " * indent
     if obj is None:
         return "null"
     if obj is True:
@@ -62,7 +69,7 @@ def canonical_json(obj, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return _encode_value(obj)
     if isinstance(obj, int):
         if abs(obj) >= 2 ** 63:
             raise InvalidInputError("huge integers must be pre-rendered with exact_int")
@@ -70,20 +77,19 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(pad + "  " + canonical_json(v, indent + 2) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
+        opening, closing, items = "[", "]", [canonical_json(v, indent + 2) for v in obj]
+    elif isinstance(obj, dict):
+        opening, closing, items = "{", "}", []
         for k, v in obj.items():
             if not isinstance(k, str):
                 raise InvalidInputError("canonical documents use string keys")
-            items.append(pad + "  " + json.dumps(k) + ": " + canonical_json(v, indent + 2))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
+            items.append(_encode_key(k) + ": " + canonical_json(v, indent + 2))
+    else:
+        raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
+    if not items:
+        return opening + closing
+    inner = "\n" + " " * (indent + 2)
+    return opening + inner + ("," + inner).join(items) + "\n" + " " * indent + closing
 
 
 def dump_document(obj) -> str:

@@ -11,10 +11,16 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import numpy as np
+from conftest import random_independent_pair
 from teichpong import pingpong
 from teichpong.cli import main
 from teichpong.errors import CertificateInvalidError, TeichpongError
-from teichpong.serialize import canonical_json, digit_count, exact_int
+from teichpong.mcg import Classification
+from teichpong.oracle import free_check
+from teichpong.pingpong import build_certificate, verify_pingpong
+from teichpong.serialize import (canonical_json, certificate_to_dict, digit_count, exact_int,
+                                 word_report_to_dict)
 
 
 class TestSerialize:
@@ -43,10 +49,76 @@ class TestSerialize:
         rec = exact_int(10 ** 80)
         assert rec["digit_count"] == 81
 
+    def test_exact_int_negative(self):
+        assert exact_int(-123) == "-123"
+        assert exact_int(-(10 ** 60 - 1)) == "-" + "9" * 60
+        assert exact_int(-10 ** 70) == {"digit_count": 71, "negative": True}
+        assert exact_int(10 ** 70) == {"digit_count": 71}
+
     def test_nested_document(self):
         doc = canonical_json({"a": [1, 2.5], "b": {"c": None, "d": True}})
         parsed = json.loads(doc)
         assert parsed == {"a": [1, 2.5], "b": {"c": None, "d": True}}
+
+
+def _reference_canonical_json(obj, indent: int = 0) -> str:
+    """The encoder as it was written on json.dumps, kept as the reference for
+    the bytes: values escaped with ensure_ascii=False, keys with the default."""
+    pad = " " * indent
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ",\n".join(pad + "  " + _reference_canonical_json(v, indent + 2) for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    if not obj:
+        return "{}"
+    items = [pad + "  " + json.dumps(k) + ": " + _reference_canonical_json(v, indent + 2)
+             for k, v in obj.items()]
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+
+
+class TestCanonicalEncoder:
+    @pytest.mark.parametrize("obj", [
+        {"größe": "Teichmüller", "ключ": ["λ", "φ→ψ"]},
+        {"ctl\x00\x1f\x7f": "tab\tnl\nnul\x00\x1f\x7f",
+         'quote"back\\': 'say "hi" \\ there', "line\u2028sep": "para\u2029\u2028"},
+        {"\U0001d4af": "\U0001d4af\U0001f600", "mixed": ["", " ", "/", "\ud7ff\ue000\uffff"]},
+        {"class": Classification.PSEUDO_ANOSOV, "kinds": list(Classification)},
+        (1, (2.5, ("x", ())), [], {}),
+        {"a": [[], {}, [{}, [[]], {"b": [{"c": ()}]}]], "d": {"e": {"f": {"g": []}}}},
+        [None, True, False, 0, -7, 2 ** 63 - 1, -2 ** 63 + 1, 0.1, 1.0, -0.0, 1e-300, 1e300],
+        "", "plain", [], {},
+    ], ids=["non-ascii", "escapes", "astral", "str-subclass", "tuples", "empty-at-depth",
+            "scalars", "empty-string", "string", "empty-list", "empty-dict"])
+    def test_same_bytes_as_json_dumps(self, obj):
+        assert canonical_json(obj) == _reference_canonical_json(obj)
+        assert canonical_json(obj, 6) == _reference_canonical_json(obj, 6)
+
+    def test_keys_ascii_values_not(self):
+        doc = canonical_json({"é": "é"})
+        assert doc == '{\n  "\\u00e9": "é"\n}'
+
+    def test_criterion_1_documents(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            m1, m2 = random_independent_pair(rng, max_trace=30)
+            cert = build_certificate([m1, m2])
+            verify_pingpong(cert, 10_000)
+            report = free_check([m1, m2], cert.N, 6)
+            for doc in (certificate_to_dict(cert), word_report_to_dict(report)):
+                assert canonical_json(doc) == _reference_canonical_json(doc)
 
 
 class TestClassifyCommand:
@@ -642,6 +714,28 @@ class TestHugeEntryStderr:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "error: invalid-input: non-finite input point in projection batch"]
+
+class TestHugeNegativeEntry:
+    K = 10 ** 70
+
+    @pytest.mark.parametrize("m, entries", [
+        (f"1,{-K},-1,{K + 1}", ["1", {"digit_count": 71, "negative": True}, "-1",
+                                {"digit_count": 71}]),
+        (f"{K + 1},{K},1,1", [{"digit_count": 71}, {"digit_count": 71}, "1", "1"]),
+    ], ids=["negative-entry", "inverse"])
+    def test_failed_certificate_written(self, m, entries, tmp_path, capsys):
+        # both classes fail in the verifier; the certificate keeps the failed
+        # checks whatever the sign of the huge entries
+        dest = tmp_path / "c.json"
+        code = main(["pingpong", "--matrix", m, "--matrix", "1,1,1,2",
+                     "--out", str(dest), "--no-cache"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: invalid-input: non-finite input point in projection batch\n")
+        doc = json.loads(dest.read_text())
+        assert doc["generators"][0]["matrix"] == entries
+        assert doc["verification"]["passed"] is False
+
 
 class TestTeichBeyondFloatRange:
     @pytest.mark.parametrize("tau1, tau2", [("0,1", "1e200,1"), ("1,5e-324", "-1,5e-324"),

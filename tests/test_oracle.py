@@ -149,8 +149,9 @@ class TestMeetInTheMiddle:
         ([L_GEN, R_GEN], 1, 8, 148),
         ([SANOV_A, SANOV_B], 1, 8, 0),
         ([PHI, PSI, PHI * PSI * PSI], 2, 5, 0),
+        ([L_GEN ** (10 ** 20) * R_GEN, R_GEN ** 3 * L_GEN ** 2], 2, 5, 0),
     ], ids=["commuting", "phi-phi2", "elliptics", "identity", "rotation",
-            "twists", "sanov", "triple"])
+            "twists", "sanov", "triple", "big-entries"])
     def test_same_document_as_depth_first(self, gens, N, length, n_violations):
         report = free_check(gens, N, length)
         assert len(report.violations) == n_violations
