@@ -23,22 +23,19 @@ _EXPORTS = {
                "DegenerateInputError DichotomyViolationError FViolationError "
                "HorizonExceededError InvalidInputError NotIndependentError "
                "OracleRefusedError TeichpongError"),
-    "hyp2": ("BoundaryPoint Geodesic Mobius Point dist dist_to_geodesic "
-             "geodesic_through project transport"),
+    "hyp2": "BoundaryPoint Geodesic Mobius Point dist dist_to_geodesic project",
     "mcg": ("AxisData Classification MappingClass axis classify fixed_slope_test "
             "independent min_translation translation_distance"),
     "oracle": "WordReport count_reduced_words cross_validate free_check",
-    "pingpong": ("PaperConstants PingPongCertificate PiSet build_certificate "
-                 "certified_radius paper_constants paper_radius_bound pi_membership "
-                 "power_bound sample_box_points verify_pingpong"),
+    "pingpong": ("PaperConstants PingPongCertificate build_certificate paper_constants "
+                 "paper_radius_bound power_bound sample_box_points verify_pingpong"),
     "projection": ("ModelConstants PairGeometry Thresholds common_perpendicular_distance "
                    "derive_contraction_b derive_morse divergence_profile "
                    "fast_divergence_thresholds model_constants pair_geometry profile_csv "
-                   "projection_interval touching_ball_projection_diameter"),
+                   "projection_interval"),
     "torus_model": ("Slope ThickParams curve_length default_thick_params "
-                    "derive_thick_params extremal_length intersection_number "
-                    "kerckhoff_dist marking short_curve_bound short_curves systole "
-                    "is_thick teich_dist transform_slope wolpert_check"),
+                    "derive_thick_params kerckhoff_dist marking short_curve_bound "
+                    "short_curves systole teich_dist wolpert_check"),
 }
 #: the module that defines each export
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -109,12 +109,15 @@ class Point(Value):
 
 
 class BoundaryPoint(Value):
-    """A boundary value: a finite real number or the distinguished infinity."""
+    """A boundary value: a finite real number or the distinguished infinity.
+    An infinite point stores the value 0.0, so all of them are equal."""
 
     __slots__ = _fields = ("value", "infinite")
 
     def __init__(self, value: float = 0.0, infinite: bool = False):
-        if not infinite and not math.isfinite(value):
+        if infinite:
+            value = 0.0
+        elif not math.isfinite(value):
             raise InvalidInputError("finite boundary point must be a finite real")
         Record.__init__(self, value, infinite)
 
@@ -168,10 +171,6 @@ class Mobius(Value):
         Record.__init__(self, a, b, c, d)
 
     @classmethod
-    def identity(cls) -> "Mobius":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
     def from_det_positive(cls, a, b, c, d) -> "Mobius":
         """Normalize any positive-determinant real matrix to determinant 1."""
         det = a * d - b * c
@@ -179,14 +178,6 @@ class Mobius(Value):
             raise InvalidInputError(f"matrix must have positive determinant, got {det}")
         r = math.sqrt(det)
         return cls(a / r, b / r, c / r, d / r)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
@@ -321,8 +312,6 @@ class Geodesic(Value):
     def _build_chart(self) -> Mobius:
         x0, y0 = self.origin.x, self.origin.y
         neg, pos = self.endpoint_neg, self.endpoint_pos
-        if neg.infinite and pos.infinite:
-            raise DegenerateInputError("geodesic endpoints must be distinct")
         if neg.infinite or pos.infinite:
             # a vertical line over its finite endpoint p, upward or downward
             p = neg.value if pos.infinite else pos.value
@@ -331,8 +320,6 @@ class Geodesic(Value):
             return Mobius.from_det_positive(*((y0, p, 0.0, 1.0) if pos.infinite
                                               else (p, -y0, 1.0, 0.0)))
         p, q = neg.value, pos.value
-        if p == q:
-            raise DegenerateInputError("geodesic endpoints must be distinct")
         center, radius = 0.5 * (p + q), 0.5 * abs(q - p)
         if radius > 1.0:
             # relative to radius^2, in units of the radius, which cannot overflow
@@ -359,9 +346,6 @@ class Geodesic(Value):
                                     "positive finite float")
         return self.chart.apply(Point(0.0, height))
 
-    def reversed(self) -> "Geodesic":
-        return Geodesic(self.endpoint_pos, self.endpoint_neg, self.origin)
-
     def param_of(self, z: Point) -> float:
         """Projection parameter of z; feet of perpendiculars on c(0,oo) are i|w|."""
         w = self.chart.inverse().apply_complex(z.z)
@@ -377,11 +361,10 @@ class Geodesic(Value):
         twin params_of_points, which differs from it only where math.log
         and numpy's log do.  Neither need have the bits of param_of:
         numpy's complex division and abs are not CPython's, and about half
-        of the default box's points differ from param_of by one ulp.  So
-        pi_membership, which uses param_of, can disagree with the verifier
-        on a point at a table's edge.  Points that collapse onto an ideal
-        endpoint in floating point get the limit parameter -inf / +inf,
-        which is the correct membership answer.
+        of the default box's points differ from param_of by one ulp.
+        Points that collapse onto an ideal endpoint in floating point get
+        the limit parameter -inf / +inf, which is the correct membership
+        answer.
         """
         import numpy as np
 
@@ -419,32 +402,6 @@ class Geodesic(Value):
                 t = math.inf
             out.append(t)
         return out
-
-
-def transport(m: Mobius, c: Geodesic) -> Geodesic:
-    """Image geodesic with the transported orientation and origin."""
-    return Geodesic(
-        m.apply_boundary(c.endpoint_neg),
-        m.apply_boundary(c.endpoint_pos),
-        m.apply(c.origin),
-    )
-
-
-def geodesic_through(z: Point, w: Point) -> Geodesic:
-    """The oriented geodesic from z toward w, with origin z."""
-    tol = 1e-13 * max(abs(z.z), abs(w.z))  # relative, since dilations are isometries
-    if abs(z.z - w.z) <= tol:
-        raise DegenerateInputError("need two distinct points")
-    if abs(z.x - w.x) <= tol:
-        # vertical line
-        if w.y > z.y:
-            return Geodesic(BoundaryPoint.finite(z.x), BoundaryPoint.infinity(), z)
-        return Geodesic(BoundaryPoint.infinity(), BoundaryPoint.finite(z.x), z)
-    center = (abs(z.z) ** 2 - abs(w.z) ** 2) / (2.0 * (z.x - w.x))
-    radius = abs(z.z - center)
-    if w.x > z.x:
-        return Geodesic(BoundaryPoint.finite(center - radius), BoundaryPoint.finite(center + radius), z)
-    return Geodesic(BoundaryPoint.finite(center + radius), BoundaryPoint.finite(center - radius), z)
 
 
 def project(c: Geodesic, z: Point) -> ProjectionResult:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
-from .hyp2 import Geodesic, Point, Record, Value, _height, _mobius_array, _mobius_points
+from .hyp2 import Record, Value, _height, _mobius_array, _mobius_points
 from .mcg import MappingClass, axis, independent, min_translation, translation_distance
 from .projection import (_geodesic_pair_geometry, derive_morse, model_constants,
                           projection_interval)
@@ -39,24 +39,6 @@ SLACK_FLOOR = 1e-9  #: least slack N Tr - 2S the verifier accepts per generator
 #: N Tr past which the N-th power has an entry beyond the float range: its
 #: trace is 2 cosh(N Tr), so a diagonal entry is at least e^{N Tr} / 2
 FLOAT_POWER_LIMIT = math.log(2.0) + math.log(sys.float_info.max)
-
-
-class PiSet(Value):
-    """Points whose projection parameter on the axis lies beyond sign * R."""
-
-    __slots__ = _fields = ("axis", "R", "sign")
-
-    def __init__(self, axis: Geodesic, R: float, sign: int):
-        if not R > 0:
-            raise InvalidInputError("PiSet radius must be positive")
-        if sign not in (1, -1):
-            raise InvalidInputError("sign must be +1 or -1")
-        Record.__init__(self, axis, R, sign)
-
-
-def pi_membership(s: PiSet, x: Point) -> bool:
-    t = s.axis.param_of(x)
-    return t >= s.R if s.sign > 0 else t <= -s.R
 
 
 class PaperConstants(Value):
@@ -111,6 +93,8 @@ def _interval_map(axes):
 
 
 def _radius_from_intervals(intervals, b, grid_step, margin):
+    """Least R on the grid with every interval, each in its target axis's own
+    parametrization, inside (-(R + 4b), R + 4b), times 1 + margin."""
     need = max(max(abs(lo), abs(hi)) for lo, hi in intervals.values())
     floor = max(0.0, need - 4.0 * b) - 1e-15
     steps = max(0.0, floor) / grid_step
@@ -121,19 +105,6 @@ def _radius_from_intervals(intervals, b, grid_step, margin):
     elif k * grid_step < floor:
         k += 1
     return (1.0 + margin) * k * grid_step
-
-
-def certified_radius(generators) -> float:
-    """Least radius R on the GRID_STEP grid such that every projection interval
-    of one axis on another lies inside (-(R + 4b), R + 4b), times 1 + RADIUS_MARGIN.
-
-    The intervals are taken in each axis's own parametrization (origin at
-    the summit); one radius per axis per sign is what the ping-pong lemma
-    needs, so R absorbs the worst offset over all pairs.
-    """
-    _check_family(generators)
-    axes = [axis(m).axis for m in generators]
-    return _radius_from_intervals(_interval_map(axes), model_constants().b, GRID_STEP, RADIUS_MARGIN)
 
 
 def power_bound(R, b: float, l_min: float) -> int:

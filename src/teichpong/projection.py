@@ -27,7 +27,7 @@ import math
 from . import cache
 from .errors import (ConstantDerivationError, DegenerateInputError,
                      HorizonExceededError, InvalidInputError, NotIndependentError)
-from .hyp2 import Geodesic, Point, Value, dist, dist_to_geodesic, project
+from .hyp2 import Geodesic, Value, dist, dist_to_geodesic, project
 from .mcg import MappingClass, axis, independent
 
 # The stability search's excursion levels and margin on M; both are in its memo key.
@@ -49,18 +49,6 @@ def model_constants() -> ModelConstants:
     # sharp slim-triangle constant of the plane, halved for the model metric
     delta = 0.5 * math.log(1.0 + math.sqrt(2.0))
     return ModelConstants(b=derive_contraction_b(), delta=delta)
-
-
-def touching_ball_projection_diameter(c: Geodesic, x: Point) -> float:
-    """Diameter of the projection onto c of the ball around x of radius d(x, c).
-
-    In the chart the ball is a Euclidean disk tangent to the axis; its
-    projection spans parameters [log(|C| - r)/2, log(|C| + r)/2] where C and
-    r are the Euclidean center and radius, which collapses to
-    asinh(|cos arg w|) for the normalized point w.
-    """
-    w = c.chart.inverse().apply_complex(x.z)
-    return math.asinh(abs(w.real) / abs(w))
 
 
 def derive_contraction_b() -> float:

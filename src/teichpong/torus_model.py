@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import hyp2
 from .errors import ConstantDerivationError, FViolationError, InvalidInputError
 from .hyp2 import Point, Record, Value
-from .mcg import MappingClass, min_translation
+from .mcg import min_translation
 
 
 class Slope(Value):
@@ -46,14 +46,6 @@ class Slope(Value):
             p, q = -p, -q
         return cls(p, q)
 
-    @classmethod
-    def parse(cls, text: str) -> "Slope":
-        try:
-            ps, qs = text.split("/")
-            return cls(int(ps), int(qs))
-        except ValueError as exc:
-            raise InvalidInputError(f"expected 'p/q', got {text!r}") from exc
-
     def __str__(self):
         return f"{self.p}/{self.q}"
 
@@ -61,24 +53,6 @@ class Slope(Value):
 def curve_length(s: Slope, tau: Point) -> float:
     """Flat length on the unit-area torus: |p + q tau| / sqrt(Im tau)."""
     return abs(s.p + s.q * tau.z) / math.sqrt(tau.y)
-
-
-def extremal_length(s: Slope, tau: Point) -> float:
-    return curve_length(s, tau) ** 2
-
-
-def intersection_number(s1: Slope, s2: Slope) -> int:
-    return abs(s1.p * s2.q - s1.q * s2.p)
-
-
-def transform_slope(m: MappingClass, s: Slope) -> Slope:
-    """Action on slopes, normalized so that lengths are equivariant:
-
-    curve_length(transform_slope(m.inverse(), s), tau)
-        == curve_length(s, m applied to tau).
-    """
-    a, b, c, d = m.entries()
-    return Slope.canonical(a * s.p - b * s.q, -c * s.p + d * s.q)
 
 
 def teich_dist(tau1: Point, tau2: Point) -> float:
@@ -252,10 +226,6 @@ def _reduce(tau: complex) -> complex:
 def systole(tau: Point) -> float:
     """Length of the shortest slope, via lattice reduction."""
     return 1.0 / math.sqrt(_reduce(tau.z).imag)
-
-
-def is_thick(tau: Point, epsilon: float) -> bool:
-    return systole(tau) >= epsilon
 
 
 def marking(tau: Point, F: float):

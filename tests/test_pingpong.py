@@ -14,8 +14,7 @@ from teichpong.errors import (CertificateInvalidError, ConstantDerivationError,
 from teichpong.hyp2 import BoundaryPoint, Geodesic, Point
 from teichpong import pingpong
 from teichpong.mcg import MappingClass, axis, min_translation, translation_distance
-from teichpong.pingpong import (PiSet, build_certificate, certified_radius,
-                                paper_radius_bound, pi_membership, power_bound,
+from teichpong.pingpong import (build_certificate, paper_radius_bound, power_bound,
                                 sample_box_points, verify_pingpong)
 from teichpong.projection import model_constants, projection_interval
 from teichpong.serialize import certificate_document
@@ -27,35 +26,17 @@ def conjugated(m, k):
     return m.conjugated_by(MappingClass(1, k, 0, 1))
 
 
-class TestPiMembership:
-    def test_beyond_radius(self):
-        s = PiSet(VERTICAL, 1.0, 1)
-        assert pi_membership(s, VERTICAL.point_at(2.0))
-
-    def test_origin_in_neither(self):
-        z = VERTICAL.point_at(0.0)
-        assert not pi_membership(PiSet(VERTICAL, 1.0, 1), z)
-        assert not pi_membership(PiSet(VERTICAL, 1.0, -1), z)
-
-    def test_off_axis_point(self):
-        # the projection parameter of 3 + 4i is log(5)/2, above 0.7
-        s = PiSet(VERTICAL, 0.7, 1)
-        assert pi_membership(s, Point(3, 4))
-
-    def test_radius_positive(self):
-        with pytest.raises(InvalidInputError):
-            PiSet(VERTICAL, 0.0, 1)
-
-
 class TestCertifiedRadius:
+    """The radius R that build_certificate takes from the projection intervals."""
+
     def test_standard_pair_small(self):
         b = model_constants().b
-        r = certified_radius([PHI, PSI])
+        r = build_certificate([PHI, PSI]).R
         assert 0 < r <= b
 
     def test_intervals_within_bound(self):
         b = model_constants().b
-        r = certified_radius([PHI, PSI])
+        r = build_certificate([PHI, PSI]).R
         c1, c2 = axis(PHI).axis, axis(PSI).axis
         for tgt, src in ((c1, c2), (c2, c1)):
             lo, hi = projection_interval(tgt, src)
@@ -63,16 +44,16 @@ class TestCertifiedRadius:
             assert hi - lo <= 2 * (r + 4 * b)
 
     def test_monotone_under_separation(self):
-        values = [certified_radius([PHI, conjugated(PHI, k)]) for k in (1, 4, 16)]
+        values = [build_certificate([PHI, conjugated(PHI, k)]).R for k in (1, 4, 16)]
         assert values[0] >= values[1] >= values[2] > 0
 
     def test_rejects_dependent(self):
         with pytest.raises(NotIndependentError):
-            certified_radius([PHI, PHI ** 3])
+            build_certificate([PHI, PHI ** 3])
 
     def test_needs_two(self):
-        with pytest.raises(InvalidInputError):
-            certified_radius([PHI])
+        with pytest.raises(InvalidInputError, match="need at least two generators"):
+            build_certificate([PHI])
 
 
 class TestPowerBound:

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import PHI, PSI, random_independent_pair
+from conftest import PHI, PSI, geodesic_through, random_independent_pair
 from teichpong.errors import (ConstantDerivationError, DegenerateInputError,
                               HorizonExceededError, InvalidInputError,
                               NotIndependentError)
-from teichpong.hyp2 import (BoundaryPoint, Geodesic, Point, dist,
-                            dist_to_geodesic, geodesic_through, project)
+from teichpong.hyp2 import BoundaryPoint, Geodesic, Point, dist, dist_to_geodesic, project
 from teichpong.mcg import MappingClass, axis
 from teichpong.projection import (HORIZON, THRESHOLD_MARGIN, Thresholds,
                                   _level_refutes, common_perpendicular_distance,
@@ -16,10 +15,21 @@ from teichpong.projection import (HORIZON, THRESHOLD_MARGIN, Thresholds,
                                   divergence_profile,
                                   fast_divergence_thresholds, model_constants,
                                   pair_geometry, profile_csv,
-                                  projection_interval,
-                                  touching_ball_projection_diameter)
+                                  projection_interval)
 
 VERTICAL = Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.infinity(), Point(0.0, 1.0))
+
+
+def touching_ball_projection_diameter(c: Geodesic, x: Point) -> float:
+    """Diameter of the projection onto c of the ball around x of radius d(x, c).
+
+    In the chart the ball is a Euclidean disk tangent to the axis; its
+    projection spans parameters [log(|C| - r)/2, log(|C| + r)/2] where C and
+    r are the Euclidean center and radius, which collapses to
+    asinh(|cos arg w|) for the normalized point w.
+    """
+    w = c.chart.inverse().apply_complex(x.z)
+    return math.asinh(abs(w.real) / abs(w))
 
 
 def conjugated(m, k):

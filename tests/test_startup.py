@@ -4,6 +4,7 @@ Every check runs in a fresh interpreter and reads its ``sys.modules`` at the
 end, since this test process has long loaded the whole package.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -12,26 +13,31 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
-#: every name the package exported when it imported its modules eagerly
+#: every name the package exports, each loaded from its module on first use
 EXPORTS = (
     "AxisData BoundaryPoint CertificateInvalidError Classification ClassificationError "
     "ConstantDerivationError DegenerateInputError DichotomyViolationError FViolationError "
     "Geodesic HorizonExceededError InvalidInputError MappingClass Mobius ModelConstants "
-    "NotIndependentError OracleRefusedError PairGeometry PaperConstants PiSet "
-    "PingPongCertificate Point Slope TeichpongError ThickParams Thresholds WordReport axis "
-    "build_certificate certified_radius classify common_perpendicular_distance "
-    "count_reduced_words cross_validate curve_length default_thick_params "
-    "derive_contraction_b derive_morse derive_thick_params dist dist_to_geodesic "
-    "divergence_profile extremal_length fast_divergence_thresholds fixed_slope_test "
-    "free_check geodesic_through independent intersection_number is_thick kerckhoff_dist "
-    "marking min_translation model_constants pair_geometry paper_constants "
-    "paper_radius_bound pi_membership power_bound profile_csv project projection_interval "
-    "sample_box_points short_curve_bound short_curves systole teich_dist "
-    "touching_ball_projection_diameter transform_slope translation_distance transport "
-    "verify_pingpong wolpert_check"
+    "NotIndependentError OracleRefusedError PairGeometry PaperConstants PingPongCertificate "
+    "Point Slope TeichpongError ThickParams Thresholds WordReport axis build_certificate "
+    "classify common_perpendicular_distance count_reduced_words cross_validate curve_length "
+    "default_thick_params derive_contraction_b derive_morse derive_thick_params dist "
+    "dist_to_geodesic divergence_profile fast_divergence_thresholds fixed_slope_test "
+    "free_check independent kerckhoff_dist marking min_translation model_constants "
+    "pair_geometry paper_constants paper_radius_bound power_bound profile_csv project "
+    "projection_interval sample_box_points short_curve_bound short_curves systole "
+    "teich_dist translation_distance verify_pingpong wolpert_check"
 ).split()
+#: exports that nothing in the package, perfbench or the acceptance suite calls
+UNCALLED_EXPORTS = {
+    "cross_validate": "the README's library example",
+    "marking": "the tests' reference for the marking bound F",
+    "systole": "the tests' reference for the systole floor epsilon",
+    "sample_box_points": "the tests' reference for the verifier's streamed sample",
+}
 SUBMODULES = ("cache", "cli", "errors", "hyp2", "mcg", "oracle", "pingpong", "projection",
               "serialize", "torus_model")
 
@@ -143,6 +149,25 @@ def test_every_name_resolves_after_a_bare_import(tmp_path):
     assert all(m.startswith("teichpong.") for m in out["exports"].values())
     assert out["modules"] == {s: f"teichpong.{s}" for s in SUBMODULES}
     assert out["all"] == sorted(EXPORTS)
+
+
+def test_every_export_has_a_caller():
+    # a name or an attribute of that name anywhere in the package's modules,
+    # perfbench or the acceptance suite counts as a call
+    files = [*(SRC / "teichpong").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in files:
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    import teichpong
+    uncalled = set(teichpong.__all__) - used
+    assert uncalled - UNCALLED_EXPORTS.keys() == set()  # delete these, or call them
+    assert UNCALLED_EXPORTS.keys() - uncalled == set()  # these have callers now
 
 
 def test_exports_are_the_modules_objects():

@@ -15,8 +15,8 @@ from teichpong.errors import DegenerateInputError, InvalidInputError
 from teichpong.hyp2 import BoundaryPoint, Geodesic, Mobius, Point
 from teichpong.mcg import AxisData, MappingClass
 from teichpong.oracle import WordReport
-from teichpong.pingpong import PaperConstants, PingPongCertificate, PiSet
-from teichpong.projection import ModelConstants, PairGeometry, Thresholds
+from teichpong.pingpong import PaperConstants, PingPongCertificate
+from teichpong.projection import ModelConstants, PairGeometry, Thresholds, projection_interval
 from teichpong.torus_model import Slope, ThickParams
 
 FIN, INF = BoundaryPoint.finite, BoundaryPoint.infinity
@@ -56,8 +56,6 @@ VALUES = {
     "Slope": (lambda: Slope(1, 2), "Slope(p=1, q=2)", "p"),
     "ThickParams": (lambda: ThickParams(epsilon=0.5, F=2.0, short_curve_coeff=1.08),
                     "ThickParams(epsilon=0.5, F=2.0, short_curve_coeff=1.08)", "F"),
-    "PiSet": (lambda: PiSet(axis=_geo(), R=1.5, sign=-1),
-              f"PiSet(axis={GEO_REPR}, R=1.5, sign=-1)", "R"),
     "PaperConstants": (lambda: PaperConstants(L=1.0, F=2.0, M=3.0, B=4, R_paper=5, N_paper=6),
                        "PaperConstants(L=1.0, F=2.0, M=3.0, B=4, R_paper=5, N_paper=6)", "B"),
     "PingPongCertificate": (
@@ -137,7 +135,7 @@ class TestFields:
         assert isinstance(g.chart, Mobius)
         assert "chart" not in repr(g)
         with pytest.raises(AttributeError):
-            g.chart = Mobius.identity()
+            g.chart = Mobius(1.0, 0.0, 0.0, 1.0)
         # the same line with another origin is another value
         assert g != Geodesic(FIN(-1.0), FIN(1.0), Point(0.6, 0.8))
         assert copy.deepcopy(g).chart == g.chart
@@ -148,6 +146,10 @@ class TestFields:
         assert BoundaryPoint(value=2.0) == FIN(2.0)
         assert BoundaryPoint(infinite=True) == INF() and repr(INF()) == "oo"
         assert FIN(1.0) != INF()
+        # an infinite point drops its value: there is one infinity
+        far = BoundaryPoint(5.0, True)
+        assert far == INF() and hash(far) == hash(INF()) and far.value == 0.0
+        assert BoundaryPoint(value=math.inf, infinite=True) == INF()
 
     def test_certificate_keywords(self):
         assert _cert().verification is None
@@ -192,6 +194,12 @@ class TestFields:
      "geodesic endpoints must be distinct"),
     (lambda: Geodesic(INF(), INF(), Point(0.0, 1.0)), DegenerateInputError,
      "geodesic endpoints must be distinct"),
+    (lambda: Geodesic(BoundaryPoint(1.0, True), INF(), Point(0.0, 1.0)), DegenerateInputError,
+     "geodesic endpoints must be distinct"),
+    # the same line as the vertical axis over 0, reversed
+    (lambda: projection_interval(Geodesic(FIN(0.0), INF(), Point(0.0, 1.0)),
+                                 Geodesic(BoundaryPoint(5.0, True), FIN(0.0), Point(0.0, 1.0))),
+     DegenerateInputError, "projection of a geodesic onto itself is everything"),
     (lambda: Geodesic(FIN(-1.0), FIN(1.0), Point(0.0, 2.0)), InvalidInputError,
      "origin is not on the geodesic"),
     (lambda: MappingClass(1, 1, 1, 1), InvalidInputError,
@@ -203,9 +211,6 @@ class TestFields:
      "slope (1,-2) is not canonical (need q > 0, or (1,0))"),
     (lambda: Slope(-1, 0), InvalidInputError,
      "slope (-1,0) is not canonical (need q > 0, or (1,0))"),
-    (lambda: PiSet(_geo(), 0.0, 1), InvalidInputError, "PiSet radius must be positive"),
-    (lambda: PiSet(_geo(), math.nan, 1), InvalidInputError, "PiSet radius must be positive"),
-    (lambda: PiSet(axis=_geo(), R=1.0, sign=0), InvalidInputError, "sign must be +1 or -1"),
 ])
 def test_validation(make, kind, message):
     with pytest.raises(kind) as exc:
