@@ -215,75 +215,6 @@ def _mobius_array(a: float, b: float, c: float, d: float, zs: np.ndarray) -> np.
     return num
 
 
-_TIE = 2.0 ** -53  #: half an ulp of the floats in [1, 2)
-
-
-def _quotient(nr: float, ni: float, dr: float, di: float) -> tuple:
-    """numpy's complex division (nr + i ni) / (dr + i di), bit for bit: Smith's
-    algorithm by a reciprocal, with x / 0 an inf or a nan."""
-    if abs(dr) >= abs(di):
-        if not dr:  # and so di is a zero as well
-            return nr * math.inf if nr else math.nan, ni * math.inf if ni else math.nan
-        rat = di / dr
-        scl = 1.0 / (dr + di * rat)
-        return (nr + ni * rat) * scl, (ni - nr * rat) * scl
-    rat = dr / di if di else math.nan  # di is a zero here only beside a nan dr
-    scl = 1.0 / (di + dr * rat)
-    return (nr * rat + ni) * scl, (ni * rat - nr) * scl
-
-
-def _modulus(x: float, y: float) -> float:
-    """numpy's |x + iy| on hardware with a fused multiply-add, bit for bit:
-    max sqrt(1 + r^2) for r = min / max, with 1 + r^2 rounded once, inf if
-    either part is infinite and nan if either is nan.  The float sum
-    1 + fl(r^2) is that rounding unless its own rounding error t is a tie,
-    +-2^-53: for |t| < 2^-53, t is a multiple of ulp(r^2) and r^2 - fl(r^2)
-    at most half of one, so the exact sum rounds the same way.  Ties are
-    settled in exact integers."""
-    x, y = abs(x), abs(y)
-    if x == math.inf or y == math.inf:
-        return math.inf
-    if x < y:
-        x, y = y, x
-    elif not x >= y:
-        return math.nan
-    if not x:
-        return 0.0
-    r = y / x
-    p = r * r
-    s = 1.0 + p
-    t = p - (s - 1.0)  # exact: s - 1 is, and so is the error of 1 + p
-    if t == _TIE or t == -_TIE:
-        n, d = r.as_integer_ratio()
-        s = (d * d + n * n) / (d * d)
-    return x * math.sqrt(s)
-
-
-def _mobius_points(a: float, b: float, c: float, d: float, zs) -> list:
-    """(a z + b) / (c z + d) for each complex z of zs, the scalar twin of
-    _mobius_array: the bits it gives the same points, without numpy.
-
-    numpy forms a z + b with a and b taken as complex numbers with zero
-    imaginary parts: its real part subtracts 0 Im z and its imaginary part
-    adds 0 Re z, then 0.  Those zero terms set the sign of a zero part and
-    turn an infinite part into a nan.  CPython's own a * z + b keeps them up
-    to 3.13 and drops them from 3.14 on, so both twins take them from here."""
-    out = []
-    for z in zs:
-        x, y = z.real, z.imag
-        out.append(complex(*_quotient(a * x - 0.0 * y + b, a * y + 0.0 * x + 0.0,
-                                      c * x - 0.0 * y + d, c * y + 0.0 * x + 0.0)))
-    return out
-
-
-def _height(x: float) -> float:
-    """e^x, inf past the float range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 class ProjectionResult(NamedTuple):
     """Foot of the nearest-point projection together with its parameter."""
 
@@ -340,7 +271,10 @@ class Geodesic(Value):
         return Mobius.from_det_positive(q, sg * p * s, 1.0, sg * s)
 
     def point_at(self, t: float) -> Point:
-        height = _height(2.0 * t)
+        try:
+            height = math.exp(2.0 * t)
+        except OverflowError:
+            height = math.inf
         if not 0.0 < height < math.inf:
             raise InvalidInputError(f"parameter t={t} is out of range: e^(2t) is not a "
                                     "positive finite float")
@@ -357,11 +291,10 @@ class Geodesic(Value):
         Evaluated in place with the same operations as the numpy expression
         ``0.5 * np.log(np.abs(chart.inverse().apply_complex(zs)))``, so each
         parameter has the bits of that expression, which the tests pin.  The
-        verifier's sampled checks use it, and its fixed checks the scalar
-        twin params_of_points, which differs from it only where math.log
-        and numpy's log do.  Neither need have the bits of param_of:
-        numpy's complex division and abs are not CPython's, and about half
-        of the default box's points differ from param_of by one ulp.
+        verifier's sampled checks use it.  It need not have the bits of
+        param_of: numpy's complex division and abs are not CPython's, and
+        about half of the default box's points differ from param_of by one
+        ulp.
         Points that collapse onto an ideal endpoint in floating point get
         the limit parameter -inf / +inf, which is the correct membership
         answer.
@@ -382,25 +315,6 @@ class Geodesic(Value):
             # a finite point hitting the chart pole is the positive endpoint,
             # which is where high powers collapse their images in floats
             out[bad] = np.inf
-        return out
-
-    def params_of_points(self, zs) -> list:
-        """params_of_array's parameters of the complex points zs, as a list,
-        without numpy: the scalar twin of params_of_array, with its refusal
-        and its limit +inf.  The division and the modulus have numpy's bits;
-        math.log is within an ulp of numpy's log, and differs from it on
-        0.03-0.1% of moduli.
-        """
-        m = self.chart
-        out = []
-        for z, q in zip(zs, _mobius_points(m.d, -m.b, -m.c, m.a, zs)):
-            w = _modulus(q.real, q.imag)
-            t = 0.5 * math.log(w) if w else -math.inf
-            if t != t:
-                if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                    raise InvalidInputError("non-finite input point in projection batch")
-                t = math.inf
-            out.append(t)
         return out
 
 

@@ -1,9 +1,9 @@
 """Mapping classes of the modular torus as projective integer matrices.
 
 A class is a 2x2 integer matrix of determinant one, identified with its
-negative.  Classification, independence and word arithmetic are exact
-integer computations; axes and translation distances are floating point
-with stated tolerances.
+negative.  Classification, independence, word arithmetic and the ends of
+the verifier's ping-pong tables are exact integer computations; axes and
+translation distances are floating point with stated tolerances.
 """
 
 from __future__ import annotations
@@ -166,6 +166,55 @@ def axis(m: MappingClass) -> AxisData:
     repelling = BoundaryPoint.finite(x_rep)
     geo = Geodesic(repelling, attracting, Point(*summit))
     return AxisData(geo, repelling, attracting, math.log(lam), lam)
+
+
+def _table_ends(m: MappingClass, u) -> list:
+    """The intervals under m's tables Pi(c, S) and Pi(c, -S), exactly, for
+    the rational u = tanh S with 0 < u < 1: [(lo, hi) of sign +1, of sign -1].
+
+    With a + d > 0, A = a - d and Delta = (a + d)^2 - 4, the fixed point
+    (A + s sqrt(Delta)) / 2c (s = +1 attracts) has as its table the closed
+    half-disk over the interval between A/2c + s u sqrt(Delta)/2c and
+    A/2c + s sqrt(Delta) / (2c u).  Each end is (alpha, beta, e, Delta)
+    for (alpha + beta sqrt(Delta)) / e with integers and e > 0.
+    """
+    a, b, c, d = m.entries()
+    if a + d < 0:
+        a, b, c, d = -a, -b, -c, -d
+    P, Q = u.numerator, u.denominator
+    A, delta, sc = a - d, (a + d) ** 2 - 4, 1 if c > 0 else -1
+    out = []
+    for s in (1, -1):
+        near = (sc * A * Q, sc * s * P, 2 * abs(c) * Q, delta)
+        far = (sc * A * P, sc * s * Q, 2 * abs(c) * P, delta)
+        # far - near = s (1/u - u) sqrt(Delta) / 2c has the sign of s c
+        out.append((near, far) if s * c > 0 else (far, near))
+    return out
+
+
+def _sign_of(a: int, b: int, D1: int, c: int, D2: int) -> int:
+    """The sign of a + b sqrt(D1) + c sqrt(D2), for D1, D2 > 0, in integers.
+
+    x + y has the sign of x where the signs agree or y is 0, and otherwise
+    that sign times the sign of x^2 - y^2.  Once for b sqrt(D1) + c sqrt(D2),
+    and once for a + y, with a^2 - y^2 = K - 2bc sqrt(D1 D2).
+    """
+    def add(sx, sy, gap):
+        return sx if sx == sy or not sy else sy if not sx else sx * gap
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+    b2, c2 = b * b * D1, c * c * D2
+    sy = add(sign(b), sign(c), sign(b2 - c2))
+    K, L = a * a - b2 - c2, -2 * b * c
+    return add(sign(a), sy, add(sign(K), sign(L), sign(K * K - L * L * D1 * D2)))
+
+
+def _end_order(x, y) -> int:
+    """The sign of x - y for two table ends of _table_ends."""
+    a1, b1, e1, D1 = x
+    a2, b2, e2, D2 = y
+    return _sign_of(a1 * e2 - a2 * e1, b1 * e2, D1, -b2 * e1, D2)
 
 
 def translation_distance(m: MappingClass) -> float:

@@ -15,15 +15,18 @@ to shrink the constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
-from .hyp2 import Record, Value, _height, _mobius_array, _mobius_points
-from .mcg import MappingClass, axis, independent, min_translation, translation_distance
+from .hyp2 import Record, Value, _mobius_array
+from .mcg import (MappingClass, _end_order, _table_ends, axis, independent, min_translation,
+                  translation_distance)
 from .projection import (_geodesic_pair_geometry, derive_morse, model_constants,
                           projection_interval)
 
@@ -35,7 +38,14 @@ GRID_STEP = 0.01  #: step of the radius grid
 RADIUS_MARGIN = 0.05  #: margin on the certified radius
 FACTORIAL_LIMIT = 20_000_000  #: largest short-curve bound B whose factorial paper mode builds
 SAMPLE_CHUNK = 8192  #: points per sample block, each block drawn from its own spawned seed
-SLACK_FLOOR = 1e-9  #: least slack N Tr - 2S the verifier accepts per generator
+#: least slack N Tr - 2S the verifier accepts per generator.  g^N moves the
+#: exact axis parameter by N Tr, so it maps the complement of its minus table
+#: into its plus table exactly when N Tr >= 2S.  A certified certificate
+#: passes only with N Tr <= FLOAT_POWER_LIMIT, about 710 (the sampled checks
+#: refuse a larger one at any sample count), so N <= 738 with Tr >= l_min, and
+#: the float Tr, a log within a few ulps of the exact one, puts N Tr - 2S
+#: within about 1e-12 of the exact slack: far under the floor
+SLACK_FLOOR = 1e-9
 #: N Tr past which the N-th power has an entry beyond the float range: its
 #: trace is 2 cosh(N Tr), so a diagonal entry is at least e^{N Tr} / 2
 FLOAT_POWER_LIMIT = math.log(2.0) + math.log(sys.float_info.max)
@@ -177,9 +187,7 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
         "box": list(box),
         "grid_step": GRID_STEP,
         "radius_margin": RADIUS_MARGIN,
-        "use_input_translation": False,
         "notes": [
-            "fast-divergence thresholds are grid-certified artifacts; the underlying statement is existence-only",
             "the marking bound F is derived over the whole thick part, a superset of the bounded-translation axes",
         ],
     }
@@ -461,11 +469,6 @@ def _table_empty(chart, err, sign: int, bounds, S: float) -> bool:
     return all(f(*peak) < 0 for peak in peaks)
 
 
-#: e^{i a} for the planted witnesses' angles a = pi/3, pi/2, 2 pi/3, with numpy's bits
-_TURNS = tuple(complex(math.cos(a), math.sin(a))
-               for a in (math.pi / 3.0, math.pi / 2.0, 2.0 * math.pi / 3.0))
-
-
 def _sampled_checks(cert: PingPongCertificate, axes, trs, seed: int, sample_budget: int,
                     box, checks: list) -> None:
     """Inclusion under the exact N-th powers and table disjointness, on the
@@ -571,15 +574,18 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
 
     Analytic: each generator advances its own axis parameter by its
     translation distance, and N of those steps clear both tables (2S) with
-    recorded slack.  Empirical (certified mode): exact N-th matrix powers
-    map sampled points off the minus table into the plus table, and no
-    sample lies in two of the 2n tables.
+    recorded slack (SLACK_FLOOR).  Empirical (certified mode): exact N-th
+    matrix powers map sampled points off the minus table into the plus
+    table, and no sample lies in two of the 2n tables.  Exact (certified
+    mode): the 2n tables are pairwise disjoint, decided in integers on the
+    table ends in Q(sqrt Delta) of mcg._table_ends, with e^{2S} bracketed
+    from below at 40 digits.  Last, every stored interval contains the
+    recomputed projection.
 
     The samples are those of sample_box_points, streamed one SAMPLE_CHUNK
     block at a time, so memory stays bounded by a block whatever the
     budget; the verdict and the witness are those of a pass over the whole
-    sample.  The fixed checks run on hyp2's scalar kernel, and numpy is
-    imported only when a block is drawn.
+    sample.  numpy is imported only when a block is drawn.
     """
     seed = cert.config["seed"] if seed is None else seed
     box = tuple(cert.config["box"])
@@ -625,56 +631,26 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
     if not ok:
         fail("N Tr does not clear both tables", witness={"slacks": slacks})
 
-    # projection equivariance along each generator's own axis; the tolerance
-    # tracks the measured float noise of applying the matrix (large-entry
-    # generators with tiny axes condition badly, a logic bug would show up
-    # at the scale of Tr, orders of magnitude above the noise floor)
-    charts = [(c.chart.a, c.chart.b, c.chart.c, c.chart.d) for c in axes]
-    grid = [0.5 * k - 3.0 for k in range(13)]  # -3, -2.5, ..., 3
-    starts = [complex(0.0, math.exp(2.0 * t)) for t in grid]
-    worst = noise = 0.0
-    for m, c, chart, tr in zip(gens, axes, charts, trs):
-        moved = _mobius_points(*_float_entries(m), _mobius_points(*chart, starts))
-        back = _mobius_points(*_float_entries(m.inverse()), moved)
-        params = c.params_of_points(back + moved)
-        noise = max(noise, *(abs(t - g) for t, g in zip(params, grid)))
-        worst = max(worst, *(abs(t - (g + tr)) for t, g in zip(params[len(grid):], grid)))
-    tol = max(1e-8, 16.0 * noise)
-    ok = worst <= tol
-    checks.append({"name": "axis-equivariance", "passed": bool(ok),
-                   "max_error": worst, "tolerance": tol, "float_noise": noise})
-    if not ok:
-        fail("generator does not translate its axis by Tr", witness={"max_error": worst})
-
     _sampled_checks(cert, axes, trs, seed, sample_budget, box, checks)
 
-    # uniform-box samples rarely reach the tables, so also plant witnesses on
-    # and near each table (points over the axis feet at parameter beyond S)
-    # and require each to belong to its own table only.  Table t = 2i + k,
-    # (i, (1, -1)[k]), holds witnesses t * size to (t + 1) * size of pts.
-    # Every axis places every witness before any table is checked, so a
-    # non-finite witness (S above about 353, where e^{2(S + 1.5)} overflows)
-    # is refused first.  From S near 18 a witness lies within float rounding
-    # of its axis's endpoint, so its parameter is noise and can miss its own
-    # table: (phi, psi) fails so at S = 20
-    w = [_height(k * (S + lift)) * turn for k in (2.0, -2.0)
-         for lift in (0.1, 0.5, 1.0, 1.5) for turn in _TURNS]
-    size = len(w) // 2
-    pts = [z for chart in charts for z in _mobius_points(*chart, w)]
-    wp = [c.params_of_points(pts) for c in axes]
-    # the tables each witness lies in
-    tables = list(map(sum, zip(*([(t >= S) + (t <= -S) for t in row] for row in wp))))
-    for t, (i, sign) in enumerate((i, sign) for i in range(len(axes)) for sign in (1, -1)):
-        own = slice(t * size, (t + 1) * size)
-        if not all(sign * p >= S for p in wp[i][own]):
-            fail(f"planted witness missed its own table ({i}, {sign:+d})")
-        most = max(tables[own])
-        if most > 1:
-            z = pts[own][tables[own].index(most)]
-            fail("a planted table witness lies in a second table",
-                 witness={"point": [z.real, z.imag], "table": [i, sign]})
-    checks.append({"name": "table-witness-disjointness", "passed": True,
-                   "witnesses_per_table": size})
+    # the 2n tables are pairwise disjoint, decided exactly: E_lo < e^{2S}
+    # (decimal's exp is correctly rounded) gives tables that contain the
+    # true ones, and two half-disks over intervals meeting in at most one
+    # point are disjoint in H
+    with localcontext() as ctx:
+        ctx.prec = 40
+        E = Fraction(Decimal(2.0 * max(0.0, S)).exp().next_minus())
+    u = (E - 1) / (E + 1)  # tanh S, rounded down
+    if not (S > 0.0 and u > 0):
+        fail("S is too small for exact tables: e^{2S} is not above 1 at 40 digits",
+             witness={"S": S})
+    tables = [(i, sign, ends) for i, m in enumerate(gens)
+              for sign, ends in zip((1, -1), _table_ends(m, u))]
+    for (i, s, (lo1, hi1)), (j, t, (lo2, hi2)) in itertools.combinations(tables, 2):
+        if _end_order(hi1, lo2) > 0 and _end_order(hi2, lo1) > 0:
+            fail(f"tables ({i}, {s:+d}) and ({j}, {t:+d}) meet",
+                 witness={"tables": [[i, s], [j, t]]})
+    checks.append({"name": "table-disjointness-exact", "passed": True, "tables": len(tables)})
 
     # re-validate the stored intervals: the projection is monotone along the
     # source axis, so its closure spans the feet of the source's endpoints

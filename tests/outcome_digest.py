@@ -5,8 +5,8 @@
 Imports ``teichpong`` from SRC_DIR, builds and verifies every family of
 the corpus on every box at 1 and 20,000 samples, then runs the word oracle
 to length 4 on each family's N-th powers for its certificate on the default
-box, then verifies two families at 0 samples with the radius raised into
-the planted witnesses' noise regime.  It prints the number of outcomes,
+box, then verifies two families at 0 samples with the radius raised far
+above the certified one.  It prints the number of outcomes,
 how many of them are errors, and a
 SHA-256 over every outcome in order: the certificate or word report
 document, or the error's class, message and witness.  Two source trees with
@@ -16,14 +16,14 @@ fresh interpreter and compares its line with tests/golden/outcome_digest.txt,
 which the golden rewrite command rewrites with the other documents.
 
 The families are perfbench's seeded pairs (seeds 0-49) and triples (seeds
-1000-1009), L^k R beside R^3 L^2 from k = 10 to past the axis-equivariance
-failure, and phi beside two psi conjugates that fail the sampled inclusion
-and beside 20 others.  The boxes run from
-the default box to boxes no bound decides and subnormal floors.  The noise
-regime takes (phi, psi) and L^10 R beside R^3 L^2 at S = 6, 6.25, ..., 56,
-with R = S - 6b and the least N the power threshold admits: there a
-witness's parameter is float noise, and math.exp and numpy's exp differ on
-some of the witness heights.
+1000-1009), L^k R beside R^3 L^2 from k = 10 to 10^6, and phi beside two
+psi conjugates that fail the sampled inclusion and beside 20 others.  The
+boxes run from the default box to boxes no bound decides and subnormal
+floors.  The raised radii take (phi, psi) and L^10 R beside R^3 L^2 at
+S = 6, 6.25, ..., 56, with R = S - 6b and the least N the power threshold
+admits.  They exercise the exact table-disjointness check where a float
+test of the tables would be noise: from S near 18, a point of a table
+lies within float rounding of its axis's endpoint.
 """
 
 import hashlib

@@ -703,8 +703,9 @@ class TestPowerBeyondFloatRange:
 
 class TestHugeEntryStderr:
     def test_one_error_line_and_no_numpy_warning(self, tmp_path):
-        # the axis check applies the 10^155 generator in floats, which overflows;
-        # numpy's RuntimeWarning lines once preceded the error line
+        # N Tr passes the float range of the sampled checks, which refuse the
+        # power before forming it; numpy's RuntimeWarning lines once preceded
+        # an error line here.  Exit 2 on valid input is ROADMAP item 1's defect
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         proc = subprocess.run(
             [sys.executable, "-m", "teichpong.cli", "pingpong", "--matrix",
@@ -713,7 +714,8 @@ class TestHugeEntryStderr:
             text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
-            "error: invalid-input: non-finite input point in projection batch"]
+            "error: invalid-input: the N-th power of generator 0 (N = 394) has entries beyond "
+            "the float range of the sampled checks"]
 
 class TestHugeNegativeEntry:
     K = 10 ** 70
@@ -724,14 +726,15 @@ class TestHugeNegativeEntry:
         (f"{K + 1},{K},1,1", [{"digit_count": 71}, {"digit_count": 71}, "1", "1"]),
     ], ids=["negative-entry", "inverse"])
     def test_failed_certificate_written(self, m, entries, tmp_path, capsys):
-        # both classes fail in the verifier; the certificate keeps the failed
-        # checks whatever the sign of the huge entries
+        # both classes are refused by the sampled checks' float range; the
+        # certificate keeps the failed checks whatever the sign of the huge entries
         dest = tmp_path / "c.json"
         code = main(["pingpong", "--matrix", m, "--matrix", "1,1,1,2",
                      "--out", str(dest), "--no-cache"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: invalid-input: non-finite input point in projection batch\n")
+            "error: invalid-input: the N-th power of generator 0 (N = 180) has entries "
+            "beyond the float range of the sampled checks\n")
         doc = json.loads(dest.read_text())
         assert doc["generators"][0]["matrix"] == entries
         assert doc["verification"]["passed"] is False

@@ -102,9 +102,8 @@ class TestCertificate:
     def test_verification_samples_reach_tables(self):
         cert = build_certificate([PHI, PSI])
         verify_pingpong(cert, 5000)
-        witness = [c for c in cert.verification["checks"]
-                   if c["name"] == "table-witness-disjointness"]
-        assert witness and witness[0]["passed"]
+        exact = [c for c in cert.verification["checks"] if c["name"] == "table-disjointness-exact"]
+        assert exact == [{"name": "table-disjointness-exact", "passed": True, "tables": 4}]
 
     def test_nearly_shared_endpoints_need_large_radius(self):
         # conjugating by phi^5 T drags the second axis's endpoints within
@@ -252,26 +251,109 @@ class TestPowerBeyondFloatRange:
             verify_pingpong(cert, 10)
 
 
-class TestKnownFalseFailures:
-    """Valid families the float verifier rejects (ROADMAP item 1)."""
+class TestFormerFalseFailures:
+    """Valid families the float fixed checks once rejected (ROADMAP item 1)."""
 
-    @pytest.mark.xfail(strict=True, raises=CertificateInvalidError,
-                       reason="axis-equivariance max_error 4.742e-5 against tolerance 4.718e-5")
-    def test_large_entry_axis_equivariance(self):
+    def test_large_entry(self):
         # a large_entry family of certify_families (seed 11, cycle 133): the
-        # float axis chart of L^283946 R is off by more than its noise estimate
+        # float axis chart of L^283946 R failed the axis-equivariance check
         cert = build_certificate([L_GEN ** 283946 * R_GEN, R_GEN ** 3 * L_GEN ** 2])
         assert verify_pingpong(cert, 1000)["passed"]
 
-    @pytest.mark.xfail(strict=True, raises=CertificateInvalidError,
-                       reason="planted witness missed its own table (0, +1)")
-    def test_planted_witness_at_large_radius(self):
-        # N Tr = 48.1 clears 2S = 40, but the witnesses beyond parameter 20
-        # lie within float rounding of their axis's endpoint, so their
-        # parameters are noise and some fall short of S
+    def test_large_radius(self):
+        # N Tr = 48.1 clears 2S = 40; planted witnesses beyond parameter 20
+        # lay within float rounding of their axis's endpoint and missed their
+        # own table (0, +1)
         cert = build_certificate([PHI, PSI])
         cert.S, cert.R, cert.N = 20.0, 20.0 - 6.0 * cert.b, 50
         assert verify_pingpong(cert, 0)["passed"]
+
+
+def float_first_meeting(gens, S, tol=1e-9):
+    """Float Apollonius reference for the exact disjointness check: the first
+    pair of the 2n tables, in (i, sign) order, whose intervals on the real
+    line overlap, None if none do, or "unsure" where an overlap within tol
+    of zero comes first."""
+    u = math.tanh(S)
+    tables = []
+    for i, m in enumerate(gens):
+        a, b, c, d = m.entries()
+        if a + d < 0:
+            a, b, c, d = -a, -b, -c, -d
+        mid, half = (a - d) / (2.0 * c), math.sqrt((a + d) ** 2 - 4) / (2.0 * c)
+        for sign in (1, -1):
+            ends = sorted((mid + sign * u * half, mid + sign * half / u))
+            tables.append(([i, sign], ends))
+    for (key1, (lo1, hi1)), (key2, (lo2, hi2)) in itertools.combinations(tables, 2):
+        overlap = min(hi1, hi2) - max(lo1, lo2)
+        if abs(overlap) <= tol * max(1.0, abs(lo1), abs(hi1), abs(lo2), abs(hi2)):
+            return "unsure"
+        if overlap > 0.0:
+            return [key1, key2]
+    return None
+
+
+class TestExactDisjointness:
+    """The exact table-disjointness check, decided in integers in Q(sqrt Delta)."""
+
+    @staticmethod
+    def outcome(gens, S, samples=0):
+        cert = build_certificate(gens)
+        cert.S = S
+        try:
+            verify_pingpong(cert, samples)
+        except CertificateInvalidError as exc:
+            return str(exc), exc.witness
+        return "passed"
+
+    def test_false_accept_rejected(self):
+        # two pairs of tables overlap by 0.0017 on the real line, in lenses
+        # under 0.001 high that no sample of the default box reaches
+        assert self.outcome([PHI, PSI], 0.7714702, 100_000) == (
+            "tables (0, +1) and (1, +1) meet", {"tables": [[0, 1], [1, 1]]})
+
+    def test_tangency_pins(self):
+        # the least disjoint S for (phi, psi) is 0.7722425
+        assert self.outcome([PHI, PSI], 0.7722415) == (
+            "tables (0, +1) and (1, +1) meet", {"tables": [[0, 1], [1, 1]]})
+        assert self.outcome([PHI, PSI], 0.7722430) == "passed"
+
+    @pytest.mark.parametrize("S", [0.0, -1.0, 1e-50, 5e-324])
+    def test_fails_closed(self, S):
+        # S <= 0, or e^{2S} rounded down at 40 digits no larger than 1
+        assert self.outcome([PHI, PSI], S) == (
+            "S is too small for exact tables: e^{2S} is not above 1 at 40 digits", {"S": S})
+
+    def test_power_at_float_limit_verifies(self):
+        # N Tr = 709.3 clears 2S = 709; its planted witnesses once left the
+        # float range and were refused as invalid input
+        import warnings
+        cert = build_certificate([PHI, PSI])
+        cert.N, cert.S = 737, 354.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_pingpong(cert, 0)["passed"]
+
+    def test_agrees_with_float_apollonius(self):
+        # seeded families, one in five a triple, at the certified S and at S/4
+        import random
+        counts = {"passed": 0, "failed": 0, "unsure": 0}
+        for seed in range(300):
+            gens = positive_word_family(random.Random(5000 + seed), 3 if seed % 5 == 4 else 2)
+            S = build_certificate(gens).S
+            for s in (S, S / 4.0):
+                expected = float_first_meeting(gens, s)
+                if expected == "unsure":
+                    counts["unsure"] += 1
+                    continue
+                got = self.outcome(gens, s)
+                if expected is None:
+                    assert got == "passed", (gens, s)
+                    counts["passed"] += 1
+                else:
+                    assert got[1] == {"tables": expected}, (gens, s)
+                    counts["failed"] += 1
+        assert counts == {"passed": 423, "failed": 177, "unsure": 0}
 
 
 def reference_sample(seed, n, box):
@@ -615,8 +697,7 @@ class TestStreamedVerifier:
 
 def threshold_corpus():
     """Families for the inclusion threshold: seeded pairs and triples, L^k R
-    beside R^3 L^2 up to and past the axis-equivariance failure at
-    k = 3 * 10^5, and the psi conjugates."""
+    beside R^3 L^2 for k = 10 to 10^7, and the psi conjugates."""
     import random
     fams = [positive_word_family(random.Random(seed), 2) for seed in range(20)]
     fams += [positive_word_family(random.Random(100 + seed), 3) for seed in range(3)]
@@ -1122,8 +1203,8 @@ class TestInPlacePrimitives:
 
 
 class TestArrayKernel:
-    """hyp2's one Mobius map on arrays: quiet near the float range, and on the
-    default box the verifier's fixed checks evaluate no array."""
+    """hyp2's one Mobius map on arrays, quiet near the float range, and the
+    own-chart error that the sampled checks' two bounds share."""
 
     @pytest.mark.parametrize("m", [MappingClass(1, 0, 1000, 1) * PHI, R_GEN ** 1000 * L_GEN],
                              ids=["R^1000-phi", "R^1000L"])
@@ -1137,40 +1218,6 @@ class TestArrayKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert same_bits(c.params_of_array(zs), ref)
-
-    @staticmethod
-    def counts(monkeypatch, gens):
-        """(parameter calls, their points, chart maps) of one verification on
-        the default box, all through hyp2's scalar kernel."""
-        calls, charts = [], {axis(m).axis.chart._values() for m in gens}
-        params_of_points, points = Geodesic.params_of_points, pingpong._mobius_points
-
-        def counted_params(self, zs):
-            calls.append(("params", len(zs)))
-            return params_of_points(self, zs)
-
-        def counted_points(a, b, c, d, zs):
-            if (a, b, c, d) in charts:
-                calls.append(("chart", len(zs)))
-            return points(a, b, c, d, zs)
-
-        def no_array(*args):
-            raise AssertionError("an array was evaluated on the default box")
-        with monkeypatch.context() as mp:
-            mp.setattr(Geodesic, "params_of_points", counted_params)
-            mp.setattr(pingpong, "_mobius_points", counted_points)
-            mp.setattr(Geodesic, "params_of_array", no_array)
-            mp.setattr(pingpong, "_mobius_array", no_array)
-            assert verify_pingpong(build_certificate(gens), 100_000)["passed"]
-        params = [n for kind, n in calls if kind == "params"]
-        return len(params), sum(params), sum(kind == "chart" for kind, _ in calls)
-
-    def test_evaluation_counts(self, monkeypatch):
-        # 2n parameter calls and 2n chart maps, all scalar: equivariance 13 + 13
-        # points per generator, and 12 witnesses per table for each of the 2n
-        # tables on every axis
-        assert self.counts(monkeypatch, [PHI, PSI]) == (4, 148, 4)
-        assert self.counts(monkeypatch, [PHI, PSI, L_GEN ** 2 * R_GEN ** 3]) == (6, 294, 6)
 
     def test_own_chart_error_once_per_axis(self, monkeypatch):
         # _quotient_error runs once on each axis's own chart, for both
@@ -1188,110 +1235,6 @@ class TestArrayKernel:
             assert len(calls) == n_calls, gens
 
 
-#: a generator whose entry 10^155 sends its equivariance points beyond the float range
-HUGE_ENTRY = MappingClass(10 ** 155, -1, 1, 0)
-
-
-def bits(x):
-    """The bits of a float, one value for every nan."""
-    return "nan" if x != x else x.hex() + ("-" if math.copysign(1.0, x) < 0 else "+")
-
-
-class TestScalarKernel:
-    """hyp2's scalar twins of _mobius_array and params_of_array: numpy's bits
-    for the division, the modulus and the Mobius map, and math.log within an
-    ulp of numpy's log."""
-
-    SPECIAL = [0.0, -0.0, 1.0, -1.5, 5e-324, -5e-324, 2.2e-308, 1e308, -1.7e308,
-               math.inf, -math.inf, math.nan]
-
-    @staticmethod
-    def operands(n, seed):
-        """n signed floats of every magnitude, seeded, then the special ones."""
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
-        return xs.tolist() + TestScalarKernel.SPECIAL
-
-    def test_quotient(self):
-        from teichpong.hyp2 import _quotient
-        # seeded parts, and every special denominator beside every special numerator
-        rows = list(zip(*(self.operands(40_000, seed) for seed in range(4))))
-        rows += list(itertools.product(self.SPECIAL, repeat=4))
-        num, den = (np.empty(len(rows), dtype=complex) for _ in range(2))
-        num.real, num.imag, den.real, den.imag = (list(part) for part in zip(*rows))
-        with np.errstate(all="ignore"):
-            ref = (num / den).tolist()
-        got = [complex(*_quotient(*row)) for row in rows]
-        assert [(bits(q.real), bits(q.imag)) for q in got] == \
-            [(bits(q.real), bits(q.imag)) for q in ref]
-
-    def test_modulus(self):
-        from teichpong.hyp2 import _modulus
-        xs, ys = self.operands(50_000, 5), self.operands(50_000, 6)
-        # near-equal parts, where r is near 1, and every pair of special parts
-        near = np.random.default_rng(7).uniform(1.0, 1.0 + 1e-3, 20_000)
-        pairs = list(zip(xs, ys)) + [(x, x * f) for x, f in zip(xs, near.tolist())]
-        pairs += list(itertools.product(self.SPECIAL, repeat=2))
-        zs = np.empty(len(pairs), dtype=complex)
-        zs.real, zs.imag = [x for x, _ in pairs], [y for _, y in pairs]
-        ref = np.abs(zs).tolist()
-        one = [float(np.abs(zs[k:k + 1])[0]) for k in range(0, len(zs), 101)]
-        got = [_modulus(x, y) for x, y in pairs]
-        assert list(map(bits, got)) == list(map(bits, ref))
-        assert list(map(bits, got[::101])) == list(map(bits, one))
-
-    @staticmethod
-    def points(c):
-        """TestInPlacePrimitives' points for the axis c, as a list, and the
-        equivariance points of the 10^155 generator."""
-        m = HUGE_ENTRY
-        starts = np.array([complex(0.0, math.exp(2.0 * t)) for t in np.linspace(-3.0, 3.0, 13)])
-        moved = float_image(m, pingpong._mobius_array(*axis(m).axis.chart._values(), starts))
-        back = float_image(m.inverse(), moved)
-        return TestInPlacePrimitives.points(c).tolist() + moved.tolist() + back.tolist()
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.parametrize("k", range(len(TestInPlacePrimitives.AXES) + 1))
-    def test_mobius_points(self, k):
-        from teichpong.hyp2 import _mobius_points
-        c = (TestInPlacePrimitives.AXES + [axis(HUGE_ENTRY).axis])[k]
-        zs = self.points(c)
-        m = c.chart
-        for entries in [(m.a, m.b, m.c, m.d), (m.d, -m.b, -m.c, m.a),
-                        tuple(map(float, (PHI ** 12).entries())), tuple(map(float, HUGE_ENTRY.entries()))]:
-            ref = pingpong._mobius_array(*entries, np.array(zs)).tolist()
-            got = _mobius_points(*entries, zs)
-            assert [(bits(w.real), bits(w.imag)) for w in got] == \
-                [(bits(w.real), bits(w.imag)) for w in ref]
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.parametrize("k", range(len(TestInPlacePrimitives.AXES) + 1))
-    def test_params_of_points(self, k):
-        c = (TestInPlacePrimitives.AXES + [axis(HUGE_ENTRY).axis])[k]
-        zs, kept = self.points(c), []
-        for z in zs:  # one at a time: the same refusal, or a parameter
-            ref = outcome_of(c.params_of_array, np.array([z]))
-            if isinstance(ref, str):
-                assert outcome_of(c.params_of_points, [z]) == ref
-            else:
-                kept.append(z)
-        assert isinstance(outcome_of(c.params_of_points, zs), str) == (len(kept) < len(zs))
-        ref, got = c.params_of_array(np.array(kept)).tolist(), c.params_of_points(kept)
-        # a parameter differs only where math.log and numpy's log differ on its
-        # modulus, which the two kernels compute bit for bit, and by an ulp.
-        # How many differ depends on numpy's log loop, the CPU and the libm
-        # (at most 10 of an axis's 4,524-4,526 points with numpy 2.4, AVX-512 and
-        # glibc 2.36), so only a bound of 1% is pinned
-        m = c.chart
-        moduli = np.abs(pingpong._mobius_array(m.d, -m.b, -m.c, m.a, np.array(kept))).tolist()
-        logs_differ = [j for j, w in enumerate(moduli)
-                       if 0.0 < w < math.inf and math.log(w) != float(np.log(w))]
-        differ = [j for j, (t, r) in enumerate(zip(got, ref)) if bits(t) != bits(r)]
-        assert differ == logs_differ
-        assert all(abs(got[j] - ref[j]) == math.ulp(ref[j]) for j in differ)
-        assert len(differ) <= len(kept) // 100
-
-
 class TestFixedCheckFailures:
     """Each fixed check of the verifier fails with its own message and witness."""
 
@@ -1301,23 +1244,13 @@ class TestFixedCheckFailures:
             verify_pingpong(cert, 0)
         return type(info.value), str(info.value), getattr(info.value, "witness", None)
 
-    def test_planted_witness_in_second_table(self):
-        cert = build_certificate([PHI, PSI])
-        cert.S = 0.3
-        assert self.outcome(cert) == (
-            CertificateInvalidError, "a planted table witness lies in a second table",
-            {"point": [1.040390654751995, 0.5269551656775849], "table": [0, 1]})
-
-    def test_non_finite_planted_witness(self):
-        # e^{2(S + 1.5)} leaves the float range, so the witnesses of the
-        # first plus table are not finite; they are refused without a warning
-        import warnings
-        cert = build_certificate([PHI, PSI])
-        cert.N, cert.S = 737, 354.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert self.outcome(cert) == (
-                InvalidInputError, "non-finite input point in projection batch", None)
+    def test_tables_meet(self):
+        # the first meeting pair in (i, sign) order, here two minus tables
+        cert = build_certificate([PHI, PSI, L_GEN ** 2 * R_GEN ** 3])
+        cert.S = 1.0
+        assert self.outcome(cert) == (CertificateInvalidError, "tables (0, -1) and (2, -1) meet",
+                                      {"tables": [[0, -1], [2, -1]]})
+        assert float_first_meeting(cert.generators, 1.0) == [[0, -1], [2, -1]]
 
     def test_interval_left(self):
         cert = build_certificate([PHI, PSI])
