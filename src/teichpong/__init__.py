@@ -9,9 +9,8 @@ and a certified practical one, and independently cross-checks free
 generation by exact enumeration of reduced words.
 
 The exports below and the submodules load on first use, so importing the
-package loads none of them.  numpy loads only with the array code: the
-verifier's first drawn sample block, sample_box_points and
-Geodesic.params_of_array.
+package loads none of them.  The package needs nothing beyond the
+standard library.
 """
 
 import importlib
@@ -28,7 +27,7 @@ _EXPORTS = {
             "independent min_translation translation_distance"),
     "oracle": "WordReport count_reduced_words cross_validate free_check",
     "pingpong": ("PaperConstants PingPongCertificate build_certificate paper_constants "
-                 "paper_radius_bound power_bound sample_box_points verify_pingpong"),
+                 "paper_radius_bound power_bound verify_pingpong"),
     "projection": ("ModelConstants PairGeometry Thresholds common_perpendicular_distance "
                    "derive_contraction_b derive_morse divergence_profile "
                    "fast_divergence_thresholds model_constants pair_geometry profile_csv "

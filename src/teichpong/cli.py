@@ -20,11 +20,10 @@ from .mcg import (Classification, MappingClass, axis, classify, fixed_slope_test
                   independent, translation_distance)
 
 # The handlers import the rest of the package themselves, so a command loads
-# only the modules it runs, numpy only where the verifier draws a sample
-# block (never on the decided default box), and serialize only where it
-# writes a document.
+# only the modules it runs, and serialize only where it writes a document.
 
-#: most samples `pingpong` and `certify-free` verify; config.samples records --samples as given
+#: the sample budget `pingpong` and `certify-free` record in the report at most;
+#: config.samples records --samples as given, and no check draws a sample
 SAMPLE_CAP = 100_000
 
 
@@ -52,10 +51,13 @@ def _add_common(p):
 
 
 def _add_sampling(p):
-    p.add_argument("--seed", type=int, default=0, help="seed for all Monte Carlo draws")
+    p.add_argument("--box", default=None,
+                   help="box 'x_lo,x_hi,y_lo,y_hi', recorded in the certificate; no check uses it")
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the certificate; no check uses it")
     p.add_argument("--samples", type=int, default=100_000,
-                   help=f"Monte Carlo sample budget; at most {SAMPLE_CAP} are verified, "
-                   "and the certificate records the value given")
+                   help="recorded in the certificate as given, and at most "
+                   f"{SAMPLE_CAP} in its report; no check draws a sample")
     p.add_argument("--out", default=None, help="certificate/report destination (default stdout)")
     _add_common(p)
 
@@ -130,13 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", action="append", required=True,
                    help="a generator 'a,b,c,d'; repeat at least twice")
     p.add_argument("--mode", choices=["paper", "certified"], default="certified")
-    p.add_argument("--box", default=None, help="sampling box 'x_lo,x_hi,y_lo,y_hi'")
     _add_sampling(p)
 
     p = sub.add_parser("certify-free", help="certificate plus exact word-oracle cross-check")
     p.add_argument("--matrix", action="append", required=True)
     p.add_argument("--max-word-len", type=int, default=6)
-    p.add_argument("--box", default=None)
     _add_sampling(p)
 
     p = sub.add_parser("teich", help="distance between two points, two ways")

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DegenerateInputError, InvalidInputError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: default tolerance for geometric consistency checks
 TOL = 1e-9
@@ -202,19 +199,6 @@ class Mobius(Value):
         return BoundaryPoint.finite((self.a * xi.value + self.b) / den)
 
 
-def _mobius_array(a: float, b: float, c: float, d: float, zs: np.ndarray) -> np.ndarray:
-    """(a zs + b) / (c zs + d), the package's one Mobius map on arrays: in place,
-    with the bits of Mobius.apply_complex and without numpy's warnings."""
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num, den = a * zs, c * zs
-        num += b
-        den += d
-        num /= den
-    return num
-
-
 class ProjectionResult(NamedTuple):
     """Foot of the nearest-point projection together with its parameter."""
 
@@ -284,38 +268,6 @@ class Geodesic(Value):
         """Projection parameter of z; feet of perpendiculars on c(0,oo) are i|w|."""
         w = self.chart.inverse().apply_complex(z.z)
         return 0.5 * math.log(abs(w))
-
-    def params_of_array(self, zs: np.ndarray) -> np.ndarray:
-        """Vectorized projection parameters for an array of complex points.
-
-        Evaluated in place with the same operations as the numpy expression
-        ``0.5 * np.log(np.abs(chart.inverse().apply_complex(zs)))``, so each
-        parameter has the bits of that expression, which the tests pin.  The
-        verifier's sampled checks use it.  It need not have the bits of
-        param_of: numpy's complex division and abs are not CPython's, and
-        about half of the default box's points differ from param_of by one
-        ulp.
-        Points that collapse onto an ideal endpoint in floating point get
-        the limit parameter -inf / +inf, which is the correct membership
-        answer.
-        """
-        import numpy as np
-
-        # chart.inverse() is (d, -b, -c, a); the negated entries are added,
-        # as apply_complex adds them, which keeps the sign of a zero part
-        m = self.chart
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = np.abs(_mobius_array(m.d, -m.b, -m.c, m.a, zs))
-            np.log(out, out=out)
-        out *= 0.5
-        bad = np.isnan(out)
-        if bad.any():
-            if not np.isfinite(zs[bad]).all():
-                raise InvalidInputError("non-finite input point in projection batch")
-            # a finite point hitting the chart pole is the positive endpoint,
-            # which is where high powers collapse their images in floats
-            out[bad] = np.inf
-        return out
 
 
 def project(c: Geodesic, z: Point) -> ProjectionResult:

@@ -16,8 +16,8 @@ Two derived constants and the geometry of a pair of axes live here:
 
 M is a bisection on its max height, each step a concave maximisation per
 excursion level; its levels and margin are in its memo key, so results are
-reproducible bit for bit.  Nothing here loads numpy, and Monte Carlo
-validation of the bounds is part of the test suite.
+reproducible bit for bit.  Monte Carlo validation of the bounds is part
+of the test suite.
 """
 
 from __future__ import annotations

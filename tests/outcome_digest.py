@@ -17,13 +17,15 @@ which the golden rewrite command rewrites with the other documents.
 
 The families are perfbench's seeded pairs (seeds 0-49) and triples (seeds
 1000-1009), L^k R beside R^3 L^2 from k = 10 to 10^6, and phi beside two
-psi conjugates that fail the sampled inclusion and beside 20 others.  The
-boxes run from the default box to boxes no bound decides and subnormal
-floors.  The raised radii take (phi, psi) and L^10 R beside R^3 L^2 at
-S = 6, 6.25, ..., 56, with R = S - 6b and the least N the power threshold
-admits.  They exercise the exact table-disjointness check where a float
-test of the tables would be noise: from S near 18, a point of a table
-lies within float rounding of its axis's endpoint.
+psi conjugates that failed the float sampled inclusion, which the
+verifier no longer runs, and beside 20 others.  The boxes, from the
+default box to boxes at the float range and subnormal floors, are those
+the sampled checks once drew from; the verifier records them and its
+outcome does not depend on them.  The raised radii take (phi, psi) and
+L^10 R beside R^3 L^2 at S = 6, 6.25, ..., 56, with R = S - 6b and the
+least N the power threshold admits.  They exercise the exact checks where
+a float test of the tables would be noise: from S near 18, a point of a
+table lies within float rounding of its axis's endpoint.
 """
 
 import hashlib

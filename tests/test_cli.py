@@ -510,16 +510,20 @@ class TestVerifierErrorKept:
 
 
 class TestWitnessPrint:
-    def test_sampled_witness_is_plain_floats(self, capsys):
-        # psi conjugated by phi^8 (1,0,1,1): a narrow axis whose sampled
-        # inclusion check fails (the exit 1 is the sampled check's, not this test's)
-        code = main(["pingpong", "--matrix", "2,1,1,1",
-                     "--matrix", "5100816,-8253295,3152479,-5100819",
-                     "--box", "-10,10,1e-6,10", "--no-cache"])
-        err = capsys.readouterr().err
+    def test_exact_witness(self, monkeypatch, capsys):
+        # S lowered to the former false accept: two pairs of tables meet
+        build = pingpong.build_certificate
+
+        def lowered(*args, **kwargs):
+            cert = build(*args, **kwargs)
+            cert.S = 0.7714702
+            return cert
+        monkeypatch.setattr(pingpong, "build_certificate", lowered)
+        code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--no-cache"])
         assert code == 1
-        assert err.startswith("error: certificate-invalid: ") and "witness={'point': [" in err
-        assert "np." not in err
+        assert capsys.readouterr().err == (
+            "error: certificate-invalid: tables (0, +1) and (1, +1) meet "
+            "witness={'tables': [[0, 1], [1, 1]]}\n")
 
 
 class TestWordLengthFirst:
@@ -687,35 +691,57 @@ class TestNarrowAxes:
 
 
 class TestPowerBeyondFloatRange:
-    @pytest.mark.parametrize("step", ["1e3", "1e9"])
-    def test_coarse_grid_is_refused_before_the_power(self, step, capsys, monkeypatch):
-        # R = 1.05 * step makes N Tr pass 710; at 1e3 the float conversion of
-        # the power's entries raised OverflowError, at 1e9 the power never ended.
-        # The grid step is no option, so the test coarsens pingpong.GRID_STEP
-        monkeypatch.setattr(pingpong, "GRID_STEP", float(step))
+    """R = 1.05 GRID_STEP: N Tr passes 710, once the float range of the
+    sampled checks.  The grid step is no option, so the tests coarsen
+    pingpong.GRID_STEP."""
+
+    def test_coarse_grid_verifies(self, monkeypatch, capsys):
+        # S = 1055.6 and N = 2194: the power's float entries once raised OverflowError
+        monkeypatch.setattr(pingpong, "GRID_STEP", 1e3)
         code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
                      "--samples", "10", "--no-cache"])
+        assert code == 0
+        assert capsys.readouterr().err.startswith("certificate-valid")
+
+    @pytest.mark.parametrize("step", ["1e6", "1e9"])
+    def test_coarse_grid_is_refused_before_the_power(self, step, capsys, monkeypatch):
+        # S beyond S_MAX fails closed before any exp or power: unbounded, 1e6
+        # ran past 60 s and 1e9 raised decimal.Overflow
+        monkeypatch.setattr(pingpong, "GRID_STEP", float(step))
+        start = time.perf_counter()
+        code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
+                     "--samples", "10", "--no-cache"])
+        assert time.perf_counter() - start < 1.0
         lines = capsys.readouterr().err.strip().split("\n")
-        assert code == 2
+        assert code == 1
         assert len(lines) == 1
-        assert lines[0].startswith("error: invalid-input: the N-th power of generator 0")
+        assert lines[0].startswith("error: certificate-invalid: S is out of range")
 
 
 class TestHugeEntryStderr:
-    def test_one_error_line_and_no_numpy_warning(self, tmp_path):
-        # N Tr passes the float range of the sampled checks, which refuse the
-        # power before forming it; numpy's RuntimeWarning lines once preceded
-        # an error line here.  Exit 2 on valid input is ROADMAP item 1's defect
+    def test_verifies_with_one_stderr_line(self, tmp_path):
+        # N Tr passes the float range of the sampled checks, which refused
+        # the power with exit 2; numpy's RuntimeWarning lines once preceded
+        # that error line
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         proc = subprocess.run(
             [sys.executable, "-m", "teichpong.cli", "pingpong", "--matrix",
-             f"{10 ** 155},-1,1,0", "--matrix", "1,1,1,2", "--no-cache"],
+             f"{10 ** 155},-1,1,0", "--matrix", "1,1,1,2", "--out", "c.json", "--no-cache"],
             cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=120)
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [
-            "error: invalid-input: the N-th power of generator 0 (N = 394) has entries beyond "
-            "the float range of the sampled checks"]
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == ["certificate-valid mode=certified_search N=394"]
+        assert json.loads((tmp_path / "c.json").read_text())["verification"]["passed"] is True
+
+
+    def test_box_at_float_range_verifies(self, capsys):
+        # the sampled checks' images overflowed on this box: exit 2 with
+        # "non-finite input point in projection batch"
+        code = main(["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2",
+                     "--box=-10,10,1,1e306", "--no-cache"])
+        assert code == 0
+        assert capsys.readouterr().err == "certificate-valid mode=certified_search N=12\n"
+
 
 class TestHugeNegativeEntry:
     K = 10 ** 70
@@ -725,19 +751,17 @@ class TestHugeNegativeEntry:
                                 {"digit_count": 71}]),
         (f"{K + 1},{K},1,1", [{"digit_count": 71}, {"digit_count": 71}, "1", "1"]),
     ], ids=["negative-entry", "inverse"])
-    def test_failed_certificate_written(self, m, entries, tmp_path, capsys):
-        # both classes are refused by the sampled checks' float range; the
-        # certificate keeps the failed checks whatever the sign of the huge entries
+    def test_certificate_written(self, m, entries, tmp_path, capsys):
+        # both classes were refused by the sampled checks' float range; the
+        # certificate keeps the huge entries whatever their sign
         dest = tmp_path / "c.json"
         code = main(["pingpong", "--matrix", m, "--matrix", "1,1,1,2",
                      "--out", str(dest), "--no-cache"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: invalid-input: the N-th power of generator 0 (N = 180) has entries "
-            "beyond the float range of the sampled checks\n")
+        assert code == 0
+        assert capsys.readouterr().err == "certificate-valid mode=certified_search N=180\n"
         doc = json.loads(dest.read_text())
         assert doc["generators"][0]["matrix"] == entries
-        assert doc["verification"]["passed"] is False
+        assert doc["verification"]["passed"] is True
 
 
 class TestTeichBeyondFloatRange:

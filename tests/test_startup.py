@@ -28,7 +28,7 @@ EXPORTS = (
     "dist_to_geodesic divergence_profile fast_divergence_thresholds fixed_slope_test "
     "free_check independent kerckhoff_dist marking min_translation model_constants "
     "pair_geometry paper_constants paper_radius_bound power_bound profile_csv project "
-    "projection_interval sample_box_points short_curve_bound short_curves systole "
+    "projection_interval short_curve_bound short_curves systole "
     "teich_dist translation_distance verify_pingpong wolpert_check"
 ).split()
 #: exports that nothing in the package, perfbench or the acceptance suite calls
@@ -36,7 +36,6 @@ UNCALLED_EXPORTS = {
     "cross_validate": "the README's library example",
     "marking": "the tests' reference for the marking bound F",
     "systole": "the tests' reference for the systole floor epsilon",
-    "sample_box_points": "the tests' reference for the verifier's streamed sample",
 }
 SUBMODULES = ("cache", "cli", "errors", "hyp2", "mcg", "oracle", "pingpong", "projection",
               "serialize", "torus_model")
@@ -71,7 +70,7 @@ def _has_numpy(modules):
     (["pair", "--m1", "2,1,1,1", "--m2", "3,8,1,3", "--thresholds"], 0),
     (["profile", "--m1", "2,1,1,1", "--m2", "3,8,1,3"], 0),
     (["teich", "--tau1", "0,1", "--tau2", "0.3,2", "--farey-depth", "2000"], 0),
-    # (phi^2, phi^3) share an axis: refused before any sample is drawn
+    # (phi^2, phi^3) share an axis: refused before a certificate is built
     (["pingpong", "--matrix", "5,3,3,2", "--matrix", "13,8,8,5"], 2),
 ], ids=["classify", "axis", "pair", "pair-thresholds", "profile", "teich",
         "pingpong-dependent"])
@@ -90,17 +89,27 @@ def test_command_loads_no_numpy(argv, code, tmp_path):
     ["pingpong", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "100"],
     ["certify-free", "--matrix", "2,1,1,1", "--matrix", "1,1,1,2", "--samples", "100"],
 ], ids=["pingpong", "certify-free"])
-def test_array_commands_load_numpy(argv, tmp_path):
-    # the default box is decided, so its verification draws no sample and
-    # loads no numpy; a box that draws loads it at the first block
-    for box, drawn in [("-10,10,0.05,10", False), ("-10,10,1e-6,10", True)]:
+def test_verifying_commands_load_no_numpy(argv, tmp_path):
+    # no check draws a sample, on the default box or on any other
+    for box in ("-10,10,0.05,10", "-10,10,1e-6,10", "-10,10,1,1e306"):
         got, modules = _cli_modules([*argv, f"--box={box}", "--no-cache"], tmp_path)
         assert got == 0
-        assert _has_numpy(modules) == drawn
-        # numpy itself loads inspect, but nothing loads dataclasses
-        assert "dataclasses" not in modules
+        assert not _has_numpy(modules)
+        assert "dataclasses" not in modules and "inspect" not in modules
         # only paper mode derives the thick-part constants
         assert "teichpong.torus_model" not in modules
+
+
+def test_no_module_imports_numpy():
+    for path in (SRC / "teichpong").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not _has_numpy(names), (path.name, node.lineno)
 
 
 def test_paper_mode_verification_and_morse_load_no_numpy(tmp_path):
