@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from conftest import L_GEN, PHI, PSI, R_GEN, random_independent_pair
 from teichpong.errors import (CertificateInvalidError, ConstantDerivationError,
                               InvalidInputError, NotIndependentError)
 from teichpong import pingpong
-from teichpong.mcg import (MappingClass, _sign_of, _table_ends, axis, min_translation,
-                           translation_distance)
+from teichpong.hyp2 import BoundaryPoint, Geodesic, Mobius, Point
+from teichpong.mcg import (MappingClass, _end_order, _sign_of, _table_ends, axis,
+                           min_translation, translation_distance)
 from teichpong.pingpong import (build_certificate, paper_radius_bound, power_bound,
                                 verify_pingpong)
 from teichpong.projection import model_constants, projection_interval
@@ -194,6 +196,27 @@ class TestCertificate:
         paper_like.N = 22  # 22 * l_min = 21.17 < 22, must be rejected
         with pytest.raises(CertificateInvalidError):
             verify_pingpong(paper_like, 100)
+
+
+class TestSampling:
+    """The float reference's box draw, and the box rule the verifier shares
+    with the builder."""
+
+    def test_deterministic(self):
+        a = reference_sample(7, 1000, pingpong.DEFAULT_BOX)
+        b = reference_sample(7, 1000, pingpong.DEFAULT_BOX)
+        assert np.array_equal(a, b)
+        first, second = build_certificate([PHI, PSI]), build_certificate([PHI, PSI])
+        assert verify_pingpong(first, 1000) == verify_pingpong(second, 1000)
+
+    def test_box_respected(self):
+        z = reference_sample(1, 5000, (-2, 3, 0.1, 4))
+        assert z.real.min() >= -2 and z.real.max() <= 3
+        assert z.imag.min() >= 0.1 and z.imag.max() <= 4
+
+    def test_bad_box(self):
+        with pytest.raises(InvalidInputError, match="bad sampling box"):
+            pingpong._check_sampling(0, 10, (1, -1, 0.1, 1))
 
 
 def _loop_grid_count(target, grid_step):
@@ -507,25 +530,68 @@ def positive_word_family(rng, n, max_trace=30):
             return fam
 
 
-def image_in_table(m, sign, N, S, point):
-    """Whether the image of point under g^(sign N), in exact rationals, lies
-    in the closed table (m, sign) at E_hi > e^{2S}, which the table at S
-    contains."""
+def bracket(S):
+    """The verifier's bracket E_lo < e^{2S} < E_hi, as Fractions."""
     with localcontext() as ctx:
         ctx.prec = 40
-        E = Fraction(Decimal(2.0 * S).exp().next_plus())
+        r = Decimal(2.0 * S).exp()
+        return Fraction(r.next_minus()), Fraction(r.next_plus())
+
+
+def in_table(m, sign, E, X, Y):
+    """Whether the rational point X + iY lies in the closed table (m, sign)
+    at e^{2S} = E, decided exactly."""
     (a1, b1, e1, D), (a2, b2, e2, _) = _table_ends(m, (E - 1) / (E + 1))[0 if sign == 1 else 1]
-    power = m ** N if sign == 1 else (m ** N).inverse()
-    a, b, c, d = power.entries()
-    x, y = map(Fraction, point)
-    den = (c * x + d) ** 2 + (c * y) ** 2
-    X, Y = ((a * x + b) * (c * x + d) + a * c * y * y) / den, y / den
     # the half-disk over the ends l and h is (X - l)(X - h) + Y^2 <= 0, which
     # is P + Q sqrt(D) <= 0 with l = (a1 + b1 sqrt D)/e1 and h = (a2 + b2 sqrt D)/e2
     P = (X * X - X * (Fraction(a1, e1) + Fraction(a2, e2)) + Y * Y
          + Fraction(a1 * a2 + b1 * b2 * D, e1 * e2))
     Q = Fraction(a1 * b2 + a2 * b1, e1 * e2) - X * (Fraction(b1, e1) + Fraction(b2, e2))
     return _sign_of(P, Q, D, 0, 1) <= 0
+
+
+def image_in_table(m, sign, N, S, point):
+    """Whether the image of point under g^(sign N), in exact rationals, lies
+    in the closed table (m, sign) at E_hi > e^{2S}, which the table at S
+    contains."""
+    power = m ** N if sign == 1 else (m ** N).inverse()
+    a, b, c, d = power.entries()
+    x, y = map(Fraction, point)
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    X, Y = ((a * x + b) * (c * x + d) + a * c * y * y) / den, y / den
+    return in_table(m, sign, bracket(S)[1], X, Y)
+
+
+def float_outcome(cert, samples, box=None):
+    """None where the float reference passes, else the class, message and
+    witness of its error."""
+    try:
+        whole_array_sampled_checks(cert, samples, box or tuple(cert.config["box"]),
+                                   cert.config["seed"])
+    except (CertificateInvalidError, InvalidInputError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None
+
+
+def assert_float_noise(cert, outcome):
+    """The float reference's failure is an inclusion failure whose witness's
+    image, taken exactly, lies in the plus table: float noise.  Returns the
+    generator's index."""
+    found = re.fullmatch(r"power of generator (\d+) \(sign ([+-]1)\) failed the inclusion",
+                         outcome[1])
+    assert outcome[0] is CertificateInvalidError and found, outcome
+    i, sign = int(found[1]), int(found[2])
+    assert image_in_table(cert.generators[i], sign, cert.N, cert.S, outcome[2]["point"]), outcome
+    return i
+
+
+def assert_float_agrees(cert, samples, box=None):
+    """The float reference passes where the exact verifier passes, up to
+    float noise.  Returns the index of the generator whose float inclusion
+    failed on noise, or None."""
+    assert verify_pingpong(cert, samples)["passed"]
+    outcome = float_outcome(cert, samples, box)
+    return None if outcome is None else assert_float_noise(cert, outcome)
 
 
 class TestMonteCarloCrossCheck:
@@ -546,20 +612,11 @@ class TestMonteCarloCrossCheck:
         for gens in self.families():
             for box in (pingpong.DEFAULT_BOX, WIDE_BOX):
                 cert = build_certificate(gens, box=box)
-                assert verify_pingpong(cert, 20_000)["passed"], (gens, box)
-                try:
-                    whole_array_sampled_checks(cert, 20_000, box)
-                except CertificateInvalidError as exc:
-                    found = re.fullmatch(r"power of generator (\d+) \(sign ([+-]1)\) failed "
-                                         r"the inclusion", str(exc))
-                    assert found, (gens, box, str(exc))
-                    i, sign = int(found[1]), int(found[2])
-                    assert image_in_table(gens[i], sign, cert.N, cert.S,
-                                          exc.witness["point"]), (gens, box, exc.witness)
+                i = assert_float_agrees(cert, 20_000, box)
+                if i is not None:
                     noise.append((gens[i], box))
         # the trace -3 class fails in floats at the wide box (ROADMAP item 1)
         assert (PSI_CONJUGATE, WIDE_BOX) in noise
-
 
     def test_exact_image_membership(self):
         # the float witness of the trace -3 class at the wide box lies near
@@ -569,9 +626,473 @@ class TestMonteCarloCrossCheck:
         assert not image_in_table(PSI_CONJUGATE, 1, 22, 21.2, point)
 
 
-class TestSamplingArguments:
-    """The sample budget, seed and box are recorded, and refused by one range
-    rule in the verifier as in the builder."""
+#: heights from the least subnormal to the largest float
+EDGE_BOX = (-10.0, 10.0, 5e-324, sys.float_info.max)
+VERTICAL = Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.infinity(), Point(0.0, 1.0))
+
+
+def verify_outcome(cert, samples):
+    """The certificate document after verification, or the error's class,
+    message and witness."""
+    try:
+        verify_pingpong(cert, samples)
+    except (CertificateInvalidError, InvalidInputError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return certificate_document(cert)
+
+
+def formed_powers(monkeypatch):
+    """The exponents of every MappingClass power formed, and the points of
+    every float Mobius map taken, from here on."""
+    calls = []
+    power, apply_complex = MappingClass.__pow__, Mobius.apply_complex
+
+    def counted_power(m, n):
+        calls.append(n)
+        return power(m, n)
+
+    def counted_apply(f, z):
+        calls.append(z)
+        return apply_complex(f, z)
+    monkeypatch.setattr(MappingClass, "__pow__", counted_power)
+    monkeypatch.setattr(Mobius, "apply_complex", counted_apply)
+    return calls
+
+
+class TestStreamedVerifier:
+    """The exact verifier against the whole-sample float pass it replaced:
+    the float pass agrees wherever it can decide, up to float noise."""
+
+    @pytest.mark.parametrize("box", [pingpong.DEFAULT_BOX, WIDE_BOX], ids=["default", "wide"])
+    def test_seeded_pairs(self, box):
+        import random
+        for seed in range(10):
+            gens = positive_word_family(random.Random(seed), 2)
+            assert assert_float_agrees(build_certificate(gens, box=box), 100_000) is None, seed
+
+    def test_triples(self):
+        import random
+        for seed in range(3):
+            gens = positive_word_family(random.Random(100 + seed), 3)
+            assert assert_float_agrees(build_certificate(gens), 100_000) is None, seed
+
+    @pytest.mark.parametrize("k", [10, 1000, 10 ** 5, 3 * 10 ** 5])
+    def test_large_entries(self, k):
+        cert = build_certificate([L_GEN ** k * R_GEN, R_GEN ** 3 * L_GEN ** 2])
+        assert assert_float_agrees(cert, 100_000) is None
+
+    def test_partial_and_empty_blocks(self):
+        for samples in (0, 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1):
+            cert = build_certificate([PHI, PSI])
+            assert assert_float_agrees(cert, samples) is None, samples
+            assert cert.verification["sample_budget"] == samples
+
+    @pytest.mark.parametrize("box", [(-1e200, 1e200, 0.05, 1e200), (-10.0, 10.0, 1e-300, 1e300)],
+                             ids=["wide-x", "wide-y"])
+    def test_boxes_near_float_range(self, box):
+        assert assert_float_agrees(build_certificate([PHI, PSI], box=box), 20_000) is None
+
+    def test_power_near_float_limit(self):
+        # N Tr = 709.3: the power's float images overflow and the float pass
+        # refuses them; the exact verifier decides the certificate
+        cert = build_certificate([PHI, PSI])
+        cert.N = 737
+        assert verify_pingpong(cert, 20_000)["passed"]
+        assert float_outcome(cert, 20_000) == (
+            InvalidInputError, "non-finite input point in projection batch", None)
+
+    @pytest.mark.parametrize("conjugate, box", [
+        (PSI_CONJUGATE, WIDE_BOX),
+        # psi conjugated by phi^10 L^3: the float image parameter of its
+        # witness is 8.398, short of S = 12.90, yet the exact image lies in
+        # the plus table
+        (MappingClass(627359044, -1015088255, 387729211, -627359041), pingpong.DEFAULT_BOX),
+    ], ids=["trace-3-class", "phi10-L3"])
+    def test_inclusion_witness(self, conjugate, box):
+        cert = build_certificate([PHI, conjugate], box=box)
+        assert assert_float_agrees(cert, 100_000) == 1
+        assert float_outcome(cert, 100_000)[1] == (
+            "power of generator 1 (sign +1) failed the inclusion")
+
+    # L^k R with k = 7036818 has N Tr = 709.5 at N = 45: its power's float
+    # images overflow.  With k = 50992965, N Tr = 709.9 at N = 40: its
+    # power's entries leave the float range although N Tr is under the limit
+    @pytest.mark.parametrize("k, n_power, refusal", [
+        (7036818, 45, "non-finite input point in projection batch"),
+        (50992965, 40, "a matrix entry is beyond the float range of the sampled checks"),
+    ], ids=["images", "entries"])
+    @pytest.mark.parametrize("overflow_first", [False, True],
+                             ids=["failure-first", "refusal-first"])
+    def test_inclusion_failure_beside_overflowing_power(self, k, n_power, refusal,
+                                                        overflow_first):
+        # the psi conjugate fails its float inclusion on noise; whichever
+        # generator comes first decides the float verdict, and the exact
+        # verifier passes both orders
+        big = L_GEN ** k * R_GEN
+        gens = [big, PHI, PSI_CONJUGATE] if overflow_first else [PHI, PSI_CONJUGATE, big]
+        cert = build_certificate(gens, box=WIDE_BOX)
+        cert.N = n_power
+        assert verify_pingpong(cert, 100_000)["passed"]
+        outcome = float_outcome(cert, 100_000)
+        if overflow_first:
+            assert outcome == (InvalidInputError, refusal, None)
+        else:
+            assert assert_float_noise(cert, outcome) == 1
+
+    @pytest.mark.parametrize("far_first", [False, True])
+    def test_failure_and_non_finite_image_of_one_power(self, far_first, monkeypatch):
+        # the psi conjugate's float inclusion witness alone fails on noise;
+        # beside a far point whose float image is nan, the float pass refuses
+        # the input whichever comes first.  The exact verifier passes
+        witness = np.array([1.6662428350713014 + 0.002496617881310062j])
+        far = np.array([1e300 + 1j])
+        cert = build_certificate([PHI, PSI_CONJUGATE], box=WIDE_BOX)
+        assert verify_pingpong(cert, 2)["passed"]
+        this = sys.modules[__name__]
+        monkeypatch.setattr(this, "reference_sample", lambda seed, n, box: witness)
+        assert assert_float_noise(cert, float_outcome(cert, 1)) == 1
+        points = np.concatenate([far, witness] if far_first else [witness, far])
+        monkeypatch.setattr(this, "reference_sample", lambda seed, n, box: points)
+        assert float_outcome(cert, 2) == (
+            InvalidInputError, "non-finite input point in projection batch", None)
+
+    def test_witness_in_a_partly_selected_block(self, monkeypatch):
+        # the first point lies in the psi conjugate's minus table, so its
+        # plus power maps only the second, the float inclusion witness
+        cert = build_certificate([PHI, PSI_CONJUGATE], box=WIDE_BOX)
+        minus = axis(PSI_CONJUGATE).axis.point_at(-cert.S - 1.0).z
+        block = np.array([minus, 1.6662428350713014 + 0.002496617881310062j])
+        monkeypatch.setattr(sys.modules[__name__], "reference_sample", lambda seed, n, box: block)
+        outcome = float_outcome(cert, 2)
+        assert outcome[2]["point"] == [1.6662428350713014, 0.002496617881310062]
+        assert assert_float_noise(cert, outcome) == 1
+        assert verify_pingpong(cert, 2)["passed"]
+
+    def test_entries_converted_only_for_sampled_points(self):
+        # the third power's entries leave the float range: the float pass
+        # converts them only once a sample needs them, and the exact
+        # verifier never converts them
+        cert = build_certificate([PHI, PSI, L_GEN ** 50992965 * R_GEN], box=WIDE_BOX)
+        cert.N = 40
+        assert verify_pingpong(cert, 1)["passed"]
+        assert float_outcome(cert, 0) is None
+        assert float_outcome(cert, 1) == (
+            InvalidInputError, "a matrix entry is beyond the float range of the sampled checks",
+            None)
+
+    def test_box_at_float_range_edge(self):
+        # the float images of the highest samples overflow
+        cert = build_certificate([PHI, PSI], box=EDGE_BOX)
+        assert verify_pingpong(cert, 20_000)["passed"]
+        assert float_outcome(cert, 20_000) == (
+            InvalidInputError, "non-finite input point in projection batch", None)
+
+    def test_disjointness_witness(self):
+        # the float witness lies in both minus tables, exactly
+        cert = build_certificate([PHI, PSI])
+        cert.S = 0.5
+        assert verify_outcome(cert, 100_000) == (
+            CertificateInvalidError, "tables (0, +1) and (1, +1) meet",
+            {"tables": [[0, 1], [1, 1]]})
+        kind, message, witness = float_outcome(cert, 100_000)
+        assert (kind, message) == (CertificateInvalidError, "a sample lies in two tables")
+        assert all(image_in_table(m, -1, 0, cert.S, witness["point"]) for m in (PHI, PSI))
+
+    def test_refusal_after_earlier_generator(self):
+        # N Tr is about 67 for phi and 806 for L^100000 R: the float pass
+        # checks phi's inclusion in full, then refuses the second power
+        cert = build_certificate([PHI, L_GEN ** (10 ** 5) * R_GEN])
+        cert.N = 70
+        assert verify_pingpong(cert, 100_000)["passed"]
+        assert float_outcome(cert, 100_000) == (
+            InvalidInputError, "the N-th power of generator 1 (N = 70) has entries beyond "
+            "the float range of the sampled checks", None)
+
+    @pytest.mark.parametrize("box", [pingpong.DEFAULT_BOX, WIDE_BOX], ids=["default", "wide"])
+    def test_conjugate_sweep(self, box):
+        # psi conjugated by phi^a L^b, the family of the phi^10 L^3 witness
+        for conjugate in PSI_CONJUGATES:
+            assert_float_agrees(build_certificate([PHI, conjugate], box=box), 20_000)
+
+    def test_memory_stays_within_blocks(self):
+        # the whole-sample pass peaked at about 10 MiB on 100k samples; the
+        # exact verifier draws nothing
+        cert = build_certificate([PHI, PSI])
+        verify_pingpong(cert, 1000)
+        tracemalloc.start()
+        try:
+            verify_pingpong(cert, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+
+def threshold_corpus():
+    """Families for the inclusion threshold: seeded pairs and triples, L^k R
+    beside R^3 L^2 for k = 10 to 10^7, and the psi conjugates."""
+    import random
+    fams = [positive_word_family(random.Random(seed), 2) for seed in range(20)]
+    fams += [positive_word_family(random.Random(100 + seed), 3) for seed in range(3)]
+    fams += [[L_GEN ** k * R_GEN, R_GEN ** 3 * L_GEN ** 2]
+             for k in (10, 1000, 10 ** 5, 3 * 10 ** 5, 10 ** 6, 10 ** 7)]
+    return fams + [[PHI, c] for c in PSI_CONJUGATES]
+
+
+def inclusion_power(t, N, S):
+    """The verifier's n = min(N, N0) for |tr g| = t."""
+    return min(N, math.floor((2 * Fraction(S) + 1)
+                             / (((t - 1).bit_length() - 1) * pingpong._LN2_LO)) + 1)
+
+
+def clears(t, n, E):
+    """The verifier's integer inclusion test |tr g^n| >= E + 1/E."""
+    p, q = E.numerator, E.denominator
+    return pingpong._trace_power(t, n) * p * q >= p * p + q * q
+
+
+def translation_decimal(t):
+    """Tr = log of the expanding eigenvalue of trace t, at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = Decimal(t)
+        return ((t + (t * t - 4).sqrt()) / 2).ln()
+
+
+class TestInclusionThreshold:
+    """The power n = min(N, N0) at which the verifier tests inclusion."""
+
+    BOXES = [pingpong.DEFAULT_BOX, WIDE_BOX, EDGE_BOX, (-10.0, 10.0, 1e-300, 1e300)]
+
+    def test_bound_is_conservative(self):
+        # N0 Tr clears 2S + 1, a pass at n <= N is a pass at N since |tr g^n|
+        # grows with n, and a pass at n means n Tr > 2S at 60 digits
+        checked = 0
+        for gens in threshold_corpus():
+            cert = build_certificate(gens)
+            S, (_, E_hi) = cert.S, bracket(cert.S)
+            for m in gens:
+                t, Tr = abs(m.trace), translation_decimal(abs(m.trace))
+                N0 = inclusion_power(t, 10 ** 9, S)
+                assert N0 * Tr > 2 * Decimal(S) + 1 and clears(t, N0, E_hi), (gens, m)
+                traces = [pingpong._trace_power(t, n) for n in range(1, N0 + 2)]
+                assert traces == sorted(traces), m
+                for n in range(1, N0 + 1):
+                    if clears(t, n, E_hi):
+                        assert n * Tr > 2 * Decimal(S), (m, n)
+                        checked += 1
+        assert checked > 500
+
+    def test_no_images_on_the_default_box(self, monkeypatch):
+        # verification forms no power of a generator and maps no point
+        import random
+        families = [[PHI, PSI]] + [positive_word_family(random.Random(seed), 2)
+                                   for seed in range(10)]
+        certs = [build_certificate(gens) for gens in families]
+        calls = formed_powers(monkeypatch)
+        for cert in certs:
+            assert verify_pingpong(cert, 100_000)["passed"], cert.generators
+        assert calls == []
+
+    def test_block_outside_the_box_maps_every_selected_sample(self, monkeypatch):
+        # on a subnormal floor the float image of a point far above the box
+        # overflows and is refused; the exact verifier maps no point
+        cert = build_certificate([PHI, PSI], box=(-10.0, 10.0, 1e-320, 10.0))
+        far = np.array([1.0 + 1e307j])
+        monkeypatch.setattr(sys.modules[__name__], "reference_sample", lambda seed, n, box: far)
+        assert float_outcome(cert, 1) == (
+            InvalidInputError, "non-finite input point in projection batch", None)
+        calls = formed_powers(monkeypatch)
+        assert verify_pingpong(cert, 1)["passed"] and calls == []
+
+    def test_one_trust_rule(self):
+        # one rule on every box: the checks are those of the default box
+        # and budget, on a wide box and on a subnormal floor alike
+        import random
+        families = [[PHI, PSI]] + [positive_word_family(random.Random(seed), 2)
+                                   for seed in range(10)]
+        for gens in families:
+            checks = verify_pingpong(build_certificate(gens), 0)["checks"]
+            for box in (WIDE_BOX, (-0.1, 0.1, 1e-320, 0.1)):
+                report = verify_pingpong(build_certificate(gens, box=box), 20_000)
+                assert report["checks"] == checks and report["box"] == list(box), (gens, box)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("gens, n_power, box, refusal", [
+        ([PHI, PSI], 737, pingpong.DEFAULT_BOX, "non-finite input point in projection batch"),
+        ([PHI, PSI, L_GEN ** 50992965 * R_GEN], 40, WIDE_BOX,
+         "a matrix entry is beyond the float range of the sampled checks"),
+        ([PHI, PSI], None, EDGE_BOX, "non-finite input point in projection batch"),
+        ([PHI, PSI], None, (-10.0, 10.0, 1.0, 1e306), "non-finite input point in projection batch"),
+    ], ids=["N737", "entries-beyond-float", "edge-box", "1-1e306"])
+    def test_fallback_maps_every_selected_sample(self, gens, n_power, box, refusal, monkeypatch):
+        # where the float pass must map every selected sample and refuses
+        # one, the exact verifier decides without a power or an image
+        cert = build_certificate(gens, box=box)
+        cert.N = n_power or cert.N
+        assert float_outcome(cert, 20_000) == (InvalidInputError, refusal, None)
+        calls = formed_powers(monkeypatch)
+        assert verify_pingpong(cert, 20_000)["passed"] and calls == []
+
+
+def exact_tables(gens, E):
+    """The verifier's 2n tables at e^{2S} = E: (i, sign, (lo, hi))."""
+    u = (E - 1) / (E + 1)
+    return [(i, sign, ends) for i, m in enumerate(gens)
+            for sign, ends in zip((1, -1), _table_ends(m, u))]
+
+
+def end_decimal(end):
+    """A table end (alpha + beta sqrt(Delta)) / e at 200 digits."""
+    alpha, beta, e, D = end
+    with localcontext() as ctx:
+        ctx.prec = 200
+        return (Decimal(alpha) + Decimal(beta) * Decimal(D).sqrt()) / Decimal(e)
+
+
+class TestTableBound:
+    """The verifier's exact tables against the float table parameters."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("box", TestInclusionThreshold.BOXES)
+    def test_bound_is_conservative(self, box):
+        # a sample whose float parameter clears S by 1e-6 lies in the exact
+        # table at E_hi, which the verifier's at E_lo contains; one short of
+        # S by 1e-6 lies outside the table at E_lo.  The samples nearest
+        # the threshold on either side are decided exactly.  No sample of the
+        # default box reaches a table
+        zs = reference_sample(0, 4000, box)
+        inside = outside = 0
+        for gens in threshold_corpus():
+            S = build_certificate(gens, box=box).S
+            E_lo, E_hi = bracket(S)
+            for m in gens:
+                c = axis(m).axis
+                for sign in (1, -1):
+                    with np.errstate(over="ignore"):
+                        t = sign * reference_params(c, zs)
+                    order = np.argsort(np.abs(t - S))
+                    for k in order[:20]:
+                        if not math.isfinite(t[k]) or abs(t[k] - S) <= 1e-6:
+                            continue
+                        X, Y = Fraction(zs[k].real), Fraction(zs[k].imag)
+                        if t[k] > S:
+                            assert in_table(m, sign, E_hi, X, Y), (gens, m, sign, zs[k])
+                            inside += 1
+                        else:
+                            assert not in_table(m, sign, E_lo, X, Y), (gens, m, sign, zs[k])
+                            outside += 1
+        assert outside > 0 and (inside > 0) == (box != pingpong.DEFAULT_BOX)
+
+    @pytest.mark.parametrize("box", [pingpong.DEFAULT_BOX, WIDE_BOX], ids=["default", "wide"])
+    def test_bound_is_conservative_at_its_threshold(self, box):
+        # S0, bisected to adjacent floats, is the least S at which the exact
+        # tables are disjoint; the float Apollonius reference finds the
+        # tables disjoint just above S0 and meeting just below it
+        import random
+        found = 0
+        for seed in range(30):
+            gens = positive_word_family(random.Random(seed), 2 + seed % 2)
+            cert = build_certificate(gens, box=box)
+            cert.N = 10 ** 400
+
+            def disjoint(S):
+                cert.S = S
+                try:
+                    return verify_pingpong(cert, 0)["passed"]
+                except CertificateInvalidError:
+                    return False
+            lo, hi = 1e-3, float(pingpong.S_MAX)
+            if disjoint(lo):
+                continue
+            while math.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if disjoint(mid) else (mid, hi)
+            assert float_first_meeting(gens, hi * (1 + 1e-7)) is None, gens
+            assert float_first_meeting(gens, lo * (1 - 1e-7)) not in (None, "unsure"), gens
+            found += 1
+        assert found > 20
+
+    def test_no_table_parameters_on_the_default_box(self, monkeypatch):
+        # the tables are decided on their ends: verification takes no
+        # float parameter of any point, and maps none
+        import random
+        certs = [build_certificate(gens) for gens in
+                 [[PHI, PSI]] + [positive_word_family(random.Random(seed), 2)
+                                 for seed in range(10)]]
+        params = []
+        param_of = Geodesic.param_of
+        monkeypatch.setattr(Geodesic, "param_of", lambda c, z: params.append(z) or param_of(c, z))
+        calls = formed_powers(monkeypatch)
+        for cert in certs:
+            report = verify_pingpong(cert, 100_000)
+            assert [c["name"] for c in report["checks"]] == [
+                "power-threshold", "translation-inclusion", "table-disjointness-exact",
+                "interval-containment"]
+        assert params == [] and calls == []
+
+    def test_wide_box_samples_reach_the_tables(self):
+        # the float samples of the wide box reach the tables, which the
+        # exact check finds disjoint all the same
+        import random
+        hits = 0
+        zs = reference_sample(0, 100_000, WIDE_BOX)
+        for seed in range(10):
+            cert = build_certificate(positive_word_family(random.Random(seed), 2), box=WIDE_BOX)
+            assert verify_pingpong(cert, 100_000)["passed"]
+            params = np.stack([reference_params(axis(m).axis, zs) for m in cert.generators])
+            hits += int(np.count_nonzero(params >= cert.S) + np.count_nonzero(params <= -cert.S))
+        assert hits > 0
+
+
+class TestIntegerBounds:
+    """The verifier's integer decisions against Fraction and Decimal references."""
+
+    @pytest.mark.parametrize("box", TestInclusionThreshold.BOXES)
+    def test_same_as_fractions(self, box):
+        # the box is recorded only, so every box must give these decisions
+        decided = 0
+        for gens in threshold_corpus():
+            cert = build_certificate(gens, box=box)
+            S, (E_lo, E_hi) = cert.S, bracket(cert.S)
+            for n in (1, 3, cert.N):
+                for m in gens:
+                    exact = Fraction(abs((m ** n).trace)) >= E_hi + 1 / E_hi
+                    assert clears(abs(m.trace), n, E_hi) == exact, (gens, n, m)
+                    decided += exact
+            for s in (0.5, 3.0, S, 30.0):
+                tables = exact_tables(gens, bracket(s)[0])
+                for (_, _, (lo1, hi1)), (_, _, (lo2, hi2)) in itertools.combinations(tables, 2):
+                    for x, y in ((hi1, lo2), (hi2, lo1)):
+                        gap = end_decimal(x) - end_decimal(y)
+                        assert _end_order(x, y) == (gap > 0) - (gap < 0), (gens, s, x, y)
+                        decided += 1
+        assert decided > 1000
+
+
+class TestDecidedBox:
+    """Every box is decided exactly: the sample budget, seed and box are
+    recorded, and refused by one range rule in the verifier as in the
+    builder, but no sample is drawn."""
+
+    def test_no_block_on_the_default_box(self):
+        # the budget changes nothing but its record, on any box
+        import random
+        for gens in [[PHI, PSI]] + [positive_word_family(random.Random(seed), 2)
+                                    for seed in range(10)]:
+            for box in (pingpong.DEFAULT_BOX, WIDE_BOX):
+                none = verify_pingpong(build_certificate(gens, box=box), 0)
+                full = verify_pingpong(build_certificate(gens, box=box), 100_000)
+                assert full["passed"] and full["sample_budget"] == 100_000
+                assert full["checks"] == none["checks"], (gens, box)
+
+    def test_subnormal_floor_streams(self):
+        # a subnormal floor once streamed every block; it is now recorded
+        # like any other box
+        box = (-0.1, 0.1, 1e-320, 0.1)
+        report = verify_pingpong(build_certificate([PHI, PSI], box=box), 20_000)
+        assert report["passed"] and report["box"] == list(box)
+        assert report["checks"] == verify_pingpong(build_certificate([PHI, PSI]), 0)["checks"]
 
     @pytest.mark.parametrize("box, seed, samples, message", [
         ((1.0, -1.0, 0.1, 1.0), 0, 10, "bad sampling box"),
@@ -580,9 +1101,8 @@ class TestSamplingArguments:
         ((-10.0, 10.0, 0.05), 0, 10, "bad sampling box"),
         (pingpong.DEFAULT_BOX, 0, 2 ** 64, "--samples must lie in"),
         (pingpong.DEFAULT_BOX, 2 ** 70, 10, "--seed must lie in"),
-    ], ids=["x-reversed", "seed-negative", "samples-negative", "three", "samples-2^64",
-            "seed-2^70"])
-    def test_refusals(self, box, seed, samples, message):
+    ])
+    def test_refusals_kept(self, box, seed, samples, message):
         cert = build_certificate([PHI, PSI])
         cert.config["box"] = list(box)
         with pytest.raises(InvalidInputError, match=message):
@@ -594,6 +1114,64 @@ class TestSamplingArguments:
         report = verify_pingpong(cert, 2 ** 63 - 1, seed=2 ** 63 - 1)
         assert time.perf_counter() - start < 1.0
         assert report["passed"] and report["sample_budget"] == report["seed"] == 2 ** 63 - 1
+
+
+class TestInPlacePrimitives:
+    """The float reference's parameters and images against hyp2's scalar
+    maps, which compute them in another order."""
+
+    AXES = [axis(PHI).axis, axis(PSI).axis, axis(L_GEN ** 1000 * R_GEN).axis, VERTICAL,
+            Geodesic(BoundaryPoint.infinity(), BoundaryPoint.finite(0.0), Point(0.0, 2.0)),
+            Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.finite(3.0), Point(1.5, 1.5))]
+
+    @staticmethod
+    def points():
+        """Samples of the default, wide and edge boxes."""
+        return np.concatenate([reference_sample(3, 2000, pingpong.DEFAULT_BOX),
+                               reference_sample(4, 2000, WIDE_BOX),
+                               reference_sample(5, 500, EDGE_BOX)])
+
+    @staticmethod
+    def check_params(c, zs):
+        ref = reference_params(c, zs)
+        for z, r in zip(zs, ref):
+            assert math.isclose(c.param_of(Point(z.real, z.imag)), r,
+                                rel_tol=1e-12, abs_tol=1e-12), (c, z)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_params(self, k):
+        self.check_params(self.AXES[k], self.points())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("m", [PHI, PSI.inverse(), L_GEN ** 1000 * R_GEN, PHI ** 12,
+                                   PHI ** 737, (L_GEN ** 50992965 * R_GEN) ** 40],
+                             ids=["phi", "psi-inv", "L1000R", "phi^12", "phi^737",
+                                  "L^50992965R^40"])
+    def test_mobius_and_params_of_images(self, m):
+        zs = self.points()
+        try:
+            images = reference_mobius(m, zs)
+        except InvalidInputError as exc:
+            assert str(exc) == "a matrix entry is beyond the float range of the sampled checks"
+            with pytest.raises(OverflowError):
+                float(max(m.entries()))
+            return
+        kept = []
+        for z, w in zip(zs, images):
+            try:
+                image = m.apply(Point(z.real, z.imag)).z
+            except InvalidInputError:
+                # a non-finite image, one rounded off the half plane, or
+                # entries whose float determinant overflows
+                assert not (np.isfinite(w) and w.imag > 0.0) or m == PHI ** 737, (m, z)
+                continue
+            assert abs(image - w) <= 1e-12 * abs(w), (m, z)
+            kept.append(w)
+        if m == PHI ** 737:
+            assert not np.isfinite(images).all() and kept == []
+            return
+        for geodesic in self.AXES:
+            self.check_params(geodesic, np.array(kept[::7]))
 
 
 class TestFixedCheckFailures:
