@@ -1,9 +1,10 @@
 """Mapping classes of the modular torus as projective integer matrices.
 
 A class is a 2x2 integer matrix of determinant one, identified with its
-negative.  Classification, independence, word arithmetic and the ends of
-the verifier's ping-pong tables are exact integer computations; axes and
-translation distances are floating point with stated tolerances.
+negative.  Classification, independence, word arithmetic, the trace
+recurrence, the ends of the verifier's ping-pong tables, and whether two axes
+cross and their distance D are integer-exact, D up to one rounded quotient;
+axes and translation distances are floating point with stated tolerances.
 """
 
 from __future__ import annotations
@@ -236,36 +237,53 @@ def min_translation() -> float:
     return math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
 
-def _fixed_quadratic(m: MappingClass):
-    # coefficients of c x^2 + (d - a) x - b, sign-invariant as a root set
-    return (m.c, m.d - m.a, -m.b)
+def _trace_power(t: int, n: int) -> int:
+    """tr g^n for n >= 1 and tr g = t, from t_2k = t_k^2 - 2 and
+    t_2k+1 = t_k t_k+1 - t, along the bits of n."""
+    lo, hi = 2, t  # t_k and t_k+1, from k = 0
+    for bit in bin(n)[2:]:
+        lo, hi = (lo * hi - t, hi * hi - 2) if bit == "1" else (lo * lo - 2, lo * hi - t)
+    return lo
 
 
-def _share_fixed_point(m1: MappingClass, m2: MappingClass) -> bool:
-    """Exact resultant test: do the fixed-point quadratics share a root?"""
-    a1, b1, c1 = _fixed_quadratic(m1)
-    a2, b2, c2 = _fixed_quadratic(m2)
-    res = (a1 * c2 - a2 * c1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
-    return res == 0
+def pair_invariant(m1: MappingClass, m2: MappingClass) -> tuple:
+    """(k, Q) with k / sqrt(Q) the cosine of the crossing angle of two axes, or
+    cosh 2D signed by orientation for disjoint ones: k = 2 tr(m1 m2) - tr m1 tr m2
+    and Q = (tr^2 m1 - 4)(tr^2 m2 - 4), traces made positive.  k^2 - Q is
+    4 (tr[m1, m2] - 2): the axes cross iff k^2 < Q, share an endpoint iff k^2 = Q."""
+    t1, t2 = m1.trace, m2.trace
+    t12 = m1.a * m2.a + m1.b * m2.c + m1.c * m2.b + m1.d * m2.d
+    k = (2 * t12 if t1 * t2 > 0 else -2 * t12) - abs(t1 * t2)
+    return k, (t1 * t1 - 4) * (t2 * t2 - 4)
+
+
+def axis_distance(k: int, Q: int) -> float:
+    """D of two axes from their pair invariant: 0 unless k^2 > Q, else from
+    sinh 2D = sqrt((k^2 - Q) / Q), one rounded quotient; past float range asinh x is log 2x."""
+    gap = max(k * k - Q, 0)
+    try:
+        return 0.5 * math.asinh(math.sqrt(gap / Q))
+    except OverflowError:
+        return 0.25 * math.log(4 * (gap // Q))
 
 
 def independent(m1: MappingClass, m2: MappingClass) -> bool:
     """True iff the projective commutator is nontrivial (exact integers).
 
-    Commuting hyperbolic classes share both axis endpoints.  A pair with a
-    nontrivial commutator but a common fixed point would break the
-    equal-or-disjoint dichotomy and is surfaced as an error.
+    It is formed only when k^2 = Q (pair_invariant), that is tr[m1, m2] = 2,
+    when the classes share a fixed point.  Commuting hyperbolic classes share both
+    axis endpoints; a nontrivial commutator with a common fixed point would break
+    the equal-or-disjoint dichotomy and is surfaced as an error.
     """
     _require_pa(m1)
     _require_pa(m2)
-    comm = m1 * m2 * m1.inverse() * m2.inverse()
-    if comm.is_projective_identity():
+    k, Q = pair_invariant(m1, m2)
+    if k * k != Q:
+        return True
+    if (m1 * m2 * m1.inverse() * m2.inverse()).is_projective_identity():
         return False
-    if _share_fixed_point(m1, m2):
-        raise DichotomyViolationError(
-            f"classes {m1} and {m2} do not commute yet share a boundary fixed point"
-        )
-    return True
+    raise DichotomyViolationError(f"classes {m1} and {m2} do not commute yet share a "
+                                  "boundary fixed point")
 
 
 def fixed_slope_test(m: MappingClass) -> Optional["Slope"]:

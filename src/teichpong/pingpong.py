@@ -24,10 +24,9 @@ from fractions import Fraction
 from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
 from .hyp2 import Record, Value
-from .mcg import (_end_order, _table_ends, axis, independent, min_translation,
-                  translation_distance)
-from .projection import (_geodesic_pair_geometry, derive_morse, model_constants,
-                          projection_interval)
+from .mcg import (_end_order, _table_ends, _trace_power, axis, axis_distance, independent,
+                  min_translation, pair_invariant, translation_distance)
+from .projection import _pair_geometry, derive_morse, model_constants, projection_interval
 
 DEFAULT_BOX = (-10.0, 10.0, 0.05, 10.0)
 GRID_STEP = 0.01  #: step of the radius grid
@@ -63,12 +62,9 @@ class PingPongCertificate(Record):
 def _check_family(generators):
     if len(generators) < 2:
         raise InvalidInputError("need at least two generators")
-    for i in range(len(generators)):
-        for j in range(i + 1, len(generators)):
-            if not independent(generators[i], generators[j]):
-                raise NotIndependentError(
-                    f"generators {i} and {j} share an axis (common power)"
-                )
+    for (i, m1), (j, m2) in itertools.combinations(enumerate(generators), 2):
+        if not independent(m1, m2):
+            raise NotIndependentError(f"generators {i} and {j} share an axis (common power)")
 
 
 def _check_sampling(seed, samples, box) -> None:
@@ -87,17 +83,17 @@ def _check_sampling(seed, samples, box) -> None:
 
 
 def _interval_map(axes):
-    out = {}
-    for i, ci in enumerate(axes):
-        for j, cj in enumerate(axes):
-            if i != j:
-                out[(i, j)] = projection_interval(ci, cj)
-    return out
+    return {(i, j): projection_interval(ci, cj)
+            for (i, ci), (j, cj) in itertools.permutations(enumerate(axes), 2)}
 
 
 def _radius_from_intervals(intervals, b, grid_step, margin):
     """Least R on the grid with every interval, each in its target axis's own
     parametrization, inside (-(R + 4b), R + 4b), times 1 + margin."""
+    for (i, j), ends in intervals.items():
+        if not all(map(math.isfinite, ends)):
+            raise CertificateInvalidError(f"interval ({i}, {j}) has an end that is not finite",
+                                          witness={"pair": [i, j]})
     need = max(max(abs(lo), abs(hi)) for lo, hi in intervals.values())
     floor = max(0.0, need - 4.0 * b) - 1e-15
     steps = max(0.0, floor) / grid_step
@@ -140,11 +136,8 @@ def paper_constants(generators) -> PaperConstants:
     _check_family(generators)
     L = max(translation_distance(m) for m in generators)
     thick = derive_thick_params(L)
-    axes = [axis(m).axis for m in generators]
-    d_max = 0.0
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            d_max = max(d_max, _geodesic_pair_geometry(axes[i], axes[j]).D)
+    d_max = max(axis_distance(*pair_invariant(m1, m2))
+                for m1, m2 in itertools.combinations(generators, 2))
     M = derive_morse(2.0, d_max)
     r_short = math.exp(2.0 * (M + L)) * thick.F
     B = short_curve_bound(r_short, thick)
@@ -168,8 +161,8 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
     b = consts.b
     axes = [axis(m).axis for m in generators]
     intervals = _interval_map(axes)
-    pair_data = {(i, j): _geodesic_pair_geometry(axes[i], axes[j])
-                 for i in range(len(axes)) for j in range(i + 1, len(axes))}
+    pair_data = {(i, j): _pair_geometry(generators[i], generators[j], axes[i], axes[j])
+                 for i, j in itertools.combinations(range(len(axes)), 2)}
     l_min = min_translation()
     config = {
         "seed": seed,
@@ -200,15 +193,6 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
-
-def _trace_power(t: int, n: int) -> int:
-    """tr g^n for n >= 1 and tr g = t, from t_2k = t_k^2 - 2 and
-    t_2k+1 = t_k t_k+1 - t, along the bits of n."""
-    lo, hi = 2, t  # t_k and t_k+1, from k = 0
-    for bit in bin(n)[2:]:
-        lo, hi = (lo * hi - t, hi * hi - 2) if bit == "1" else (lo * lo - 2, lo * hi - t)
-    return lo
-
 
 def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
                     seed: int | None = None) -> dict:

@@ -10,9 +10,9 @@ Two derived constants and the geometry of a pair of axes live here:
   (K, kappa)-quasi-geodesic can stray from the geodesic joining its
   endpoints;
 
-* the nearest-point configuration of two axes, a closed form in the chart
-  of the first, and the fast-divergence thresholds past it, a closed form
-  in the traces.
+* the nearest-point configuration of two axes, exact in the traces for
+  crossing and D and a closed form in the chart of the first for the
+  points, and the fast-divergence thresholds past it, also in the traces.
 
 M is a bisection on its max height, each step a concave maximisation per
 excursion level; its levels and margin are in its memo key, so results are
@@ -27,8 +27,8 @@ import math
 from . import cache
 from .errors import (ConstantDerivationError, DegenerateInputError,
                      HorizonExceededError, InvalidInputError, NotIndependentError)
-from .hyp2 import Geodesic, Value, dist, dist_to_geodesic, project
-from .mcg import MappingClass, axis, independent
+from .hyp2 import Geodesic, Value, dist_to_geodesic, project
+from .mcg import MappingClass, axis, axis_distance, independent, pair_invariant
 
 # The stability search's excursion levels and margin on M; both are in its memo key.
 _LEVELS, _MORSE_MARGIN = 96, 0.05
@@ -203,19 +203,19 @@ def common_perpendicular_distance(c1: Geodesic, c2: Geodesic) -> float:
     return 0.5 * math.asinh(math.sqrt(m * m - r * r) / r)
 
 
-def _geodesic_pair_geometry(c1: Geodesic, c2: Geodesic) -> PairGeometry:
-    # in the chart of c1 the other axis is the half circle on (p, q); it
-    # crosses the imaginary axis (pq < 0), or meets its common perpendicular
-    # with it (pq > 0), at height sqrt|pq|, so t_O = log|pq| / 4
+def _pair_geometry(m1: MappingClass, m2: MappingClass, c1: Geodesic, c2: Geodesic) -> PairGeometry:
+    # crossing and D are the pair invariant's; in the chart of c1 the other
+    # axis is the half circle on (p, q), which crosses the imaginary axis, or
+    # meets its common perpendicular with it, at height sqrt|pq|: t_O = log|pq| / 4
+    k, Q = pair_invariant(m1, m2)
     p, q = _normalized_endpoints(c1, c2)
     if not (math.isfinite(p) and math.isfinite(q)) or p * q == 0.0:
         raise DegenerateInputError("geodesics share an endpoint")
     t_O = 0.5 * math.log(math.sqrt(abs(p * q)))
     O = c1.point_at(t_O)
     foot, s_O = project(c2, O)
-    if p * q < 0.0:
-        return PairGeometry(0.0, O, O, t_O, s_O, True)
-    return PairGeometry(dist(O, foot), O, foot, t_O, s_O, False)
+    crossing = k * k < Q
+    return PairGeometry(axis_distance(k, Q), O, O if crossing else foot, t_O, s_O, crossing)
 
 
 def pair_geometry(m1: MappingClass, m2: MappingClass) -> PairGeometry:
@@ -223,7 +223,7 @@ def pair_geometry(m1: MappingClass, m2: MappingClass) -> PairGeometry:
     the feet of the common perpendicular for disjoint axes."""
     if not independent(m1, m2):
         raise NotIndependentError(f"{m1} and {m2} share an axis")
-    return _geodesic_pair_geometry(axis(m1).axis, axis(m2).axis)
+    return _pair_geometry(m1, m2, axis(m1).axis, axis(m2).axis)
 
 
 def projection_interval(c_target: Geodesic, c_source: Geodesic):
@@ -295,9 +295,9 @@ def _largest_violating_offset(m1: MappingClass, m2: MappingClass) -> float:
 
     In the chart of the first axis let the second be the half circle on
     (p, q).  Then k = (p + q)/(q - p) is the cosine of the crossing angle of
-    crossing axes and cosh 2D, signed by orientation, for disjoint ones; with
-    both traces made positive it is (2 tr AB - tr A tr B) / sqrt((tr^2 A - 4)
-    (tr^2 B - 4)), exact until the one rounding of k^2.  In doubled lengths
+    crossing axes and cosh 2D, signed by orientation, for disjoint ones: it
+    is num / sqrt(den) for (num, den) of mcg.pair_invariant, exact until the
+    one rounding of k^2.  In doubled lengths
     cosh 2d = kappa cosh 2a cosh 2b - sigma sinh 2a sinh 2b with
     (kappa, sigma) = (1, k) for crossing axes and (|k|, sign k) for disjoint
     ones.  For a >= b a violation reads tanh b <= k tanh 2a, respectively
@@ -306,10 +306,7 @@ def _largest_violating_offset(m1: MappingClass, m2: MappingClass) -> float:
     (k - 1) x^2 - 2x + (k + 1).  So violations need 0 < k <= sqrt 2, and the
     two sides, which flip the signs of both sinh terms, share them.
     """
-    t1, t2 = m1.trace, m2.trace
-    t12 = m1.a * m2.a + m1.b * m2.c + m1.c * m2.b + m1.d * m2.d
-    num = (2 * t12 if t1 * t2 > 0 else -2 * t12) - abs(t1 * t2)
-    den = (t1 * t1 - 4) * (t2 * t2 - 4)
+    num, den = pair_invariant(m1, m2)
     if num <= 0 or num * num > 2 * den:
         return 0.0
     k2 = num * num / den

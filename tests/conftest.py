@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ PSI = MappingClass(1, 1, 1, 2)
 
 L_GEN = MappingClass(1, 1, 0, 1)
 R_GEN = MappingClass(1, 0, 1, 1)
+#: psi conjugated by phi^a L^b, a <= 10, b <= 3, where independent of phi
+PSI_CONJUGATES = [c for c in (PSI.conjugated_by(PHI ** a * L_GEN ** b)
+                              for a in range(11) for b in range(4))
+                  if c != PHI]
 
 
 def random_pseudo_anosov(rng, max_trace=30):
@@ -37,6 +42,19 @@ def random_independent_pair(rng, max_trace=30):
         m2 = random_pseudo_anosov(rng, max_trace)
         if independent(m1, m2):
             return m1, m2
+
+
+def reference_axis_distance(k, Q):
+    """acosh(|k| / sqrt Q) / 2 at 50 digits: the distance of two disjoint axes
+    of pair invariant (k, Q)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = abs(Decimal(k)) / Decimal(Q).sqrt()
+        return (x + (x * x - 1).sqrt()).ln() / 2
+
+
+def within_ulps(value, reference, ulps=4):
+    return abs(Decimal(value) - reference) <= ulps * Decimal(math.ulp(value))
 
 
 def random_thick_point(rng):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import numpy as np
-from conftest import random_independent_pair
+from conftest import random_independent_pair, reference_axis_distance, within_ulps
 from teichpong import pingpong
 from teichpong.cli import main
 from teichpong.errors import CertificateInvalidError, TeichpongError
@@ -220,6 +220,39 @@ class TestPairCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "P+=" in out and "Q-=" in out
+
+
+class TestCollapsedAxis:
+    """A seeded pair (a, b) with b conjugated by a^12: the float chart of b's
+    axis collapses onto a point, while the pair invariant (k, Q) = (20, 252)
+    says the axes are disjoint at D = acosh(20 / sqrt 252) / 2."""
+
+    PAIR = ["4,3,1,1", "7096137304000803,-26903499124692959,1871695737563522,-7096137304000799"]
+
+    def test_pair_is_disjoint(self, capsys):
+        code = main(["pair", "--m1", self.PAIR[0], "--m2", self.PAIR[1], "--no-cache"])
+        first = capsys.readouterr().out.splitlines()[0]
+        assert code == 0
+        independent, D, crossing = first.split()
+        assert (independent, crossing) == ("independent=true", "crossing=false")
+        assert within_ulps(float(D.removeprefix("D=")), reference_axis_distance(20, 252))
+
+    def test_paper_mode_names_the_bound(self, capsys):
+        code = main(["pingpong", "--mode", "paper", "--matrix", self.PAIR[0],
+                     "--matrix", self.PAIR[1], "--no-cache"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error: constant-derivation: short-curve bound B=334368341 ")
+
+    def test_infinite_interval_is_one_error_line(self, capsys):
+        # the chart puts an end of the projection of axis 0 on axis 1 at
+        # infinity, where the radius search once raised a bare OverflowError
+        code = main(["pingpong", "--matrix", self.PAIR[0], "--matrix", self.PAIR[1],
+                     "--no-cache"])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: certificate-invalid: interval (1, 0) has an "
+                                           "end that is not finite witness={'pair': [1, 0]}\n")
 
 
 class TestProfileCommand:

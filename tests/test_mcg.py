@@ -1,15 +1,20 @@
 import math
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import PHI, PSI, random_pseudo_anosov
+from conftest import (L_GEN, PHI, PSI, PSI_CONJUGATES, random_pseudo_anosov,
+                      reference_axis_distance, within_ulps)
 from teichpong.errors import ClassificationError, InvalidInputError
 from teichpong.hyp2 import BoundaryPoint, Point, dist, project
-from teichpong.mcg import (Classification, MappingClass, axis, classify,
-                           fixed_slope_test, independent, min_translation,
+from teichpong.mcg import (Classification, MappingClass, axis, axis_distance, classify,
+                           fixed_slope_test, independent, min_translation, pair_invariant,
                            translation_distance)
+from teichpong.projection import _normalized_endpoints, common_perpendicular_distance
 from teichpong.torus_model import Slope
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -226,6 +231,92 @@ class TestIndependent:
             a1, a2 = axis(m), axis(m ** k)
             assert a1.attracting.value == pytest.approx(a2.attracting.value, abs=1e-9)
             assert a1.repelling.value == pytest.approx(a2.repelling.value, abs=1e-9)
+
+
+def _entries_product(x, y):
+    """The 2x2 product of entry tuples, with no canonical sign."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def commutator_trace(m1, m2):
+    """tr[m1, m2], which does not depend on the signs of m1 and m2."""
+    a, b = m1.entries(), m2.entries()
+    a_inv, b_inv = (a[3], -a[1], -a[2], a[0]), (b[3], -b[1], -b[2], b[0])
+    c = _entries_product(_entries_product(a, b), _entries_product(a_inv, b_inv))
+    return c[0] + c[3]
+
+
+def share_fixed_point(m1, m2):
+    """The resultant of the fixed-point quadratics c x^2 + (d - a) x - b
+    vanishes iff they share a root."""
+    a1, b1, c1 = m1.c, m1.d - m1.a, -m1.b
+    a2, b2, c2 = m2.c, m2.d - m2.a, -m2.b
+    return (a1 * c2 - a2 * c1) ** 2 == (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
+
+
+class TestIndependenceFromTheInvariant:
+    """independent forms the commutator only when k^2 = Q, which is exact by
+    k^2 - Q = 4 (tr[m1, m2] - 2)."""
+
+    def pairs(self, rng):
+        pairs = [(random_pseudo_anosov(rng), random_pseudo_anosov(rng)) for _ in range(200)]
+        for _ in range(20):
+            m = random_pseudo_anosov(rng)
+            pairs += [(m ** i, m ** j) for i in (-2, 1, 3) for j in (-1, 2)]
+        odd = MappingClass(1, 2, -3, -5)  # trace -4
+        return pairs + [(odd, PHI), (odd, odd ** 2), (odd.inverse(), odd ** 3), (PHI, PSI)]
+
+    def test_identity(self, rng):
+        for m1, m2 in self.pairs(rng):
+            k, Q = pair_invariant(m1, m2)
+            assert k * k - Q == 4 * (commutator_trace(m1, m2) - 2), (m1, m2)
+
+    def test_matches_the_resultant(self, rng):
+        dependent = 0
+        for m1, m2 in self.pairs(rng):
+            assert independent(m1, m2) is not share_fixed_point(m1, m2), (m1, m2)
+            dependent += not independent(m1, m2)
+        assert dependent >= 120
+
+
+def perfbench_pairs(count):
+    """perfbench's seeded random_family pairs, seeds 0 to count - 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import random_family
+    finally:
+        del sys.path[0]
+    return [[MappingClass(*m) for m in random_family(random.Random(seed), 2)]
+            for seed in range(count)]
+
+
+class TestPairInvariant:
+    """Crossing and D from the integer pair invariant, against the float
+    chart of the first axis and a 50-digit reference."""
+
+    def test_agrees_with_the_chart(self):
+        disjoint = 0
+        for m1, m2 in perfbench_pairs(300) + [[PHI, c] for c in PSI_CONJUGATES]:
+            k, Q = pair_invariant(m1, m2)
+            D = axis_distance(k, Q)
+            c1, c2 = axis(m1).axis, axis(m2).axis
+            p, q = _normalized_endpoints(c1, c2)
+            assert (k * k < Q) == (p * q < 0.0), (m1, m2)
+            if k * k < Q:
+                assert D == 0.0
+                continue
+            disjoint += 1
+            assert D == pytest.approx(common_perpendicular_distance(c1, c2), rel=1e-9), (m1, m2)
+            assert within_ulps(D, reference_axis_distance(k, Q)), (m1, m2)
+        assert disjoint >= 100
+
+    def test_huge_conjugate(self):
+        # entries near 10^400: the chart is beyond float range, and k^2 / Q overflows
+        k, Q = pair_invariant(PHI, PSI.conjugated_by(L_GEN ** 10 ** 200))
+        D = axis_distance(k, Q)
+        assert D == pytest.approx(460.4054468231520, abs=1e-12)
+        assert within_ulps(D, reference_axis_distance(k, Q))
 
 
 class TestFixedSlope:

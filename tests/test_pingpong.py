@@ -10,12 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import L_GEN, PHI, PSI, R_GEN, random_independent_pair
+from conftest import L_GEN, PHI, PSI, PSI_CONJUGATES, R_GEN, random_independent_pair
 from teichpong.errors import (CertificateInvalidError, ConstantDerivationError,
                               InvalidInputError, NotIndependentError)
 from teichpong import pingpong
 from teichpong.hyp2 import BoundaryPoint, Geodesic, Mobius, Point
-from teichpong.mcg import (MappingClass, _end_order, _sign_of, _table_ends, axis,
+from teichpong.mcg import (MappingClass, _end_order, _sign_of, _table_ends, _trace_power, axis,
                            min_translation, translation_distance)
 from teichpong.pingpong import (build_certificate, paper_radius_bound, power_bound,
                                 verify_pingpong)
@@ -254,7 +254,7 @@ class TestExactInclusion:
     def test_trace_recurrence(self):
         for m in (PHI, PSI.inverse(), L_GEN ** 1000 * R_GEN, MappingClass(1, 2, -3, -5)):
             for n in range(1, 40):
-                assert pingpong._trace_power(abs(m.trace), n) == abs((m ** n).trace), (m, n)
+                assert _trace_power(abs(m.trace), n) == abs((m ** n).trace), (m, n)
 
     def test_failure_names_the_generator(self):
         # S raised without N: 12 Tr = 11.55 falls short of 2S = 20
@@ -505,10 +505,6 @@ WIDE_BOX = (-10.0, 10.0, 1e-6, 10.0)
 #: a trace -3 class that fails the float sampled inclusion at WIDE_BOX; not psi conjugated
 #: by phi^8 L, which is phi (L psi L^-1 = phi), and of unrecorded origin
 PSI_CONJUGATE = MappingClass(5100816, -8253295, 3152479, -5100819)
-#: psi conjugated by phi^a L^b, a <= 10, b <= 3, where independent of phi
-PSI_CONJUGATES = [c for c in (PSI.conjugated_by(PHI ** a * L_GEN ** b)
-                              for a in range(11) for b in range(4))
-                  if c != PHI]
 
 
 def positive_word_family(rng, n, max_trace=30):
@@ -848,7 +844,7 @@ def inclusion_power(t, N, S):
 def clears(t, n, E):
     """The verifier's integer inclusion test |tr g^n| >= E + 1/E."""
     p, q = E.numerator, E.denominator
-    return pingpong._trace_power(t, n) * p * q >= p * p + q * q
+    return _trace_power(t, n) * p * q >= p * p + q * q
 
 
 def translation_decimal(t):
@@ -875,7 +871,7 @@ class TestInclusionThreshold:
                 t, Tr = abs(m.trace), translation_decimal(abs(m.trace))
                 N0 = inclusion_power(t, 10 ** 9, S)
                 assert N0 * Tr > 2 * Decimal(S) + 1 and clears(t, N0, E_hi), (gens, m)
-                traces = [pingpong._trace_power(t, n) for n in range(1, N0 + 2)]
+                traces = [_trace_power(t, n) for n in range(1, N0 + 2)]
                 assert traces == sorted(traces), m
                 for n in range(1, N0 + 1):
                     if clears(t, n, E_hi):
