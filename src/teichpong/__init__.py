@@ -22,7 +22,7 @@ _EXPORTS = {
                "DegenerateInputError DichotomyViolationError FViolationError "
                "HorizonExceededError InvalidInputError NotIndependentError "
                "OracleRefusedError TeichpongError"),
-    "hyp2": "BoundaryPoint Geodesic Mobius Point dist dist_to_geodesic project",
+    "hyp2": "BoundaryPoint Geodesic Mobius Point dist dist_to_geodesic",
     "mcg": ("AxisData Classification MappingClass axis classify fixed_slope_test "
             "independent min_translation translation_distance"),
     "oracle": "WordReport count_reduced_words cross_validate free_check",
@@ -30,8 +30,7 @@ _EXPORTS = {
                  "paper_radius_bound power_bound verify_pingpong"),
     "projection": ("ModelConstants PairGeometry Thresholds common_perpendicular_distance "
                    "derive_contraction_b derive_morse divergence_profile "
-                   "fast_divergence_thresholds model_constants pair_geometry profile_csv "
-                   "projection_interval"),
+                   "fast_divergence_thresholds model_constants pair_geometry profile_csv"),
     "torus_model": ("Slope ThickParams curve_length default_thick_params "
                     "derive_thick_params kerckhoff_dist marking short_curve_bound "
                     "short_curves systole teich_dist wolpert_check"),

@@ -17,7 +17,7 @@ from .errors import (CertificateInvalidError, HorizonExceededError, InvalidInput
                      NotIndependentError, TeichpongError)
 from .hyp2 import Point
 from .mcg import (Classification, MappingClass, axis, classify, fixed_slope_test,
-                  independent, translation_distance)
+                  independent, projection_interval, translation_distance)
 
 # The handlers import the rest of the package themselves, so a command loads
 # only the modules it runs, and serialize only where it writes a document.
@@ -187,10 +187,9 @@ def _cmd_pair(args) -> int:
     print(f"independent=true D={pg.D:.17g} crossing={str(pg.crossing).lower()}")
     print(f"O={pg.O.x:.17g},{pg.O.y:.17g} t_O={pg.t_O:.17g}")
     print(f"O'={pg.O_prime.x:.17g},{pg.O_prime.y:.17g} s_O={pg.s_O:.17g}")
-    c1, c2 = axis(m1).axis, axis(m2).axis
-    lo, hi = projection.projection_interval(c1, c2)
+    lo, hi = projection_interval(m1, m2)
     print(f"interval_on_1=[{lo:.17g},{hi:.17g}]")
-    lo, hi = projection.projection_interval(c2, c1)
+    lo, hi = projection_interval(m2, m1)
     print(f"interval_on_2=[{lo:.17g},{hi:.17g}]")
     if args.thresholds:
         th = projection.fast_divergence_thresholds(m1, m2)

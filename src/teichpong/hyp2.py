@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import NamedTuple
 
 from .errors import DegenerateInputError, InvalidInputError
 
@@ -199,13 +198,6 @@ class Mobius(Value):
         return BoundaryPoint.finite((self.a * xi.value + self.b) / den)
 
 
-class ProjectionResult(NamedTuple):
-    """Foot of the nearest-point projection together with its parameter."""
-
-    foot: Point
-    t: float
-
-
 class Geodesic(Value):
     """Oriented bi-infinite geodesic with a marked unit-speed origin.
 
@@ -265,15 +257,9 @@ class Geodesic(Value):
         return self.chart.apply(Point(0.0, height))
 
     def param_of(self, z: Point) -> float:
-        """Projection parameter of z; feet of perpendiculars on c(0,oo) are i|w|."""
+        """Parameter of the nearest point to z; feet of perpendiculars on c(0,oo) are i|w|."""
         w = self.chart.inverse().apply_complex(z.z)
         return 0.5 * math.log(abs(w))
-
-
-def project(c: Geodesic, z: Point) -> ProjectionResult:
-    """Nearest point of c to z; single-valued since the plane is uniquely geodesic."""
-    t = c.param_of(z)
-    return ProjectionResult(c.point_at(t), t)
 
 
 def dist_to_geodesic(c: Geodesic, z: Point) -> float:

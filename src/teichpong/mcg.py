@@ -3,8 +3,8 @@
 A class is a 2x2 integer matrix of determinant one, identified with its
 negative.  Classification, independence, word arithmetic, the trace
 recurrence, the ends of the verifier's ping-pong tables, and whether two axes
-cross and their distance D are integer-exact, D up to one rounded quotient;
-axes and translation distances are floating point with stated tolerances.
+cross are integer-exact; D and the projection intervals are closed forms in
+the integers, rounded only at the end; axes are floats with stated tolerances.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import math
 from enum import Enum
 from typing import Optional
 
-from .errors import ClassificationError, DichotomyViolationError, InvalidInputError
+from .errors import (ClassificationError, DichotomyViolationError, InvalidInputError,
+                     NotIndependentError)
 from .hyp2 import BoundaryPoint, Geodesic, Mobius, Point, Value
 
 
@@ -132,6 +133,12 @@ def classify(m: MappingClass) -> Classification:
     return Classification.ELLIPTIC
 
 
+def _positive_trace(m: MappingClass) -> tuple:
+    """m's entries, negated if its trace is negative."""
+    a, b, c, d = m.entries()
+    return (a, b, c, d) if a + d >= 0 else (-a, -b, -c, -d)
+
+
 def _require_pa(m: MappingClass):
     if classify(m) is not Classification.PSEUDO_ANOSOV:
         raise ClassificationError(f"matrix {m} has trace {m.trace}, need |trace| > 2")
@@ -146,9 +153,7 @@ def axis(m: MappingClass) -> AxisData:
     quadratic irrationals.
     """
     _require_pa(m)
-    a, b, c, d = m.entries()
-    if a + d < 0:
-        a, b, c, d = -a, -b, -c, -d
+    a, b, c, d = _positive_trace(m)
     huge = (a + d).bit_length() > 511
     try:
         # from t = 2^511 on, t*t - 4 overflows a float and sqrt(t^2 - 4) is t to far under an ulp
@@ -179,9 +184,7 @@ def _table_ends(m: MappingClass, u) -> list:
     A/2c + s sqrt(Delta) / (2c u).  Each end is (alpha, beta, e, Delta)
     for (alpha + beta sqrt(Delta)) / e with integers and e > 0.
     """
-    a, b, c, d = m.entries()
-    if a + d < 0:
-        a, b, c, d = -a, -b, -c, -d
+    a, b, c, d = _positive_trace(m)
     P, Q = u.numerator, u.denominator
     A, delta, sc = a - d, (a + d) ** 2 - 4, 1 if c > 0 else -1
     out = []
@@ -191,6 +194,49 @@ def _table_ends(m: MappingClass, u) -> list:
         # far - near = s (1/u - u) sqrt(Delta) / 2c has the sign of s c
         out.append((near, far) if s * c > 0 else (far, near))
     return out
+
+
+def _quarter_log_ratio(x: int, y: int, Z: int) -> float:
+    """1/4 log|(x + y sqrt Z)/(x - y sqrt Z)| for integers, Z > 0, x^2 != y^2 Z:
+    signed by xy, 1/2 log(|x| + |y| sqrt Z) - 1/4 log|x^2 - y^2 Z|, taken over
+    max(x^2, y^2 Z) as 1/2 log(1 + sqrt(min/max)) - 1/4 log g, g = |x^2 - y^2 Z|/max.
+    The two terms share a sign and each reads one correctly rounded quotient
+    of integers, so the value is within a few ulps of its size plus 2^-54."""
+    if x == 0 or y == 0:
+        return 0.0
+    p, q = x * x, y * y * Z
+    big = max(p, q)
+    g = abs(p - q) / big
+    # a g below the normal floats is taken as a difference of integer logs
+    log_g = math.log(g) if g > 1e-300 else math.log(abs(p - q)) - math.log(big)
+    half = 0.5 * math.log1p(math.sqrt(min(p, q) / big)) - 0.25 * log_g
+    return half if (x > 0) == (y > 0) else -half
+
+
+def projection_interval(target: MappingClass, source: MappingClass) -> tuple:
+    """(lo, hi) = t_O -+ w: the parameters of axis(target), where the foot of
+    a boundary point x is 1/2 log|(x - rep)/(att - x)|, spanned by the
+    projection of source's axis, in closed form from the integers.
+
+    With traces made positive, A = a - d, Delta = (a + d)^2 - 4 and primes
+    on the source, t_O = 1/4 log|(u - v sqrt Delta)/(u + v sqrt Delta)| with
+    u = c'(A^2 + Delta) - 2cAA' - 4c^2 b' and v = 2(c'A - cA'), since
+    (u -+ v sqrt Delta)/4c^2 is c'x^2 - A'x - b' at rep and att; and
+    w = 1/4 log|(|k| + sqrt Q)/(|k| - sqrt Q)| for (k, Q) of pair_invariant,
+    1/2 asinh(1/sinh 2D) or 1/2 atanh(cos theta).  u^2 - v^2 Delta is
+    4c^2 (k^2 - Q), nonzero for independent classes (dependent ones raise
+    NotIndependentError), so each end is finite and within
+    2^-50 max(1, |lo|, |hi|) of the true one."""
+    _require_pa(target)
+    _require_pa(source)
+    k, Q = pair_invariant(target, source)
+    if k * k == Q:
+        raise NotIndependentError(f"{target} and {source} share an axis")
+    (a, b, c, d), (a2, b2, c2, d2) = _positive_trace(target), _positive_trace(source)
+    A, A2, delta = a - d, a2 - d2, (a + d) ** 2 - 4
+    u = c2 * (A * A + delta) - 2 * c * A * A2 - 4 * c * c * b2
+    t, w = _quarter_log_ratio(u, 2 * (c * A2 - c2 * A), delta), _quarter_log_ratio(abs(k), 1, Q)
+    return t - w, t + w
 
 
 def _sign_of(a: int, b: int, D1: int, c: int, D2: int) -> int:
@@ -233,8 +279,11 @@ def min_translation() -> float:
 
     Hyperbolic integer matrices have |trace| >= 3 and the eigenvalue is
     increasing in |trace|, so the trace-3 classes realize the minimum.
+    The nearest float lies above the true value, so the next float down is
+    returned: l_min is a lower bound, and N l_min > 2R + 12b then holds for
+    the true l_min too.
     """
-    return math.log((3.0 + math.sqrt(5.0)) / 2.0)
+    return math.nextafter(math.log((3.0 + math.sqrt(5.0)) / 2.0), 0.0)
 
 
 def _trace_power(t: int, n: int) -> int:

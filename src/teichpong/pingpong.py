@@ -3,9 +3,9 @@
 Two modes produce a certificate that the N-th powers of a family of
 independent hyperbolic classes freely generate:
 
-* certified_search: the radius comes from the computed projection intervals,
-  and the verifier decides the ping-pong lemma for the practical N exactly,
-  in integers;
+* certified_search: the radius comes from the projection intervals, closed
+  forms in the integers (mcg.projection_interval), and the verifier decides
+  the ping-pong lemma for the practical N exactly, in integers;
 
 * paper_formula: the literal factorial bound, kept as exact integers that
   are reported by digit count and never exponentiated.
@@ -25,8 +25,8 @@ from .errors import (CertificateInvalidError, ConstantDerivationError,
                      InvalidInputError, NotIndependentError)
 from .hyp2 import Record, Value
 from .mcg import (_end_order, _table_ends, _trace_power, axis, axis_distance, independent,
-                  min_translation, pair_invariant, translation_distance)
-from .projection import _pair_geometry, derive_morse, model_constants, projection_interval
+                  min_translation, pair_invariant, projection_interval, translation_distance)
+from .projection import _pair_geometry, derive_morse, model_constants
 
 DEFAULT_BOX = (-10.0, 10.0, 0.05, 10.0)
 GRID_STEP = 0.01  #: step of the radius grid
@@ -82,18 +82,9 @@ def _check_sampling(seed, samples, box) -> None:
         raise InvalidInputError(f"bad sampling box {box}")
 
 
-def _interval_map(axes):
-    return {(i, j): projection_interval(ci, cj)
-            for (i, ci), (j, cj) in itertools.permutations(enumerate(axes), 2)}
-
-
 def _radius_from_intervals(intervals, b, grid_step, margin):
     """Least R on the grid with every interval, each in its target axis's own
     parametrization, inside (-(R + 4b), R + 4b), times 1 + margin."""
-    for (i, j), ends in intervals.items():
-        if not all(map(math.isfinite, ends)):
-            raise CertificateInvalidError(f"interval ({i}, {j}) has an end that is not finite",
-                                          witness={"pair": [i, j]})
     need = max(max(abs(lo), abs(hi)) for lo, hi in intervals.values())
     floor = max(0.0, need - 4.0 * b) - 1e-15
     steps = max(0.0, floor) / grid_step
@@ -159,8 +150,9 @@ def build_certificate(generators, mode: str = "certified_search", *, seed: int =
     _check_family(generators)
     consts = model_constants()
     b = consts.b
+    intervals = {(i, j): projection_interval(generators[i], generators[j])
+                 for i, j in itertools.permutations(range(len(generators)), 2)}
     axes = [axis(m).axis for m in generators]
-    intervals = _interval_map(axes)
     pair_data = {(i, j): _pair_geometry(generators[i], generators[j], axes[i], axes[j])
                  for i, j in itertools.combinations(range(len(axes)), 2)}
     l_min = min_translation()
@@ -214,8 +206,9 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
       ones, are pairwise disjoint, decided in integers on the table ends in
       Q(sqrt Delta) of mcg._table_ends.
 
-    Last, every stored interval contains the recomputed projection.  The
-    work is bounded by S and the entries, never by N.
+    Last, every stored interval contains its recomputed closed form
+    (mcg.projection_interval).  The work is bounded by S and the entries,
+    never by N.
     """
     seed = cert.config["seed"] if seed is None else seed
     box = tuple(cert.config["box"])
@@ -293,12 +286,10 @@ def verify_pingpong(cert: PingPongCertificate, sample_budget: int = 10_000, *,
                  witness={"tables": [[i, s], [j, t]]})
     checks.append({"name": "table-disjointness-exact", "passed": True, "tables": len(tables)})
 
-    # re-validate the stored intervals: the projection is monotone along the
-    # source axis, so its closure spans the feet of the source's endpoints
-    axes = [axis(m).axis for m in gens]
+    # re-validate the stored intervals against their closed form
     bound = cert.R + 4.0 * cert.b + 1e-9
     for (i, j), (lo, hi) in cert.intervals.items():
-        for t in projection_interval(axes[i], axes[j]):
+        for t in projection_interval(gens[i], gens[j]):
             if not (lo - 1e-9 <= t <= hi + 1e-9 and abs(t) <= bound):
                 fail(f"projection of axis {j} on axis {i} left its interval",
                      witness={"param": t})

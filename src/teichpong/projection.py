@@ -10,9 +10,9 @@ Two derived constants and the geometry of a pair of axes live here:
   (K, kappa)-quasi-geodesic can stray from the geodesic joining its
   endpoints;
 
-* the nearest-point configuration of two axes, exact in the traces for
-  crossing and D and a closed form in the chart of the first for the
-  points, and the fast-divergence thresholds past it, also in the traces.
+* the nearest-point configuration of two axes, closed forms in the integers
+  except for the points O and O' on the float charts, and the
+  fast-divergence thresholds past it, also in the traces.
 
 M is a bisection on its max height, each step a concave maximisation per
 excursion level; its levels and margin are in its memo key, so results are
@@ -27,8 +27,9 @@ import math
 from . import cache
 from .errors import (ConstantDerivationError, DegenerateInputError,
                      HorizonExceededError, InvalidInputError, NotIndependentError)
-from .hyp2 import Geodesic, Value, dist_to_geodesic, project
-from .mcg import MappingClass, axis, axis_distance, independent, pair_invariant
+from .hyp2 import Geodesic, Value, dist_to_geodesic
+from .mcg import (MappingClass, axis, axis_distance, independent, pair_invariant,
+                  projection_interval)
 
 # The stability search's excursion levels and margin on M; both are in its memo key.
 _LEVELS, _MORSE_MARGIN = 96, 0.05
@@ -178,15 +179,6 @@ class PairGeometry(Value):
     __slots__ = _fields = ("D", "O", "O_prime", "t_O", "s_O", "crossing")
 
 
-def _normalized_endpoints(c_target: Geodesic, c_source: Geodesic):
-    inv = c_target.chart.inverse()
-    vals = []
-    for xi in (c_source.endpoint_neg, c_source.endpoint_pos):
-        w = inv.apply_boundary(xi)
-        vals.append(math.inf if w.infinite else w.value)
-    return vals
-
-
 def common_perpendicular_distance(c1: Geodesic, c2: Geodesic) -> float:
     """Closed-form distance between disjoint geodesics (cross-ratio route).
 
@@ -194,9 +186,10 @@ def common_perpendicular_distance(c1: Geodesic, c2: Geodesic) -> float:
     center m and radius r, and sinh of the plane distance is
     sqrt(m^2 - r^2)/r.  Used as an independent oracle for pair_geometry.
     """
-    p, q = _normalized_endpoints(c1, c2)
-    if not (math.isfinite(p) and math.isfinite(q)):
+    p, q = (c1.chart.inverse().apply_boundary(x) for x in (c2.endpoint_neg, c2.endpoint_pos))
+    if p.infinite or q.infinite:
         raise DegenerateInputError("geodesics share an endpoint")
+    p, q = p.value, q.value
     if p * q <= 0.0:
         raise InvalidInputError("geodesics cross; the distance is zero")
     m, r = 0.5 * (p + q), 0.5 * abs(q - p)
@@ -204,18 +197,16 @@ def common_perpendicular_distance(c1: Geodesic, c2: Geodesic) -> float:
 
 
 def _pair_geometry(m1: MappingClass, m2: MappingClass, c1: Geodesic, c2: Geodesic) -> PairGeometry:
-    # crossing and D are the pair invariant's; in the chart of c1 the other
-    # axis is the half circle on (p, q), which crosses the imaginary axis, or
-    # meets its common perpendicular with it, at height sqrt|pq|: t_O = log|pq| / 4
+    # crossing and D are the pair invariant's; the rotation by pi about the
+    # crossing point, or the reflection in the common perpendicular, keeps
+    # both axes, so each projection interval is centred on the nearest point
     k, Q = pair_invariant(m1, m2)
-    p, q = _normalized_endpoints(c1, c2)
-    if not (math.isfinite(p) and math.isfinite(q)) or p * q == 0.0:
-        raise DegenerateInputError("geodesics share an endpoint")
-    t_O = 0.5 * math.log(math.sqrt(abs(p * q)))
+    t_O = 0.5 * sum(projection_interval(m1, m2))
+    s_O = 0.5 * sum(projection_interval(m2, m1))
     O = c1.point_at(t_O)
-    foot, s_O = project(c2, O)
     crossing = k * k < Q
-    return PairGeometry(axis_distance(k, Q), O, O if crossing else foot, t_O, s_O, crossing)
+    return PairGeometry(axis_distance(k, Q), O, O if crossing else c2.point_at(s_O),
+                        t_O, s_O, crossing)
 
 
 def pair_geometry(m1: MappingClass, m2: MappingClass) -> PairGeometry:
@@ -224,22 +215,6 @@ def pair_geometry(m1: MappingClass, m2: MappingClass) -> PairGeometry:
     if not independent(m1, m2):
         raise NotIndependentError(f"{m1} and {m2} share an axis")
     return _pair_geometry(m1, m2, axis(m1).axis, axis(m2).axis)
-
-
-def projection_interval(c_target: Geodesic, c_source: Geodesic):
-    """Parameter interval of c_target containing the projection of c_source.
-
-    The projection parameter is monotone along the source, so the interval
-    is spanned by the feet 1/2 log|w| of its two ideal endpoints w in the
-    chart; w = oo and w = 0 give +inf and -inf, which signal a shared endpoint.
-    """
-    if (c_target.endpoint_neg == c_source.endpoint_neg and c_target.endpoint_pos == c_source.endpoint_pos) or (
-        c_target.endpoint_neg == c_source.endpoint_pos and c_target.endpoint_pos == c_source.endpoint_neg
-    ):
-        raise DegenerateInputError("projection of a geodesic onto itself is everything")
-    ta, tb = (0.5 * math.log(abs(w)) if w else -math.inf
-              for w in _normalized_endpoints(c_target, c_source))
-    return (min(ta, tb), max(ta, tb))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,23 @@ def reference_axis_distance(k, Q):
         return (x + (x * x - 1).sqrt()).ln() / 2
 
 
+def reference_projection_interval(target, source):
+    """The projection interval of source's axis on target's at a precision of
+    60 plus twice the entries' digits: the feet 1/2 ln|(x - rep)/(att - x)| of
+    the source's endpoints x, with every endpoint (A +- sqrt Delta)/2c."""
+    def fixed_points(m):
+        a, b, c, d = m.entries() if m.trace > 0 else (-e for e in m.entries())
+        root = Decimal((a + d) ** 2 - 4).sqrt()
+        return (a - d - root) / (2 * c), (a - d + root) / (2 * c)
+
+    digits = max(len(str(abs(e))) for m in (target, source) for e in m.entries())
+    with localcontext() as ctx:
+        ctx.prec = 60 + 2 * digits
+        rep, att = fixed_points(target)
+        feet = [abs((x - rep) / (att - x)).ln() / 2 for x in fixed_points(source)]
+        return min(feet), max(feet)
+
+
 def within_ulps(value, reference, ulps=4):
     return abs(Decimal(value) - reference) <= ulps * Decimal(math.ulp(value))
 

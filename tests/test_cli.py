@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import numpy as np
-from conftest import random_independent_pair, reference_axis_distance, within_ulps
+from conftest import (random_independent_pair, reference_axis_distance,
+                      reference_projection_interval, within_ulps)
 from teichpong import pingpong
 from teichpong.cli import main
 from teichpong.errors import CertificateInvalidError, TeichpongError
@@ -245,14 +246,51 @@ class TestCollapsedAxis:
         assert len(lines) == 1
         assert lines[0].startswith("error: constant-derivation: short-curve bound B=334368341 ")
 
-    def test_infinite_interval_is_one_error_line(self, capsys):
-        # the chart puts an end of the projection of axis 0 on axis 1 at
-        # infinity, where the radius search once raised a bare OverflowError
+    def test_pingpong_certifies(self, capsys):
+        # every end of the closed-form intervals is finite, on this narrow axis too
         code = main(["pingpong", "--matrix", self.PAIR[0], "--matrix", self.PAIR[1],
                      "--no-cache"])
-        assert code == 1
-        assert capsys.readouterr().err == ("error: certificate-invalid: interval (1, 0) has an "
-                                           "end that is not finite witness={'pair': [1, 0]}\n")
+        assert code == 0
+        assert capsys.readouterr().err == "certificate-valid mode=certified_search N=45\n"
+
+    def test_pair_intervals(self, capsys):
+        # the 50-digit interval is [-2.0193692031443219e-16, 1.0814208190935313702]
+        code = main(["pair", "--m1", self.PAIR[0], "--m2", self.PAIR[1], "--no-cache"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        lo, hi = map(float, lines[-1].removeprefix("interval_on_2=[").rstrip("]").split(","))
+        assert abs(lo) < 1e-15 and hi == pytest.approx(1.0814208190935313702, abs=1e-15)
+
+
+#: (a, b, k) of the conjugate survey's families (a, b conjugated by a^k) that
+#: the float-chart intervals refused: seeds 7, 16 and 17 at k = 8, 1, 5 and 28 at k = 12
+MENDED_FAMILIES = [((3, 10, 2, 7), (4, 1, 3, 1), 8), ((5, 12, 2, 5), (3, 4, 2, 3), 8),
+                   ((10, 3, 3, 1), (17, 10, 5, 3), 8), ((4, 3, 1, 1), (3, 7, 2, 5), 12),
+                   ((4, 3, 1, 1), (3, 1, 2, 1), 12), ((4, 3, 1, 1), (23, 13, 7, 4), 12)]
+
+
+@pytest.mark.parametrize("a, b, k", MENDED_FAMILIES, ids=["8-7", "8-16", "8-17", "12-1", "12-5",
+                                                           "12-28"])
+def test_mended_family_certifies(a, b, k, tmp_path, capsys):
+    # builds, verifies and serialises, with the N of the 60-digit intervals
+    from teichpong.mcg import MappingClass, min_translation
+    from teichpong.projection import model_constants
+
+    m1, m2 = MappingClass(*a), MappingClass(*b)
+    m2 = m2.conjugated_by(m1 ** k)
+    out = tmp_path / "cert.json"
+    code = main(["pingpong", "--matrix", str(m1), "--matrix", str(m2), "--out", str(out),
+                 "--no-cache"])
+    err = capsys.readouterr().err
+    assert code == 0 and err.startswith("certificate-valid mode=certified_search N=")
+    doc = json.loads(out.read_text())
+    assert doc["verification"]["passed"] is True
+    true = {(0, 1): tuple(map(float, reference_projection_interval(m1, m2))),
+            (1, 0): tuple(map(float, reference_projection_interval(m2, m1)))}
+    contraction = model_constants().b
+    R = pingpong._radius_from_intervals(true, contraction, pingpong.GRID_STEP,
+                                        pingpong.RADIUS_MARGIN)
+    assert doc["N"] == str(pingpong.power_bound(R, contraction, min_translation()))
 
 
 class TestProfileCommand:

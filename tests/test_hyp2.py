@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import geodesic_through, transport
 from teichpong.errors import DegenerateInputError, InvalidInputError
-from teichpong.hyp2 import BoundaryPoint, Geodesic, Mobius, Point, dist, dist_to_geodesic, project
+from teichpong.hyp2 import BoundaryPoint, Geodesic, Mobius, Point, dist, dist_to_geodesic
 from teichpong.mcg import MappingClass, axis
 
 
@@ -229,46 +229,49 @@ class TestPointAt:
         assert c.endpoint_neg.infinite
         assert c.endpoint_pos.value == pytest.approx(0.0)
         assert c.point_at(0.5 * math.log(2)).z == pytest.approx(1j, abs=1e-14)
-        assert project(c, Point(3, 4)).t == pytest.approx(
+        assert c.param_of(Point(3, 4)) == pytest.approx(
             -0.5 * math.log(5) + 0.5 * math.log(2), abs=1e-12)
 
 
 class TestProject:
+    """The nearest point of c to z is c.point_at(c.param_of(z))."""
+
     def test_vertical_foot(self):
-        foot, t = project(vertical_axis(), Point(3, 4))
-        assert foot.z == pytest.approx(5j, abs=1e-12)
+        c = vertical_axis()
+        t = c.param_of(Point(3, 4))
+        assert c.point_at(t).z == pytest.approx(5j, abs=1e-12)
         assert t == pytest.approx(0.5 * math.log(5), abs=1e-12)
 
     def test_point_on_geodesic(self):
         c = geodesic_through(Point(0, 1), Point(1, 1))
         z = c.point_at(0.7)
-        foot, _ = project(c, z)
-        assert dist(foot, z) < 1e-9
+        assert c.param_of(z) == pytest.approx(0.7, abs=1e-12)
+        assert dist(c.point_at(c.param_of(z)), z) < 1e-9
 
     def test_foot_minimizes_numerically(self):
         # independent oracle: dense minimization over the parameter
         c = vertical_axis()
         z = Point(3, 4)
-        foot, t = project(c, z)
+        t = c.param_of(z)
         ts = np.linspace(t - 2, t + 2, 4001)
         best = min(dist(z, c.point_at(s)) for s in ts)
-        assert dist(z, foot) <= best + 1e-9
+        assert dist(z, c.point_at(t)) <= best + 1e-9
 
     @given(mobius_maps(), points)
     @settings(max_examples=150, deadline=None)
     def test_equivariance(self, m, z):
         c = geodesic_through(Point(0, 1), Point(1, 1))
-        t_before = project(c, z).t
-        t_after = project(transport(m, c), m.apply(z)).t
+        t_before = c.param_of(z)
+        t_after = transport(m, c).param_of(m.apply(z))
         assert t_after == pytest.approx(t_before, abs=1e-9)
 
     @given(points, points)
     @settings(max_examples=200, deadline=None)
     def test_idempotent_and_lipschitz(self, z, w):
         c = geodesic_through(Point(0, 1), Point(1, 1))
-        fz, tz = project(c, z)
-        fw, _ = project(c, w)
-        assert project(c, fz).t == pytest.approx(tz, abs=1e-9)
+        tz = c.param_of(z)
+        fz, fw = c.point_at(tz), c.point_at(c.param_of(w))
+        assert c.param_of(fz) == pytest.approx(tz, abs=1e-9)
         assert dist(fz, fw) <= dist(z, w) + 1e-9
 
 
@@ -312,5 +315,5 @@ class TestDistToGeodesic:
     def test_matches_projection_distance(self):
         c = geodesic_through(Point(0, 1), Point(1, 1))
         z = Point(-2, 0.5)
-        foot, _ = project(c, z)
+        foot = c.point_at(c.param_of(z))
         assert dist_to_geodesic(c, z) == pytest.approx(dist(z, foot), abs=1e-12)

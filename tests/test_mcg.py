@@ -1,20 +1,22 @@
 import math
 import random
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import (L_GEN, PHI, PSI, PSI_CONJUGATES, random_pseudo_anosov,
-                      reference_axis_distance, within_ulps)
-from teichpong.errors import ClassificationError, InvalidInputError
-from teichpong.hyp2 import BoundaryPoint, Point, dist, project
-from teichpong.mcg import (Classification, MappingClass, axis, axis_distance, classify,
-                           fixed_slope_test, independent, min_translation, pair_invariant,
+from conftest import (L_GEN, PHI, PSI, PSI_CONJUGATES, R_GEN, random_pseudo_anosov,
+                      reference_axis_distance, reference_projection_interval, within_ulps)
+from teichpong.errors import ClassificationError, InvalidInputError, NotIndependentError
+from teichpong.hyp2 import BoundaryPoint, Point, dist
+from teichpong.mcg import (Classification, MappingClass, _quarter_log_ratio, axis,
+                           axis_distance, classify, fixed_slope_test, independent,
+                           min_translation, pair_invariant, projection_interval,
                            translation_distance)
-from teichpong.projection import _normalized_endpoints, common_perpendicular_distance
+from teichpong.projection import common_perpendicular_distance
 from teichpong.torus_model import Slope
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -116,7 +118,7 @@ class TestAxis:
             tr = translation_distance(m)
             for t in (-0.8, 0.3):
                 moved = m.apply(ax.axis.point_at(t))
-                assert project(ax.axis, moved).t == pytest.approx(t + tr, abs=1e-9)
+                assert ax.axis.param_of(moved) == pytest.approx(t + tr, abs=1e-9)
 
     @pytest.mark.parametrize("t", [3, 10 ** 6, 2 ** 100, 2 ** 510],
                              ids=["3", "10^6", "2^100", "2^510"])
@@ -199,6 +201,14 @@ class TestMinTranslation:
     def test_value(self):
         assert min_translation() == pytest.approx(0.9624236501192069, abs=1e-12)
 
+    def test_rounds_down(self):
+        # the float just below log((3 + sqrt 5)/2), so N l_min > 2R + 12b
+        # holds for the true l_min
+        with localcontext() as ctx:
+            ctx.prec = 60
+            true = ((3 + Decimal(5).sqrt()) / 2).ln()
+        assert Decimal(min_translation()) < true < Decimal(math.nextafter(min_translation(), 2.0))
+
     def test_trace_three_witness(self):
         assert translation_distance(PHI) == pytest.approx(min_translation(), abs=1e-14)
 
@@ -280,14 +290,14 @@ class TestIndependenceFromTheInvariant:
         assert dependent >= 120
 
 
-def perfbench_pairs(count):
-    """perfbench's seeded random_family pairs, seeds 0 to count - 1."""
+def perfbench_families(count, n=2):
+    """perfbench's seeded random_family families of n classes, seeds 0 to count - 1."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     try:
         from workloads import random_family
     finally:
         del sys.path[0]
-    return [[MappingClass(*m) for m in random_family(random.Random(seed), 2)]
+    return [[MappingClass(*m) for m in random_family(random.Random(seed), n)]
             for seed in range(count)]
 
 
@@ -297,11 +307,12 @@ class TestPairInvariant:
 
     def test_agrees_with_the_chart(self):
         disjoint = 0
-        for m1, m2 in perfbench_pairs(300) + [[PHI, c] for c in PSI_CONJUGATES]:
+        for m1, m2 in perfbench_families(300) + [[PHI, c] for c in PSI_CONJUGATES]:
             k, Q = pair_invariant(m1, m2)
             D = axis_distance(k, Q)
             c1, c2 = axis(m1).axis, axis(m2).axis
-            p, q = _normalized_endpoints(c1, c2)
+            inv = c1.chart.inverse()
+            p, q = (inv.apply_boundary(x).value for x in (c2.endpoint_neg, c2.endpoint_pos))
             assert (k * k < Q) == (p * q < 0.0), (m1, m2)
             if k * k < Q:
                 assert D == 0.0
@@ -317,6 +328,67 @@ class TestPairInvariant:
         D = axis_distance(k, Q)
         assert D == pytest.approx(460.4054468231520, abs=1e-12)
         assert within_ulps(D, reference_axis_distance(k, Q))
+
+
+def closed_form_integers(target, source):
+    """(u, v, Delta, c) of projection_interval's docstring, traces made positive."""
+    (a, b, c, d), (a2, b2, c2, d2) = ([e if m.trace > 0 else -e for e in m.entries()]
+                                      for m in (target, source))
+    A, A2, delta = a - d, a2 - d2, (a + d) ** 2 - 4
+    return c2 * (A * A + delta) - 2 * c * A * A2 - 4 * c * c * b2, 2 * (c2 * A - c * A2), delta, c
+
+
+class TestProjectionIntervalClosedForm:
+    """mcg.projection_interval against a decimal reference, its integer
+    identity, and dependent input."""
+
+    @staticmethod
+    def ordered_pairs():
+        families = perfbench_families(60) + perfbench_families(20, 3)
+        pairs = [(f[i], f[j]) for f in families for i in range(len(f)) for j in range(len(f))
+                 if i != j]
+        narrow = [L_GEN ** k * R_GEN for k in (10 ** 5, 3 * 10 ** 5, 10 ** 6)]
+        narrow.append(PSI.conjugated_by(PHI ** 300))
+        return pairs + [p for m in narrow for p in ((PHI, m), (m, PHI), (PSI, m), (m, PSI))]
+
+    def test_matches_the_decimal_reference(self):
+        # the docstring's bound: each end within 2^-50 max(1, |lo|, |hi|)
+        for target, source in self.ordered_pairs():
+            ends = projection_interval(target, source)
+            bound = Decimal(2.0 ** -50 * max(1.0, *map(abs, ends)))
+            for end, true in zip(ends, reference_projection_interval(target, source)):
+                assert abs(Decimal(end) - true) <= bound, (target, source, end, true)
+
+    def test_integer_identity(self, rng):
+        # u^2 - v^2 Delta = 4 c^2 (k^2 - Q), on seeded pairs of either trace sign
+        odd = MappingClass(1, 2, -3, -5)  # trace -4
+        pairs = [(random_pseudo_anosov(rng), random_pseudo_anosov(rng)) for _ in range(600)]
+        for m1, m2 in pairs + [(odd, PHI), (PSI, odd), (odd.inverse(), PSI)]:
+            u, v, delta, c = closed_form_integers(m1, m2)
+            k, Q = pair_invariant(m1, m2)
+            assert u * u - v * v * delta == 4 * c * c * (k * k - Q), (m1, m2)
+
+    @pytest.mark.parametrize("source", [PHI, PHI ** 2, PHI.inverse() ** 3],
+                             ids=["phi", "phi^2", "phi^-3"])
+    def test_dependent_input(self, source):
+        with pytest.raises(NotIndependentError) as exc:
+            projection_interval(PHI, source)
+        assert type(exc.value) is NotIndependentError
+
+    @pytest.mark.parametrize("n", [1, 10, 600])
+    def test_pell_units(self, n):
+        # x + y sqrt 2 = (3 + 2 sqrt 2)^n has x^2 - 2y^2 = 1, so the ratio is
+        # (x + y sqrt 2)^2 and its quarter log is n/2 log(3 + 2 sqrt 2); at
+        # n = 600, 1/x^2 is below the floats
+        x, y = 1, 0
+        for _ in range(n):
+            x, y = 3 * x + 4 * y, 2 * x + 3 * y
+        with localcontext() as ctx:
+            ctx.prec = 60
+            true = n * (3 + 2 * Decimal(2).sqrt()).ln() / 2
+        for sx, sy, sign in ((x, y, 1), (-x, -y, 1), (x, -y, -1)):
+            value = _quarter_log_ratio(sx, sy, 2)
+            assert abs(Decimal(value) - sign * true) <= Decimal(2.0 ** -50) * true
 
 
 class TestFixedSlope:

@@ -16,10 +16,10 @@ from teichpong.errors import (CertificateInvalidError, ConstantDerivationError,
 from teichpong import pingpong
 from teichpong.hyp2 import BoundaryPoint, Geodesic, Mobius, Point
 from teichpong.mcg import (MappingClass, _end_order, _sign_of, _table_ends, _trace_power, axis,
-                           min_translation, translation_distance)
+                           min_translation, projection_interval, translation_distance)
 from teichpong.pingpong import (build_certificate, paper_radius_bound, power_bound,
                                 verify_pingpong)
-from teichpong.projection import model_constants, projection_interval
+from teichpong.projection import model_constants
 from teichpong.serialize import certificate_document
 
 def conjugated(m, k):
@@ -37,8 +37,7 @@ class TestCertifiedRadius:
     def test_intervals_within_bound(self):
         b = model_constants().b
         r = build_certificate([PHI, PSI]).R
-        c1, c2 = axis(PHI).axis, axis(PSI).axis
-        for tgt, src in ((c1, c2), (c2, c1)):
+        for tgt, src in ((PHI, PSI), (PSI, PHI)):
             lo, hi = projection_interval(tgt, src)
             assert max(abs(lo), abs(hi)) < r + 4 * b
             assert hi - lo <= 2 * (r + 4 * b)
@@ -1199,11 +1198,12 @@ class TestFixedCheckFailures:
 
     def test_interval_beyond_the_radius(self):
         # the stored intervals are the recomputed ones, but with R = 0 the
-        # lower end 4.71 lies beyond R + 4b = 3.70
+        # lower end 4.71 (4.7061505728458635... at 50 digits) lies beyond
+        # R + 4b = 3.70
         m2 = PHI.conjugated_by((PHI ** 5) * MappingClass(1, 1, 0, 1))
         cert = build_certificate([PHI, m2], box=(-10, 10, 1e-6, 10))
         cert.R = 0.0
         assert self.outcome(cert) == (
             CertificateInvalidError, "projection of axis 1 on axis 0 left its interval",
-            {"param": 4.706150572845396})
-        assert cert.intervals[(0, 1)][0] == 4.706150572845396
+            {"param": 4.706150572845864})
+        assert cert.intervals[(0, 1)][0] == 4.706150572845864

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import PHI, PSI, geodesic_through, random_independent_pair
-from teichpong.errors import (ConstantDerivationError, DegenerateInputError,
-                              HorizonExceededError, InvalidInputError,
-                              NotIndependentError)
-from teichpong.hyp2 import BoundaryPoint, Geodesic, Point, dist, dist_to_geodesic, project
-from teichpong.mcg import MappingClass, axis
+from teichpong.errors import (ConstantDerivationError, HorizonExceededError,
+                              InvalidInputError, NotIndependentError)
+from teichpong.hyp2 import BoundaryPoint, Geodesic, Point, dist, dist_to_geodesic
+from teichpong.mcg import MappingClass, axis, pair_invariant, projection_interval
 from teichpong.projection import (HORIZON, THRESHOLD_MARGIN, Thresholds,
                                   _level_refutes, common_perpendicular_distance,
                                   derive_contraction_b, derive_morse,
                                   divergence_profile,
                                   fast_divergence_thresholds, model_constants,
-                                  pair_geometry, profile_csv,
-                                  projection_interval)
+                                  pair_geometry, profile_csv)
 
 VERTICAL = Geodesic(BoundaryPoint.finite(0.0), BoundaryPoint.infinity(), Point(0.0, 1.0))
 
@@ -43,7 +41,7 @@ class TestContraction:
 
     def test_oracle_dense_ball_boundary(self):
         # sample the boundary circle of the ball B(x, d(x, axis)) densely and
-        # project; the parameter spread must match the closed form
+        # take each point's projection parameter; their spread must match the closed form
         x = Point(math.cos(math.pi / 4), math.sin(math.pi / 4))
         radius = dist_to_geodesic(VERTICAL, x)
         # Euclidean data of the metric ball (radius doubles in the plane metric)
@@ -51,7 +49,7 @@ class TestContraction:
         r_eucl = x.y * math.sinh(2 * radius)
         angles = np.linspace(0, 2 * math.pi, 20000, endpoint=False)
         params = [
-            project(VERTICAL, Point(x.x + r_eucl * math.cos(a), center_y + r_eucl * math.sin(a))).t
+            VERTICAL.param_of(Point(x.x + r_eucl * math.cos(a), center_y + r_eucl * math.sin(a)))
             for a in angles
         ]
         sampled = max(params) - min(params)
@@ -283,34 +281,49 @@ class TestPairGeometry:
 
 
 class TestProjectionInterval:
+    """mcg.projection_interval, the closed form, against the float charts."""
+
     def test_perpendicular_crossing_is_a_point(self):
-        # the unit half circle meets the vertical axis at right angles
-        source = Geodesic(BoundaryPoint.finite(-1.0), BoundaryPoint.finite(1.0), Point(0.0, 1.0))
-        lo, hi = projection_interval(VERTICAL, source)
-        assert lo == pytest.approx(0.0, abs=1e-12)
-        assert hi == pytest.approx(0.0, abs=1e-12)
+        # k = 0: the axes of phi and (1, 4, 4, 17) cross at right angles
+        m2 = MappingClass(1, 4, 4, 17)
+        assert pair_invariant(PHI, m2)[0] == 0
+        lo, hi = projection_interval(PHI, m2)
+        assert lo == hi
+        c1, c2 = axis(PHI).axis, axis(m2).axis
+        for s in (-3.0, 0.0, 3.0):
+            assert c1.param_of(c2.point_at(s)) == pytest.approx(lo, abs=1e-9)
 
     def test_sampled_projections_inside(self):
-        c1, c2 = axis(PHI).axis, axis(PSI).axis
-        lo, hi = projection_interval(c1, c2)
-        assert math.isfinite(lo) and math.isfinite(hi)
-        for s in np.linspace(-8, 8, 1000):
-            t = project(c1, c2.point_at(float(s))).t
-            assert lo - 1e-9 <= t <= hi + 1e-9
+        # sampled source points project inside the interval, and its ends are
+        # approached from inside
+        for m1, m2 in ((PHI, PSI), (PSI, PHI), (PHI, conjugated(PHI, 4)), (PSI, PHI ** 3 * PSI)):
+            c1, c2 = axis(m1).axis, axis(m2).axis
+            lo, hi = projection_interval(m1, m2)
+            params = [c1.param_of(c2.point_at(float(s))) for s in np.linspace(-8, 8, 1000)]
+            assert all(lo - 1e-9 <= t <= hi + 1e-9 for t in params)
+            assert min(params) == pytest.approx(lo, abs=1e-6)
+            assert max(params) == pytest.approx(hi, abs=1e-6)
 
     def test_identical_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            projection_interval(VERTICAL, VERTICAL)
+        with pytest.raises(NotIndependentError):
+            projection_interval(PHI, PHI)
 
     def test_shared_endpoint_unbounded(self):
-        other = Geodesic(BoundaryPoint.finite(1.0), BoundaryPoint.infinity(), Point(1.0, 1.0))
-        lo, hi = projection_interval(VERTICAL, other)
-        assert hi == math.inf and math.isfinite(lo) is False or math.isfinite(hi) is False
+        # psi conjugated by phi^k has an axis whose ends tend to phi's
+        # attracting end: its interval is the k = 0 one moved by k Tr(phi),
+        # finite for every k and unbounded in k
+        tr = math.log((3 + math.sqrt(5)) / 2)
+        lo0, hi0 = projection_interval(PHI, PSI)
+        for k in (1, 10, 100, 300):
+            lo, hi = projection_interval(PHI, PSI.conjugated_by(PHI ** k))
+            assert lo == pytest.approx(lo0 + k * tr, abs=1e-12 * k)
+            assert hi == pytest.approx(hi0 + k * tr, abs=1e-12 * k)
 
-    def test_both_directions_bounded_for_axes(self):
-        c1, c2 = axis(PHI).axis, axis(PSI).axis
-        for a, b in (projection_interval(c1, c2), projection_interval(c2, c1)):
-            assert math.isfinite(a) and math.isfinite(b)
+    def test_both_directions_bounded_for_axes(self, rng):
+        for _ in range(50):
+            m1, m2 = random_independent_pair(rng)
+            for a, b in (projection_interval(m1, m2), projection_interval(m2, m1)):
+                assert math.isfinite(a) and math.isfinite(b) and a <= b
 
 
 class TestDivergenceProfile:
@@ -326,7 +339,7 @@ class TestDivergenceProfile:
         c1 = axis(PHI).axis
         for t, s_star, d_min in rows:
             z = c1.point_at(t)
-            assert s_star == pytest.approx(project(c2, z).t, abs=1e-6)
+            assert s_star == pytest.approx(c2.param_of(z), abs=1e-6)
             assert d_min == pytest.approx(dist_to_geodesic(c2, z), abs=1e-9)
 
     def test_properness(self):

@@ -27,8 +27,8 @@ EXPORTS = (
     "default_thick_params derive_contraction_b derive_morse derive_thick_params dist "
     "dist_to_geodesic divergence_profile fast_divergence_thresholds fixed_slope_test "
     "free_check independent kerckhoff_dist marking min_translation model_constants "
-    "pair_geometry paper_constants paper_radius_bound power_bound profile_csv project "
-    "projection_interval short_curve_bound short_curves systole "
+    "pair_geometry paper_constants paper_radius_bound power_bound profile_csv "
+    "short_curve_bound short_curves systole "
     "teich_dist translation_distance verify_pingpong wolpert_check"
 ).split()
 #: exports that nothing in the package, perfbench or the acceptance suite calls

@@ -11,12 +11,12 @@ import pickle
 
 import pytest
 
-from teichpong.errors import DegenerateInputError, InvalidInputError
+from teichpong.errors import DegenerateInputError, InvalidInputError, NotIndependentError
 from teichpong.hyp2 import BoundaryPoint, Geodesic, Mobius, Point
-from teichpong.mcg import AxisData, MappingClass
+from teichpong.mcg import AxisData, MappingClass, projection_interval
 from teichpong.oracle import WordReport
 from teichpong.pingpong import PaperConstants, PingPongCertificate
-from teichpong.projection import ModelConstants, PairGeometry, Thresholds, projection_interval
+from teichpong.projection import ModelConstants, PairGeometry, Thresholds
 from teichpong.torus_model import Slope, ThickParams
 
 FIN, INF = BoundaryPoint.finite, BoundaryPoint.infinity
@@ -196,10 +196,9 @@ class TestFields:
      "geodesic endpoints must be distinct"),
     (lambda: Geodesic(BoundaryPoint(1.0, True), INF(), Point(0.0, 1.0)), DegenerateInputError,
      "geodesic endpoints must be distinct"),
-    # the same line as the vertical axis over 0, reversed
-    (lambda: projection_interval(Geodesic(FIN(0.0), INF(), Point(0.0, 1.0)),
-                                 Geodesic(BoundaryPoint(5.0, True), FIN(0.0), Point(0.0, 1.0))),
-     DegenerateInputError, "projection of a geodesic onto itself is everything"),
+    # phi^2 shares phi's axis, where the closed form would take log(0)
+    (lambda: projection_interval(MappingClass(2, 1, 1, 1), MappingClass(5, 3, 3, 2)),
+     NotIndependentError, "2,1,1,1 and 5,3,3,2 share an axis"),
     (lambda: Geodesic(FIN(-1.0), FIN(1.0), Point(0.0, 2.0)), InvalidInputError,
      "origin is not on the geodesic"),
     (lambda: MappingClass(1, 1, 1, 1), InvalidInputError,
